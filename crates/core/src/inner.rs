@@ -127,8 +127,8 @@ impl<T: Scalar> InnerSolver<T> for PrecondInner<T> {
 /// Converts vectors between a parent level running in precision `TP` and a
 /// child level running in precision `TC`.
 ///
-/// The conversion applies the same infinity-norm scaling safeguard as the
-/// preconditioner boundary (see [`crate::precond_any`]): parent-side vectors
+/// The conversion applies an infinity-norm scaling safeguard, like the one at
+/// the preconditioner boundary (see [`crate::precond_any`]): parent-side vectors
 /// whose entries fall below the fp16 normal range are scaled into range before
 /// rounding and the child's correction is scaled back, so nothing silently
 /// flushes to zero.

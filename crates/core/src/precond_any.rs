@@ -10,14 +10,17 @@
 //! differ.
 //!
 //! To keep fp16 storage usable late in the convergence history (when residual
-//! entries can drop below the fp16 normal range ≈ 6·10⁻⁵), the input vector is
-//! normalised by its infinity norm before conversion and the result is scaled
-//! back afterwards — the standard scaling safeguard of mixed-precision
-//! iterative refinement.
+//! entries can drop below the fp16 normal range ≈ 6·10⁻⁵), a vector that has
+//! to be converted is first normalised by the power of two just above its
+//! infinity norm and the result is scaled back afterwards — the standard
+//! scaling safeguard of mixed-precision iterative refinement, with a scale
+//! whose multiplication is exact.  Vectors already in the storage precision
+//! go to the preconditioner as they are.
 
-use f3r_precision::{f16, KernelCounters, Precision, Scalar};
+use f3r_precision::{f16, KernelCounters, Precision, Scalar, SliceView, SliceViewMut};
 use f3r_precision::traffic::TrafficModel;
 use f3r_sparse::blas1;
+use f3r_sparse::scaling::pow2_amplitude;
 use f3r_sparse::CsrMatrix;
 use f3r_precond::{build_preconditioner, PrecondKind, Preconditioner};
 
@@ -110,50 +113,47 @@ impl AnyPrecond {
     /// Apply `z = M r` with vectors in precision `TV`, recording the
     /// application in `counters` (this is the Table 3 metric).
     ///
-    /// When `TV` differs from the storage precision the vectors are converted
-    /// at the boundary with an infinity-norm scaling safeguard.
+    /// When `TV` is the storage precision this is
+    /// [`Preconditioner::apply`] on the caller's own slices.  Otherwise the
+    /// vectors are converted at the boundary with an infinity-norm scaling
+    /// safeguard, through per-thread scratch; neither case allocates in
+    /// steady state.
     pub fn apply_to<TV: Scalar>(&self, r: &[TV], z: &mut [TV], counters: &KernelCounters) {
         counters.record_precond_apply();
         counters.record_spmv(
             self.storage_precision(),
             TrafficModel::sparse_precond_bytes(self.nnz(), r.len(), self.storage_precision(), TV::PRECISION),
         );
-        match self {
-            AnyPrecond::F64(p) => apply_converted(p.as_ref(), r, z),
-            AnyPrecond::F32(p) => apply_converted(p.as_ref(), r, z),
-            AnyPrecond::F16(p) => apply_converted(p.as_ref(), r, z),
+        match (self, TV::view(r), TV::view_mut(z)) {
+            (AnyPrecond::F64(p), SliceView::F64(r), SliceViewMut::F64(z)) => p.apply(r, z),
+            (AnyPrecond::F32(p), SliceView::F32(r), SliceViewMut::F32(z)) => p.apply(r, z),
+            (AnyPrecond::F16(p), SliceView::F16(r), SliceViewMut::F16(z)) => p.apply(r, z),
+            (AnyPrecond::F64(p), ..) => apply_converted(p.as_ref(), r, z),
+            (AnyPrecond::F32(p), ..) => apply_converted(p.as_ref(), r, z),
+            (AnyPrecond::F16(p), ..) => apply_converted(p.as_ref(), r, z),
         }
     }
 }
 
-/// Apply a preconditioner stored in precision `TS` to vectors in precision
-/// `TV`, converting (with norm scaling) at the boundary.
+/// Apply a preconditioner stored in precision `TS` to vectors in another
+/// precision `TV`: `r` is divided by the power of two just above its infinity
+/// norm on its way into `TS` (so fp16 storage sees entries of magnitude at
+/// most one) and the result is multiplied back on its way out.  Both
+/// conversions are the scale-and-convert kernel of the compressed basis; a
+/// power-of-two scale makes its multiplication exact.
 fn apply_converted<TS: Scalar, TV: Scalar>(p: &dyn Preconditioner<TS>, r: &[TV], z: &mut [TV]) {
-    if TS::PRECISION == TV::PRECISION {
-        // Same precision: converting through f64 is lossless; this branch only
-        // pays a copy instead of the scaling safeguard.
-        let r_s: Vec<TS> = r.iter().map(|v| TS::from_f64(v.to_f64())).collect();
-        let mut z_s = vec![TS::zero(); z.len()];
-        p.apply(&r_s, &mut z_s);
-        for (zo, zi) in z.iter_mut().zip(z_s.iter()) {
-            *zo = TV::from_f64(zi.to_f64());
-        }
-        return;
-    }
-    let scale = blas1::norm_inf(r);
+    let scale = pow2_amplitude(blas1::norm_inf(r));
     if scale == 0.0 {
-        for zo in z.iter_mut() {
-            *zo = TV::zero();
-        }
+        z.fill(TV::zero());
         return;
     }
-    let inv = 1.0 / scale;
-    let r_s: Vec<TS> = r.iter().map(|v| TS::from_f64(v.to_f64() * inv)).collect();
-    let mut z_s = vec![TS::zero(); z.len()];
-    p.apply(&r_s, &mut z_s);
-    for (zo, zi) in z.iter_mut().zip(z_s.iter()) {
-        *zo = TV::from_f64(zi.to_f64() * scale);
-    }
+    let n = r.len();
+    TS::with_scratch(2 * n, |scratch| {
+        let (r_s, z_s) = scratch.split_at_mut(n);
+        blas1::widen_scaled_into(1.0 / scale, r, r_s);
+        p.apply(r_s, z_s);
+        blas1::widen_scaled_into(scale, z_s, z);
+    });
 }
 
 #[cfg(test)]

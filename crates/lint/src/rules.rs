@@ -541,6 +541,7 @@ const CAST_SCOPE: &[&str] = &[
     "crates/sparse/src/csr.rs",
     "crates/sparse/src/scaling.rs",
     "crates/simd/src/",
+    "crates/precond/src/trisolve.rs",
     "crates/core/src/basis.rs",
     "crates/core/src/block.rs",
     "crates/core/src/fgmres.rs",
@@ -699,6 +700,7 @@ const MUL_ADD_SCOPE: &[&str] = &[
     "crates/sparse/src/blas1.rs",
     "crates/sparse/src/sell.rs",
     "crates/simd/src/",
+    "crates/precond/src/trisolve.rs",
 ];
 
 fn rule_mul_add(an: &Analysis, out: &mut FileOutcome) {

@@ -127,6 +127,12 @@ fn float_cast_rule_scope_and_tests() {
     // In scope: one production hit, test module exempt.
     let out = check_file("crates/sparse/src/spmv.rs", body);
     assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 1);
+    // The triangular sweeps of the preconditioners are kernels too; the
+    // factorisations beside them are fp64 set-up code and are not.
+    let out = check_file("crates/precond/src/trisolve.rs", body);
+    assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 1);
+    let out = check_file("crates/precond/src/ic0.rs", body);
+    assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 0);
     // Out of scope entirely (the conversion helpers' own crate).
     let out = check_file("crates/precision/src/scalar.rs", body);
     assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 0);
@@ -159,6 +165,8 @@ fn mul_add_rule() {
                    fn reference() -> f64 { 2.0f64.mul_add(3.0, 4.0) }\n\
                }\n";
     let out = check_file("crates/sparse/src/blas1.rs", src);
+    assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{:?}", out.violations);
+    let out = check_file("crates/precond/src/trisolve.rs", src);
     assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{:?}", out.violations);
     // Out of scope: the seed-reference kernels keep their fused semantics.
     let out = check_file("crates/sparse/src/reference.rs", src);

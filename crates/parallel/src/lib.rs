@@ -26,8 +26,8 @@
 //!   yields a value, collected in chunk order (fused update + norm kernels),
 //! * [`par_map_ranges`] — map disjoint index ranges to per-chunk results and
 //!   collect them in order (chunked reductions: dot products, norms),
-//! * [`par_for_each_mut`] / [`par_map`] — parallelise over a small list of
-//!   unevenly sized items (block-Jacobi blocks).
+//! * [`par_parts_mut`] / [`par_map`] — parallelise over a small list of
+//!   unevenly sized parts or items (block-Jacobi blocks).
 //!
 //! # Worker count
 //!
@@ -452,30 +452,43 @@ where
         .collect()
 }
 
-/// Apply `f` to every item of `items` in parallel (uneven item costs are
-/// fine; items are dealt as contiguous groups).
-pub fn par_for_each_mut<I: Send, F>(items: &mut [I], f: F)
+/// Process the contiguous parts `data[offsets[p]..offsets[p + 1]]` in
+/// parallel: `f` is called with each part's index and the mutable part.
+///
+/// The parts may be unevenly sized (block-Jacobi blocks); they are dealt to
+/// tasks as contiguous groups.  Unlike collecting the parts into a `Vec` of
+/// slices first, this allocates nothing, so it can sit on a solver's
+/// steady-state path.
+///
+/// # Panics
+/// Panics if `offsets` is not non-decreasing or reaches past `data.len()`.
+pub fn par_parts_mut<T: Send, F>(data: &mut [T], offsets: &[usize], f: F)
 where
-    F: Fn(usize, &mut I) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = items.len();
-    let nw = n.clamp(1, current_num_threads());
-    if nw <= 1 || n <= 1 || is_worker_thread() {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
+    assert!(
+        offsets.windows(2).all(|w| w[0] <= w[1]) && offsets.last().is_none_or(|&end| end <= data.len()),
+        "par_parts_mut: offsets must be non-decreasing and within the data"
+    );
+    let n = offsets.len().saturating_sub(1);
+    if n == 0 {
         return;
     }
-    let per = n.div_ceil(nw);
+    let per = n.div_ceil(n.min(current_num_threads()));
     let count = n.div_ceil(per);
-    let base = SyncPtr(items.as_mut_ptr());
+    let base = SyncPtr(data.as_mut_ptr());
+    // `run_batch` runs a single group, and any call made on a pool worker,
+    // inline.
     run_batch(count, &|g: usize| {
-        let start = g * per;
-        let len = per.min(n - start);
-        // SAFETY: disjoint group of `items` per task (see par_chunks_mut).
-        let group = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), len) };
-        for (j, item) in group.iter_mut().enumerate() {
-            f(start + j, item);
+        for p in g * per..((g + 1) * per).min(n) {
+            // SAFETY: the offsets were checked to be ordered and in bounds,
+            // so parts are disjoint in-range regions of `data`, which the
+            // enclosing call keeps borrowed until the batch completes; each
+            // part index belongs to exactly one task's group.
+            let part = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(offsets[p]), offsets[p + 1] - offsets[p])
+            };
+            f(p, part);
         }
     });
 }
@@ -582,17 +595,30 @@ mod tests {
     }
 
     #[test]
-    fn uneven_items_all_processed() {
+    fn uneven_parts_all_processed() {
         use_test_pool();
-        let mut items: Vec<Vec<u8>> = (0..7).map(|i| vec![0u8; i + 1]).collect();
-        par_for_each_mut(&mut items, |idx, item| {
-            for v in item.iter_mut() {
-                *v = idx as u8 + 1;
+        // Parts of 1, 2, …, 7 elements (and one empty part) inside a longer
+        // slice whose head and tail no part covers.
+        let offsets = [2usize, 3, 5, 8, 8, 12, 17, 23, 30];
+        let mut data = vec![0u8; 32];
+        par_parts_mut(&mut data, &offsets, |p, part| {
+            assert_eq!(part.len(), offsets[p + 1] - offsets[p]);
+            for v in part.iter_mut() {
+                *v = p as u8 + 1;
             }
         });
-        for (idx, item) in items.iter().enumerate() {
-            assert!(item.iter().all(|&v| v == idx as u8 + 1));
+        for (i, &v) in data.iter().enumerate() {
+            let expect = offsets.windows(2).position(|w| (w[0]..w[1]).contains(&i)).map_or(0, |p| p as u8 + 1);
+            assert_eq!(v, expect, "element {i}");
         }
+        par_parts_mut(&mut data, &[], |_, _| panic!("no parts"));
+        par_parts_mut(&mut data, &[4], |_, _| panic!("no parts"));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn overlapping_parts_are_rejected() {
+        par_parts_mut(&mut [0u8; 8], &[0, 5, 3, 8], |_, _| {});
     }
 
     #[test]

@@ -14,6 +14,8 @@
 
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 use half::f16;
 
@@ -232,6 +234,27 @@ pub trait Scalar:
     /// Mutable counterpart of [`Scalar::view`].
     fn view_mut(xs: &mut [Self]) -> SliceViewMut<'_>;
 
+    /// `xs` seen as a slice of the accumulation type, when the two types
+    /// coincide (`f32`, `f64`); `None` for `f16`, whose accumulator is wider
+    /// than its storage.
+    ///
+    /// This is how a kernel that computes on [`Scalar::Accum`] values reads
+    /// fp32/fp64 data where it lies and works on it in place
+    /// ([`Scalar::as_accum_mut`]), and only pays a widened copy (see
+    /// [`Scalar::with_scratch`]) for half precision.
+    fn as_accum(xs: &[Self]) -> Option<&[Self::Accum]>;
+
+    /// Mutable counterpart of [`Scalar::as_accum`].
+    fn as_accum_mut(xs: &mut [Self]) -> Option<&mut [Self::Accum]>;
+
+    /// Run `body` on this thread's reusable scratch slice of `len` elements.
+    ///
+    /// The slice's contents on entry are unspecified.  The buffer behind it
+    /// grows on demand and is kept for the lifetime of the thread, so calls
+    /// in steady state allocate nothing; a nested call on the same thread
+    /// (from inside `body`) gets a buffer of its own.
+    fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R;
+
     /// Number of bytes per stored value.
     #[must_use]
     fn bytes() -> usize {
@@ -298,6 +321,24 @@ impl FromScalar for f64 {
     }
 }
 
+/// Shared body of [`Scalar::with_scratch`]: the buffer is taken out of its
+/// thread-local cell for the duration of `body` (so a nested call finds an
+/// empty cell instead of a live borrow) and put back afterwards; it only ever
+/// grows.
+fn scratch_in<T: Scalar, R>(
+    cell: &'static LocalKey<Cell<Vec<T>>>,
+    len: usize,
+    body: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    let mut buf = cell.take();
+    if buf.len() < len {
+        buf.resize(len, T::zero());
+    }
+    let out = body(&mut buf[..len]);
+    cell.set(buf);
+    out
+}
+
 impl Scalar for f64 {
     const PRECISION: Precision = Precision::Fp64;
     type Accum = f64;
@@ -357,6 +398,18 @@ impl Scalar for f64 {
     #[inline(always)]
     fn view_mut(xs: &mut [Self]) -> SliceViewMut<'_> {
         SliceViewMut::F64(xs)
+    }
+    #[inline(always)]
+    fn as_accum(xs: &[Self]) -> Option<&[Self::Accum]> {
+        Some(xs)
+    }
+    #[inline(always)]
+    fn as_accum_mut(xs: &mut [Self]) -> Option<&mut [Self::Accum]> {
+        Some(xs)
+    }
+    fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R {
+        thread_local!(static BUF: Cell<Vec<f64>> = const { Cell::new(Vec::new()) });
+        scratch_in(&BUF, len, body)
     }
 }
 
@@ -419,6 +472,18 @@ impl Scalar for f32 {
     #[inline(always)]
     fn view_mut(xs: &mut [Self]) -> SliceViewMut<'_> {
         SliceViewMut::F32(xs)
+    }
+    #[inline(always)]
+    fn as_accum(xs: &[Self]) -> Option<&[Self::Accum]> {
+        Some(xs)
+    }
+    #[inline(always)]
+    fn as_accum_mut(xs: &mut [Self]) -> Option<&mut [Self::Accum]> {
+        Some(xs)
+    }
+    fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R {
+        thread_local!(static BUF: Cell<Vec<f32>> = const { Cell::new(Vec::new()) });
+        scratch_in(&BUF, len, body)
     }
 }
 
@@ -484,6 +549,18 @@ impl Scalar for f16 {
     #[inline(always)]
     fn view_mut(xs: &mut [Self]) -> SliceViewMut<'_> {
         SliceViewMut::F16(xs)
+    }
+    #[inline(always)]
+    fn as_accum(_xs: &[Self]) -> Option<&[Self::Accum]> {
+        None
+    }
+    #[inline(always)]
+    fn as_accum_mut(_xs: &mut [Self]) -> Option<&mut [Self::Accum]> {
+        None
+    }
+    fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R {
+        thread_local!(static BUF: Cell<Vec<f16>> = const { Cell::new(Vec::new()) });
+        scratch_in(&BUF, len, body)
     }
 }
 
@@ -599,6 +676,52 @@ mod tests {
             let w = h.widen() * 1.000_976_6; // perturb to force rounding
             assert_eq!(<f16 as Scalar>::narrow(w), f16::from_f64(f64::from(w)));
         }
+    }
+
+    #[test]
+    fn as_accum_is_in_place_exactly_when_accum_is_self() {
+        assert_eq!(<f64 as Scalar>::as_accum(&[1.5f64]), Some(&[1.5f64][..]));
+        assert_eq!(<f32 as Scalar>::as_accum(&[1.5f32]), Some(&[1.5f32][..]));
+        assert!(<f16 as Scalar>::as_accum(&[f16::ONE]).is_none());
+        let mut d = [1.0f64, 2.0];
+        <f64 as Scalar>::as_accum_mut(&mut d).expect("f64 accumulates in f64")[0] = 5.0;
+        assert_eq!(d, [5.0, 2.0]);
+        let mut s = [1.0f32, 2.0];
+        <f32 as Scalar>::as_accum_mut(&mut s).expect("f32 accumulates in f32")[1] = 7.0;
+        assert_eq!(s, [1.0, 7.0]);
+        let mut h = [f16::ONE];
+        assert!(<f16 as Scalar>::as_accum_mut(&mut h).is_none());
+    }
+
+    #[test]
+    fn scratch_is_reused_grows_and_nests() {
+        fn check<T: Scalar>() {
+            let first = T::with_scratch(8, |s| {
+                assert_eq!(s.len(), 8);
+                s[7] = T::one();
+                s.as_ptr() as usize
+            });
+            // A shorter request reuses the same buffer without shrinking it.
+            let again = T::with_scratch(4, |s| {
+                assert_eq!(s.len(), 4);
+                s.as_ptr() as usize
+            });
+            assert_eq!(first, again);
+            // A nested request gets a buffer of its own, and the outer one
+            // is still the thread's buffer afterwards.
+            T::with_scratch(8, |outer| {
+                outer[0] = T::one();
+                T::with_scratch(8, |inner| {
+                    assert_ne!(inner.as_ptr(), outer.as_ptr());
+                    inner[0] = T::zero();
+                });
+                assert_eq!(outer[0].to_f64(), 1.0);
+            });
+            assert_eq!(T::with_scratch(1 << 12, |s| s.len()), 1 << 12);
+        }
+        check::<f16>();
+        check::<f32>();
+        check::<f64>();
     }
 
     #[test]

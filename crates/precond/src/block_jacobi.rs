@@ -111,17 +111,8 @@ impl<T: Scalar, P: Preconditioner<T>> Preconditioner<T> for BlockJacobiPrecond<P
             }
             return;
         }
-        // Split z into per-block mutable chunks, then solve blocks in parallel.
-        let mut chunks: Vec<&mut [T]> = Vec::with_capacity(self.blocks.len());
-        let mut rest = z;
-        for w in self.offsets.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            chunks.push(head);
-            rest = tail;
-        }
-        f3r_parallel::par_for_each_mut(&mut chunks, |b, z_block| {
-            let (start, end) = (self.offsets[b], self.offsets[b + 1]);
-            self.blocks[b].apply(&r[start..end], z_block);
+        f3r_parallel::par_parts_mut(z, &self.offsets, |b, z_block| {
+            self.blocks[b].apply(&r[self.offsets[b]..self.offsets[b + 1]], z_block);
         });
     }
 
@@ -140,7 +131,7 @@ impl<T: Scalar, P: Preconditioner<T>> Preconditioner<T> for BlockJacobiPrecond<P
     fn storage_bytes(&self) -> u64 {
         // The per-block factors plus the block-offset table.
         self.blocks.iter().map(P::storage_bytes).sum::<u64>()
-            + self.offsets.len() as u64 * 8
+            + std::mem::size_of_val(&self.offsets[..]) as u64
     }
 }
 
@@ -222,5 +213,17 @@ mod tests {
         bj.apply(&r, &mut z);
         assert!(z.iter().all(|v| v.is_finite()));
         assert!(bj.name().contains("fp16"));
+    }
+
+    #[test]
+    fn storage_bytes_is_the_blocks_plus_the_offset_table() {
+        let a = poisson2d_5pt(10, 10);
+        let offsets_bytes = |offsets: &[usize]| std::mem::size_of_val(offsets) as u64;
+        let ic = BlockJacobiPrecond::<Ic0Precond<f32>>::ic0(&a, 4, 1.0);
+        let blocks: u64 = ic.blocks.iter().map(Preconditioner::storage_bytes).sum();
+        assert_eq!(ic.storage_bytes(), blocks + offsets_bytes(&ic.offsets));
+        let ilu = BlockJacobiPrecond::<Ilu0Precond<half::f16>>::ilu0(&a, 4, 1.0);
+        let blocks: u64 = ilu.blocks.iter().map(Preconditioner::storage_bytes).sum();
+        assert_eq!(ilu.storage_bytes(), blocks + offsets_bytes(&ilu.offsets));
     }
 }

@@ -5,22 +5,22 @@
 //! IC(0) when symmetric)").  The factorisation is computed in fp64 on the
 //! lower triangle of `A` (with the α stabilisation applied to the diagonal)
 //! and stored in the target precision `T`; the application performs the
-//! forward solve `L y = r` and the backward solve `Lᵀ z = y`.
+//! forward solve `L y = r` and the backward solve `Lᵀ z = y` with the sweeps
+//! IC(0) and ILU(0) share (see the [crate docs](crate#triangular-solves)).
+
+use std::ops::Range;
 
 use f3r_precision::Scalar;
 use f3r_sparse::CsrMatrix;
 
 use crate::traits::Preconditioner;
+use crate::trisolve::Factor;
 
 /// IC(0) factor `L` (lower triangular, diagonal included) stored in CSR and
 /// precision `T`.
 #[derive(Debug, Clone)]
-pub struct Ic0Precond<T> {
-    n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<T>,
-    inv_diag: Vec<T>,
+pub struct Ic0Precond<T: Scalar> {
+    factor: Factor<T>,
 }
 
 /// Floor applied to the pivot before taking the square root; guards against
@@ -111,66 +111,48 @@ impl<T: Scalar> Ic0Precond<T> {
             }
         }
 
-        let inv_diag: Vec<T> = (0..n)
-            .map(|i| {
-                let d = if diag_pos[i] == usize::MAX {
-                    1.0
-                } else {
-                    values[diag_pos[i]]
-                };
-                T::from_f64(1.0 / d)
-            })
+        let diag: Vec<f64> = diag_pos
+            .iter()
+            .map(|&pos| if pos == usize::MAX { 1.0 } else { values[pos] })
             .collect();
-
         Self {
-            n,
-            row_ptr,
-            col_idx,
-            values: values.iter().map(|&v| T::from_f64(v)).collect(),
-            inv_diag,
+            factor: Factor::new(row_ptr, col_idx, &values, &diag),
         }
+    }
+
+    /// Row `i`'s entries left of the diagonal.  Only the lower triangle is
+    /// stored and columns are sorted, so that is the whole row minus its last
+    /// entry when that one is the diagonal.
+    fn lower(&self, i: usize) -> Range<usize> {
+        let f = &self.factor;
+        let (start, end) = (f.row_ptr[i], f.row_ptr[i + 1]);
+        let has_diag = end > start && f.col_idx[end - 1] as usize == i;
+        start..end - usize::from(has_diag)
     }
 }
 
 impl<T: Scalar> Preconditioner<T> for Ic0Precond<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
-        assert_eq!(r.len(), self.n, "IC(0): length mismatch");
-        assert_eq!(z.len(), self.n, "IC(0): length mismatch");
-        let n = self.n;
-        // Forward solve L y = r (diagonal is the last entry of each row).
-        // All operands enter the accumulator with a single widening
-        // conversion (no f64 round trip).
-        for i in 0..n {
-            let mut acc = r[i].widen();
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k] as usize;
-                if j >= i {
-                    break;
-                }
-                acc -= self.values[k].widen() * z[j].widen();
-            }
-            z[i] = T::narrow(acc * self.inv_diag[i].widen());
-        }
-        // Backward solve L^T z = y, traversing rows in reverse and scattering.
-        for i in (0..n).rev() {
-            let zi = z[i].widen() * self.inv_diag[i].widen();
-            z[i] = T::narrow(zi);
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k] as usize;
-                if j >= i {
-                    break;
-                }
-                z[j] = T::narrow(z[j].widen() - self.values[k].widen() * zi);
-            }
-        }
+        assert_eq!(r.len(), self.factor.n(), "IC(0): length mismatch");
+        assert_eq!(z.len(), self.factor.n(), "IC(0): length mismatch");
+        self.factor.solve(r, z, |s| {
+            // Forward solve L y = r, then backward solve Lᵀ z = y by
+            // traversing the rows of L in reverse and scattering.
+            s.forward(|i| self.lower(i), false);
+            s.backward_transposed(|i| self.lower(i));
+        });
     }
 
     fn dim(&self) -> usize {
-        self.n
+        self.factor.n()
     }
 
     fn nnz(&self) -> usize {
-        self.values.len()
+        self.factor.values.len()
+    }
+
+    fn storage_bytes(&self) -> u64 {
+        self.factor.storage_bytes()
     }
 
     fn name(&self) -> String {
@@ -181,9 +163,13 @@ impl<T: Scalar> Preconditioner<T> for Ic0Precond<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trisolve::{reference, testing};
+    use f3r_sparse::gen::hpcg::hpcg_matrix;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
+    use f3r_sparse::scaling::jacobi_scale;
     use f3r_sparse::spmv::spmv_seq;
     use f3r_sparse::CooMatrix;
+    use half::f16;
 
     #[test]
     fn exact_for_tridiagonal_spd() {
@@ -274,5 +260,116 @@ mod tests {
         for i in 0..n {
             assert!((f64::from(z32[i]) - z64[i]).abs() < 1e-4 * z64[i].abs().max(1.0));
         }
+    }
+
+    #[test]
+    fn fp32_and_fp64_apply_are_bitwise_the_reference_loops() {
+        fn check<T: Scalar>(a: &CsrMatrix<f64>) {
+            let p = Ic0Precond::<T>::new(a, 1.0);
+            let r = testing::rhs::<T>(a.n_rows());
+            let (mut z, mut z_ref) = (vec![T::zero(); r.len()], vec![T::zero(); r.len()]);
+            p.apply(&r, &mut z);
+            reference::ic0(&p.factor, &r, &mut z_ref);
+            assert_eq!(testing::bits(&z), testing::bits(&z_ref), "{}", T::name());
+        }
+        for a in [jacobi_scale(&hpcg_matrix(8, 8, 8)), testing::ragged(true), poisson2d_5pt(9, 7)] {
+            check::<f32>(&a);
+            check::<f64>(&a);
+        }
+    }
+
+    /// The contract of the shared sweeps, exactly: an fp16 application is
+    /// the fp32 application of the same (fp16-valued) coefficients, rounded
+    /// to fp16 once per entry.  The fp32 side reads its values in place, so
+    /// this also checks the widening window against the plain loop, with
+    /// rows of every length from none to more than a window.
+    #[test]
+    fn fp16_apply_is_the_fp32_apply_of_the_same_coefficients_rounded_once() {
+        let (ragged, hpcg) = (testing::ragged(true), jacobi_scale(&hpcg_matrix(8, 8, 8)));
+        for (a, r16) in [
+            (&ragged, testing::rhs::<f16>(ragged.n_rows())),
+            (&hpcg, testing::rhs::<f16>(hpcg.n_rows())),
+            (&overflowing(), overflowing_rhs().to_vec()),
+        ] {
+            let n = a.n_rows();
+            let p16 = Ic0Precond::<f16>::new(a, 1.0);
+            let p32 = Ic0Precond {
+                factor: p16.factor.widened(),
+            };
+            let r32: Vec<f32> = r16.iter().map(|v| v.widen()).collect();
+            let (mut z16, mut z32) = (vec![f16::ZERO; n], vec![0.0f32; n]);
+            p16.apply(&r16, &mut z16);
+            p32.apply(&r32, &mut z32);
+            let rounded: Vec<f16> = z32.iter().map(|&v| f16::narrow(v)).collect();
+            assert_eq!(testing::bits(&z16), testing::bits(&rounded), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn fp16_apply_is_at_least_as_close_to_fp64_as_the_reference_loops() {
+        let a = jacobi_scale(&hpcg_matrix(16, 16, 16));
+        let n = a.n_rows();
+        let mut z64 = vec![0.0f64; n];
+        Ic0Precond::<f64>::new(&a, 1.0).apply(&testing::rhs::<f64>(n), &mut z64);
+        let p16 = Ic0Precond::<f16>::new(&a, 1.0);
+        let r16 = testing::rhs::<f16>(n);
+        let (mut z, mut z_ref) = (vec![f16::ZERO; n], vec![f16::ZERO; n]);
+        p16.apply(&r16, &mut z);
+        reference::ic0(&p16.factor, &r16, &mut z_ref);
+        let (err, err_ref) = (testing::rel_err(&z, &z64), testing::rel_err(&z_ref, &z64));
+        assert!(err <= err_ref, "error {err:e} against {err_ref:e} for the reference loops");
+        assert!(err < 1e-3, "error {err:e}");
+    }
+
+    /// `A = L Lᵀ` with `L = [[1, 0], [-1e4, 1e3]]`, whose entries and
+    /// reciprocal diagonal all fit fp16.
+    fn overflowing() -> CsrMatrix<f64> {
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0);
+        coo.push_sym(1, 0, -1.0e4);
+        coo.push(1, 1, 1.01e8);
+        coo.to_csr()
+    }
+
+    /// With this `r` the forward solve gives `y₂ ≈ 1e8 / 1e3`, beyond 65504;
+    /// the results are `z₂ = y₂ / 1e3 ≈ 100` and `z₁ = 1e4 + 1e4 z₂ ≈ 1e6`.
+    fn overflowing_rhs() -> [f16; 2] {
+        [f16::from_f32(1.0e4), f16::ZERO]
+    }
+
+    #[test]
+    fn an_intermediate_beyond_the_fp16_range_no_longer_overflows_a_final_value_does() {
+        let p = Ic0Precond::<f16>::new(&overflowing(), 1.0);
+        let r = overflowing_rhs();
+        let mut z = [f16::ZERO; 2];
+        p.apply(&r, &mut z);
+        assert_eq!(z[0].to_bits(), f16::INFINITY.to_bits(), "z1 is beyond 65504");
+        assert!((z[1].to_f32() - 100.0).abs() < 0.5, "z2 = {}", z[1]);
+        // The reference loops round y2 to fp16, and +inf stays.
+        let mut z_ref = [f16::ZERO; 2];
+        reference::ic0(&p.factor, &r, &mut z_ref);
+        assert_eq!(z_ref[1].to_bits(), f16::INFINITY.to_bits());
+    }
+
+    #[test]
+    fn storage_bytes_is_the_sum_of_the_held_arrays() {
+        fn check<T: Scalar>() {
+            let p = Ic0Precond::<T>::new(&poisson2d_5pt(6, 6), 1.0);
+            let f = &p.factor;
+            let held = std::mem::size_of_val(&f.row_ptr[..])
+                + std::mem::size_of_val(&f.col_idx[..])
+                + std::mem::size_of_val(&f.values[..])
+                + std::mem::size_of_val(&f.inv_diag[..]);
+            assert_eq!(p.storage_bytes(), held as u64);
+            // Values and column indices per stored entry, row pointers, and a
+            // reciprocal diagonal in the accumulation precision; no
+            // diagonal-position array.
+            let (n, nnz) = (p.dim() as u64, p.nnz() as u64);
+            let (t, acc) = (T::bytes() as u64, <T::Accum as Scalar>::bytes() as u64);
+            assert_eq!(p.storage_bytes(), nnz * (t + 4) + (n + 1) * 8 + n * acc);
+        }
+        check::<f16>();
+        check::<f32>();
+        check::<f64>();
     }
 }

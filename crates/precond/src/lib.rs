@@ -7,6 +7,24 @@
 //! preconditioners (plus Jacobi and identity baselines), all constructed in
 //! fp64 and stored/applied in an arbitrary precision `T` so they can serve
 //! the fp64-, fp32- and fp16-variants of every solver in the study.
+//!
+//! # Triangular solves
+//!
+//! IC(0) and ILU(0) apply their factors with one shared pair of sparse
+//! triangular sweeps (`src/trisolve.rs`).  Their contract: within one
+//! application `z = M r` the working vector is carried in
+//! [`Scalar::Accum`](f3r_precision::Scalar::Accum) and every entry of the
+//! result is rounded to the storage precision exactly once, on the way out.
+//! For fp32 and fp64 the accumulation type is the storage type, so the sweeps
+//! run in place on `z` and the results are bitwise those of the plain loops.
+//! For fp16 the working vector is a per-thread fp32 scratch the size of the
+//! block being solved and the stored values are widened in bulk, a window of
+//! consecutive values at a time: no partial result is rounded to fp16 (an
+//! intermediate beyond 65504 does not overflow, only a final value does), the
+//! result is closer to the fp64 one than a computation that stores every
+//! partial result in fp16, and it is bitwise the same on every kernel backend,
+//! because widening is exact and the multiply–subtract loops are the same
+//! scalar loops everywhere.  Nothing on this path allocates in steady state.
 
 #![warn(missing_docs)]
 
@@ -17,6 +35,7 @@ pub mod ic0;
 pub mod ilu0;
 pub mod jacobi;
 pub mod traits;
+mod trisolve;
 
 pub use ainv::SdAinvPrecond;
 pub use block_jacobi::BlockJacobiPrecond;

@@ -38,21 +38,10 @@ pub trait Preconditioner<T: Scalar>: Send + Sync {
         2
     }
 
-    /// Resident bytes of the stored factors, priced like the matrix store's
-    /// accounting so cache eviction can weigh preconditioners against matrix
-    /// variants.
-    ///
-    /// The default models the CSR-shaped combined factor the ILU(0)/IC(0)
-    /// implementations hold: `nnz` stored values plus one `u32` column index
-    /// each, `dim + 1` `usize` row pointers, and a diagonal-position +
-    /// reciprocal-diagonal pair per row.  Implementations with a different
-    /// layout (Jacobi's bare diagonal, block wrappers, approximate inverses)
-    /// override this.
-    fn storage_bytes(&self) -> u64 {
-        let n = self.dim() as u64;
-        let t = T::PRECISION.bytes() as u64;
-        self.nnz() as u64 * (t + 4) + (n + 1) * 8 + n * (8 + t)
-    }
+    /// Resident bytes of the stored factors — the summed sizes of the arrays
+    /// the implementation holds — priced like the matrix store's accounting so
+    /// cache eviction can weigh preconditioners against matrix variants.
+    fn storage_bytes(&self) -> u64;
 }
 
 /// The identity "preconditioner" `M = I`, useful as a baseline and in tests.
