@@ -16,14 +16,18 @@
 //! basis, own Hessenberg/Givens factorisation, own convergence state) and
 //! the columns only meet at the shared kernel calls.  The payoff is exact
 //! reproducibility: because the batched SpMM produces each column bitwise
-//! equal to the single-vector SpMV (see [`f3r_sparse::spmv`]) and all panel
+//! equal to the single-vector SpMV (see [`f3r_sparse::spmm`]) and all panel
 //! BLAS-1 work is a documented per-column loop over the single-vector
 //! kernels, a batched solve computes, per column, the *same floating-point
 //! sequence* as `k` sequential solves — convergence behaviour, iteration
-//! counts and results are identical, only the memory traffic changes.  (The
-//! one exception is the adaptive-weight Richardson level, whose weight state
-//! evolves across applications in application order; see
-//! [`InnerSolver::apply_panel`].)
+//! counts and results are identical, only the memory traffic changes.  The
+//! levels below a block cycle keep the same rule panel-wise
+//! ([`InnerSolver::apply_panel`]): a panel is bitwise the column-by-column
+//! loop over the same level.  (For the adaptive-weight Richardson level that
+//! loop is a sequence of consecutive invocations of *one* level, whose weight
+//! state carries from column to column; `k` fresh sequential sessions each
+//! start their own sequence, so a batch through a Richardson level matches
+//! them to the tolerance, not bitwise.)
 //!
 //! # Deflation
 //!

@@ -25,6 +25,8 @@
 use std::sync::Arc;
 
 use f3r_precision::{KernelCounters, Scalar};
+use f3r_sparse::blas1;
+use f3r_sparse::scaling::pow2_amplitude;
 
 use crate::precond_any::AnyPrecond;
 
@@ -47,9 +49,10 @@ pub trait InnerSolver<T: Scalar>: Send {
     /// overrides it with a block cycle whose SpMVs fuse into one pass over
     /// the matrix ([`crate::operator::ProblemMatrix::apply_multi`]), and
     /// [`PrecisionBridge`] converts the whole panel so the batching reaches
-    /// the narrow inner levels where the matrix stream dominates.  Levels
-    /// with cross-apply state (the adaptive-weight Richardson sweep) keep
-    /// the default: their state evolves per application in either form.
+    /// the narrow inner levels where the matrix stream dominates;
+    /// [`RichardsonLevel`](crate::richardson::RichardsonLevel) sweeps the
+    /// panel with one residual SpMM and one panel application of `M` per
+    /// sweep, and [`PrecondInner`] hands the panel to `M`.
     ///
     /// # Panics
     /// Panics if `v` and `z` differ in length or their length is not a
@@ -115,6 +118,10 @@ impl<T: Scalar> InnerSolver<T> for PrecondInner<T> {
         self.precond.apply_to(v, z, &self.counters);
     }
 
+    fn apply_panel(&mut self, v: &[T], z: &mut [T], k: usize) {
+        self.precond.apply_panel_to(v, z, k, &self.counters);
+    }
+
     fn name(&self) -> String {
         format!("M[{}]", self.precond.name())
     }
@@ -128,16 +135,26 @@ impl<T: Scalar> InnerSolver<T> for PrecondInner<T> {
 /// child level running in precision `TC`.
 ///
 /// The conversion applies an infinity-norm scaling safeguard, like the one at
-/// the preconditioner boundary (see [`crate::precond_any`]): parent-side vectors
-/// whose entries fall below the fp16 normal range are scaled into range before
-/// rounding and the child's correction is scaled back, so nothing silently
-/// flushes to zero.
+/// the preconditioner boundary (see [`crate::precond_any`]): each parent-side
+/// vector is divided by the power of two just above its infinity norm on its
+/// way into `TC` — so entries below the fp16 normal range are scaled into
+/// range before rounding, and nothing silently flushes to zero — and the
+/// child's correction is multiplied back on its way out.  A power-of-two
+/// scale makes both multiplications exact, so each entry is rounded once per
+/// direction (fp64 → fp16 goes through fp32, as at the preconditioner
+/// boundary); both conversions are the bulk scale-and-convert kernel of the
+/// compressed basis (`blas1::widen_scaled_into`, which takes any pair of
+/// precisions).  A zero vector gives a zero result whatever the child makes
+/// of it, and NaNs and infinities pass through.
+///
+/// The single-vector [`apply`](InnerSolver::apply) is the one-column case of
+/// [`apply_panel`](InnerSolver::apply_panel): each column of a panel gets
+/// its own scale, so a batched column converts exactly as it would alone.
 pub struct PrecisionBridge<TP, TC> {
     child: Box<dyn InnerSolver<TC>>,
     v_lo: Vec<TC>,
     z_lo: Vec<TC>,
-    /// Per-column infinity-norm scales of the last panel conversion (grown on
-    /// the first batched apply; empty on the single-vector path).
+    /// Per-column scales of the panel being converted.
     scales: Vec<f64>,
     _marker: std::marker::PhantomData<fn(TP)>,
 }
@@ -150,7 +167,7 @@ impl<TP: Scalar, TC: Scalar> PrecisionBridge<TP, TC> {
             child,
             v_lo: vec![TC::zero(); n],
             z_lo: vec![TC::zero(); n],
-            scales: Vec::new(),
+            scales: vec![0.0],
             _marker: std::marker::PhantomData,
         }
     }
@@ -158,74 +175,45 @@ impl<TP: Scalar, TC: Scalar> PrecisionBridge<TP, TC> {
 
 impl<TP: Scalar, TC: Scalar> InnerSolver<TP> for PrecisionBridge<TP, TC> {
     fn apply(&mut self, v: &[TP], z: &mut [TP]) {
-        let scale = v.iter().map(|x| x.to_f64().abs()).fold(0.0f64, f64::max);
-        if scale == 0.0 {
-            for zi in z.iter_mut() {
-                *zi = TP::zero();
-            }
-            return;
-        }
-        // Slice to the vector length: the buffers may have grown to hold a
-        // whole panel (`apply_panel`), and the child sees only one column.
-        let n = v.len();
-        let inv = 1.0 / scale;
-        for (lo, hi) in self.v_lo[..n].iter_mut().zip(v.iter()) {
-            *lo = TC::from_f64(hi.to_f64() * inv);
-        }
-        self.child.apply(&self.v_lo[..n], &mut self.z_lo[..n]);
-        for (hi, lo) in z.iter_mut().zip(self.z_lo[..n].iter()) {
-            *hi = TP::from_f64(lo.to_f64() * scale);
-        }
+        self.apply_panel(v, z, 1);
     }
 
     fn apply_panel(&mut self, v: &[TP], z: &mut [TP], k: usize) {
         assert_eq!(v.len(), z.len(), "apply_panel: panel length mismatch");
-        if k <= 1 {
-            if k == 1 {
-                self.apply(v, z);
-            } else {
-                assert!(v.is_empty(), "apply_panel: zero-column panel must be empty");
-            }
+        if k == 0 {
+            assert!(v.is_empty(), "apply_panel: zero-column panel must be empty");
             return;
         }
         assert_eq!(v.len() % k, 0, "apply_panel: panel length not a multiple of k");
         let n = v.len() / k;
+        if n == 0 {
+            return;
+        }
         if self.v_lo.len() < n * k {
             self.v_lo.resize(n * k, TC::zero());
             self.z_lo.resize(n * k, TC::zero());
         }
-        // Per-column infinity-norm scaling, exactly as the single-vector
-        // path: a zero column skips the scaling and pins its output column
-        // to zero, so each output column is what `apply` would produce.
+        // The child sees exactly the panel: the buffers may be longer (an
+        // earlier, wider panel grew them).
+        let (v_lo, z_lo) = (&mut self.v_lo[..n * k], &mut self.z_lo[..n * k]);
         self.scales.clear();
-        for c in 0..k {
-            let col = &v[c * n..(c + 1) * n];
-            let scale = col.iter().map(|x| x.to_f64().abs()).fold(0.0f64, f64::max);
-            let dst = &mut self.v_lo[c * n..(c + 1) * n];
+        for (col, lo) in v.chunks_exact(n).zip(v_lo.chunks_exact_mut(n)) {
+            let scale = pow2_amplitude(blas1::norm_inf(col));
             if scale == 0.0 {
-                for lo in dst.iter_mut() {
-                    *lo = TC::zero();
-                }
+                lo.fill(TC::zero());
             } else {
-                let inv = 1.0 / scale;
-                for (lo, hi) in dst.iter_mut().zip(col.iter()) {
-                    *lo = TC::from_f64(hi.to_f64() * inv);
-                }
+                blas1::widen_scaled_into(1.0 / scale, col, lo);
             }
             self.scales.push(scale);
         }
-        self.child
-            .apply_panel(&self.v_lo[..n * k], &mut self.z_lo[..n * k], k);
-        for (c, &scale) in self.scales.iter().enumerate() {
-            let zc = &mut z[c * n..(c + 1) * n];
+        self.child.apply_panel(v_lo, z_lo, k);
+        for ((&scale, hi), lo) in self.scales.iter().zip(z.chunks_exact_mut(n)).zip(z_lo.chunks_exact(n)) {
+            // A zero column pins its output to zero, whatever the child made
+            // of it.
             if scale == 0.0 {
-                for hi in zc.iter_mut() {
-                    *hi = TP::zero();
-                }
+                hi.fill(TP::zero());
             } else {
-                for (hi, lo) in zc.iter_mut().zip(self.z_lo[c * n..(c + 1) * n].iter()) {
-                    *hi = TP::from_f64(lo.to_f64() * scale);
-                }
+                blas1::widen_scaled_into(scale, lo, hi);
             }
         }
     }
@@ -349,6 +337,33 @@ mod tests {
         let v = vec![0.0f64; 7];
         let mut z = vec![0.0f64; 7];
         d.apply_panel(&v, &mut z, 2);
+    }
+
+    #[test]
+    fn bridge_passes_non_finite_entries_through() {
+        let mut bridge = PrecisionBridge::<f32, f16>::new(Box::new(Doubler { depth: 2 }), 4);
+        let mut z = [0.0f32; 4];
+        // A NaN does not enter the scale: the other entries convert as usual.
+        bridge.apply(&[1.0, f32::NAN, -2.0, 0.5], &mut z);
+        assert!(z[1].is_nan());
+        assert_eq!([z[0], z[2], z[3]], [2.0, -4.0, 1.0]);
+        // An infinity does: nothing finite is left, and nothing panics.
+        bridge.apply(&[1.0, f32::INFINITY, -2.0, 0.5], &mut z);
+        assert!(z.iter().all(|v| !v.is_finite()));
+    }
+
+    #[test]
+    fn bridge_rounds_each_entry_once_per_direction() {
+        // 1/3 scaled by a power of two, rounded to fp16, doubled exactly,
+        // scaled back exactly: the only error is the one fp16 rounding.
+        let mut bridge = PrecisionBridge::<f32, f16>::new(Box::new(Doubler { depth: 2 }), 2);
+        let v = [1.0e-7f32 / 3.0, -1.0e-7];
+        let mut z = [0.0f32; 2];
+        bridge.apply(&v, &mut z);
+        let scale = 2.0f32.powi(-23); // the power of two just above 1e-7
+        for (zi, vi) in z.iter().zip(v) {
+            assert_eq!(*zi, 2.0 * scale * f16::from_f32(vi / scale).to_f32());
+        }
     }
 
     #[test]

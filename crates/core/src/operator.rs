@@ -30,9 +30,13 @@ use std::sync::{Arc, OnceLock};
 use f3r_precision::{f16, KernelCounters, Precision, Scalar};
 use f3r_precision::traffic::TrafficModel;
 use f3r_sparse::blas1;
+use f3r_sparse::spmm::{
+    csr_panel, spmv_multi, spmv_scaled_multi, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch,
+    PanelOp,
+};
 use f3r_sparse::spmv::{
-    spmv, spmv_dot2, spmv_multi, spmv_residual, spmv_scaled, spmv_scaled_dot2, spmv_scaled_multi,
-    spmv_scaled_residual, spmv_scaled_sell, spmv_scaled_sell_multi, spmv_sell, spmv_sell_multi,
+    spmv, spmv_dot2, spmv_residual, spmv_scaled, spmv_scaled_dot2, spmv_scaled_residual,
+    spmv_scaled_sell, spmv_sell,
 };
 use f3r_sparse::{CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
 
@@ -464,29 +468,19 @@ impl ProblemMatrix {
         );
     }
 
-    /// Compute `Y = A X` on a column-major panel of `k` vectors, streaming
-    /// the variant selected by `storage` **once** for the whole panel.
-    ///
-    /// Column `c` of the result is bitwise identical to
-    /// [`apply`](Self::apply) on column `c` of `xs` — the batched solver's
-    /// per-column parity rests on this.  The traffic is recorded through
-    /// [`KernelCounters::record_spmm`]: the shared matrix stream once (that
-    /// is the physical truth and the whole point of batching) plus `k`
-    /// vector sweeps, with the panel width tracked so experiments can
-    /// amortize the stream per batch column.
-    ///
-    /// # Panics
-    /// Panics if the panel lengths are not `k` times the matrix dimension.
-    pub fn apply_multi<TV: Scalar>(
+    /// Record the traffic of one panel product against `storage` on `k`
+    /// vectors in `v` through [`KernelCounters::record_spmm`]: the shared
+    /// matrix stream once (that is the physical truth and the whole point
+    /// of batching) plus `k` vector sweeps, with the panel width tracked so
+    /// experiments can amortize the stream per batch column.
+    fn record_panel_traffic(
         &self,
         storage: MatrixStorage,
-        xs: &[TV],
-        ys: &mut [TV],
+        v: Precision,
         k: usize,
         counters: &KernelCounters,
     ) {
         let p = storage.precision();
-        let v = TV::PRECISION;
         let (total, matrix_stream) = if storage.is_scaled() {
             (
                 TrafficModel::spmm_scaled_bytes(self.nnz, self.n, p, v, k),
@@ -500,11 +494,84 @@ impl ProblemMatrix {
         };
         counters.record_spmm(p, total, k as u64);
         counters.record_matrix_traffic(p, matrix_stream);
+    }
+
+    /// Compute `Y = A X` on a column-major panel of `k` vectors, streaming
+    /// the variant selected by `storage` **once** for the whole panel.
+    ///
+    /// Column `c` of the result is bitwise identical to
+    /// [`apply`](Self::apply) on column `c` of `xs` — the batched solver's
+    /// per-column parity rests on this (see [`f3r_sparse::spmm`] for how the
+    /// panel kernels keep it).  The traffic is recorded as one matrix stream
+    /// plus `k` vector sweeps.
+    ///
+    /// # Panics
+    /// Panics if the panel lengths are not `k` times the matrix dimension.
+    pub fn apply_multi<TV: Scalar>(
+        &self,
+        storage: MatrixStorage,
+        xs: &[TV],
+        ys: &mut [TV],
+        k: usize,
+        counters: &KernelCounters,
+    ) {
+        self.record_panel_traffic(storage, TV::PRECISION, k, counters);
         with_variant!(self.variant(storage),
             |c| spmv_multi(c, xs, ys, k),
             |s| spmv_sell_multi(s, xs, ys, k),
             |sc| spmv_scaled_multi(sc, xs, ys, k),
             |ss| spmv_scaled_sell_multi(ss, xs, ys, k),
+        );
+    }
+
+    /// Compute the residuals `R = B − A X` of a column-major panel of `k`
+    /// vectors in one pass over the variant selected by `storage`.
+    ///
+    /// Column `c` of the result is bitwise identical to
+    /// [`residual`](Self::residual) on column `c` — with the CSR backend the
+    /// subtraction is the panel kernel's epilogue, the SELL backend
+    /// subtracts in a second pass per column, exactly as the single-vector
+    /// form does.  Recorded as one panel product plus the `b`/`r` sweeps.
+    ///
+    /// # Panics
+    /// Panics if the panel lengths are not `k` times the matrix dimension.
+    pub fn residual_multi<TV: Scalar>(
+        &self,
+        storage: MatrixStorage,
+        xs: &[TV],
+        bs: &[TV],
+        rs: &mut [TV],
+        k: usize,
+        counters: &KernelCounters,
+    ) {
+        assert_eq!(bs.len(), self.n * k, "residual_multi: bs panel length mismatch");
+        self.record_panel_traffic(storage, TV::PRECISION, k, counters);
+        let reads = match self.backend {
+            SpmvBackend::Csr => 1,
+            SpmvBackend::Sell { .. } => 2,
+        };
+        for _ in 0..k {
+            counters.record_blas1(
+                TV::PRECISION,
+                TrafficModel::blas1_bytes(self.n, reads, 1, TV::PRECISION),
+            );
+        }
+        let subtract = |rs: &mut [TV]| {
+            for (r, &b) in rs.iter_mut().zip(bs) {
+                *r = TV::narrow(b.widen() - r.widen());
+            }
+        };
+        with_variant!(self.variant(storage),
+            |c| csr_panel(c.as_ref().into(), xs, PanelOp::Residual(bs), rs, k, Dispatch::Auto),
+            |s| {
+                spmv_sell_multi(s, xs, rs, k);
+                subtract(rs);
+            },
+            |sc| csr_panel(sc.as_ref().into(), xs, PanelOp::Residual(bs), rs, k, Dispatch::Auto),
+            |ss| {
+                spmv_scaled_sell_multi(ss, xs, rs, k);
+                subtract(rs);
+            },
         );
     }
 

@@ -21,6 +21,7 @@ use f3r_precision::{f16, KernelCounters, Precision, Scalar, SliceView, SliceView
 use f3r_precision::traffic::TrafficModel;
 use f3r_sparse::blas1;
 use f3r_sparse::scaling::pow2_amplitude;
+use f3r_sparse::spmm::PANEL_LANES;
 use f3r_sparse::CsrMatrix;
 use f3r_precond::{build_preconditioner, PrecondKind, Preconditioner};
 
@@ -111,49 +112,97 @@ impl AnyPrecond {
     }
 
     /// Apply `z = M r` with vectors in precision `TV`, recording the
-    /// application in `counters` (this is the Table 3 metric).
+    /// application in `counters` (this is the Table 3 metric): the `k = 1`
+    /// case of [`apply_panel_to`](Self::apply_panel_to).
+    pub fn apply_to<TV: Scalar>(&self, r: &[TV], z: &mut [TV], counters: &KernelCounters) {
+        self.apply_panel_to(r, z, 1, counters);
+    }
+
+    /// Apply `M` to every column of a column-major panel of `k` right-hand
+    /// sides with vectors in precision `TV`; every column of the result is
+    /// bitwise [`apply_to`](Self::apply_to) on that column.
     ///
     /// When `TV` is the storage precision this is
-    /// [`Preconditioner::apply`] on the caller's own slices.  Otherwise the
-    /// vectors are converted at the boundary with an infinity-norm scaling
-    /// safeguard, through per-thread scratch; neither case allocates in
-    /// steady state.
-    pub fn apply_to<TV: Scalar>(&self, r: &[TV], z: &mut [TV], counters: &KernelCounters) {
-        counters.record_precond_apply();
+    /// [`Preconditioner::apply_panel`] on the caller's own slices: IC(0),
+    /// ILU(0) and block-Jacobi walk their factors once for eight columns.
+    /// Otherwise the columns are converted at the boundary with a per-column
+    /// infinity-norm scaling safeguard, a lane group at a time through
+    /// per-thread scratch; neither case allocates in steady state.
+    ///
+    /// Counters: `k` preconditioner applications (the Table 3 count stays
+    /// per column), one stream of the factors and `k` vector sweeps.
+    ///
+    /// # Panics
+    /// Panics if the panels are not `k` times the operator's dimension long.
+    pub fn apply_panel_to<TV: Scalar>(
+        &self,
+        r: &[TV],
+        z: &mut [TV],
+        k: usize,
+        counters: &KernelCounters,
+    ) {
+        let (n, m) = (self.dim(), self.storage_precision());
+        counters.record_precond_applies(k as u64);
         counters.record_spmv(
-            self.storage_precision(),
-            TrafficModel::sparse_precond_bytes(self.nnz(), r.len(), self.storage_precision(), TV::PRECISION),
+            m,
+            TrafficModel::sparse_precond_panel_bytes(self.nnz(), n, m, TV::PRECISION, k),
         );
         match (self, TV::view(r), TV::view_mut(z)) {
-            (AnyPrecond::F64(p), SliceView::F64(r), SliceViewMut::F64(z)) => p.apply(r, z),
-            (AnyPrecond::F32(p), SliceView::F32(r), SliceViewMut::F32(z)) => p.apply(r, z),
-            (AnyPrecond::F16(p), SliceView::F16(r), SliceViewMut::F16(z)) => p.apply(r, z),
-            (AnyPrecond::F64(p), ..) => apply_converted(p.as_ref(), r, z),
-            (AnyPrecond::F32(p), ..) => apply_converted(p.as_ref(), r, z),
-            (AnyPrecond::F16(p), ..) => apply_converted(p.as_ref(), r, z),
+            (AnyPrecond::F64(p), SliceView::F64(r), SliceViewMut::F64(z)) => p.apply_panel(r, z, k),
+            (AnyPrecond::F32(p), SliceView::F32(r), SliceViewMut::F32(z)) => p.apply_panel(r, z, k),
+            (AnyPrecond::F16(p), SliceView::F16(r), SliceViewMut::F16(z)) => p.apply_panel(r, z, k),
+            (AnyPrecond::F64(p), ..) => apply_converted(p.as_ref(), r, z, k),
+            (AnyPrecond::F32(p), ..) => apply_converted(p.as_ref(), r, z, k),
+            (AnyPrecond::F16(p), ..) => apply_converted(p.as_ref(), r, z, k),
         }
     }
 }
 
-/// Apply a preconditioner stored in precision `TS` to vectors in another
-/// precision `TV`: `r` is divided by the power of two just above its infinity
-/// norm on its way into `TS` (so fp16 storage sees entries of magnitude at
-/// most one) and the result is multiplied back on its way out.  Both
-/// conversions are the scale-and-convert kernel of the compressed basis; a
-/// power-of-two scale makes its multiplication exact.
-fn apply_converted<TS: Scalar, TV: Scalar>(p: &dyn Preconditioner<TS>, r: &[TV], z: &mut [TV]) {
-    let scale = pow2_amplitude(blas1::norm_inf(r));
-    if scale == 0.0 {
-        z.fill(TV::zero());
+/// Apply a preconditioner stored in precision `TS` to a panel of `k` vectors
+/// in another precision `TV`: each column of `r` is divided by the power of
+/// two just above its infinity norm on its way into `TS` (so fp16 storage
+/// sees entries of magnitude at most one) and the result is multiplied back
+/// on its way out.  Both conversions are the scale-and-convert kernel of the
+/// compressed basis; a power-of-two scale makes its multiplication exact.  A
+/// zero column gives a zero column.
+fn apply_converted<TS: Scalar, TV: Scalar>(
+    p: &dyn Preconditioner<TS>,
+    r: &[TV],
+    z: &mut [TV],
+    k: usize,
+) {
+    let n = p.dim();
+    assert_eq!(r.len(), n * k, "apply_panel_to: panel length mismatch");
+    assert_eq!(z.len(), n * k, "apply_panel_to: panel length mismatch");
+    if n == 0 {
         return;
     }
-    let n = r.len();
-    TS::with_scratch(2 * n, |scratch| {
-        let (r_s, z_s) = scratch.split_at_mut(n);
-        blas1::widen_scaled_into(1.0 / scale, r, r_s);
-        p.apply(r_s, z_s);
-        blas1::widen_scaled_into(scale, z_s, z);
-    });
+    // A lane group at a time: what the panel sweeps work on, and its scales
+    // fit on the stack.
+    for c0 in (0..k).step_by(PANEL_LANES) {
+        let g = (k - c0).min(PANEL_LANES);
+        let (r, z) = (&r[c0 * n..(c0 + g) * n], &mut z[c0 * n..(c0 + g) * n]);
+        TS::with_scratch(2 * n * g, |scratch| {
+            let (r_s, z_s) = scratch.split_at_mut(n * g);
+            let mut scales = [0.0f64; PANEL_LANES];
+            for ((scale, rc), sc) in scales.iter_mut().zip(r.chunks_exact(n)).zip(r_s.chunks_exact_mut(n)) {
+                *scale = pow2_amplitude(blas1::norm_inf(rc));
+                if *scale == 0.0 {
+                    sc.fill(TS::zero());
+                } else {
+                    blas1::widen_scaled_into(1.0 / *scale, rc, sc);
+                }
+            }
+            p.apply_panel(r_s, z_s, g);
+            for ((&scale, zc), sc) in scales.iter().zip(z.chunks_exact_mut(n)).zip(z_s.chunks_exact(n)) {
+                if scale == 0.0 {
+                    zc.fill(TV::zero());
+                } else {
+                    blas1::widen_scaled_into(scale, sc, zc);
+                }
+            }
+        });
+    }
 }
 
 #[cfg(test)]

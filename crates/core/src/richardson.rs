@@ -19,6 +19,19 @@
 //! warmed session starts each new right-hand side with already-tuned
 //! weights, which is part of the amortized-solve advantage recorded in
 //! `BENCH_pr4.json`.
+//!
+//! # Panels
+//!
+//! A panel of `k` right-hand sides is swept **sweep-major**: per sweep one
+//! residual SpMM over the whole panel and one panel application of `M`, then
+//! the columns are visited in order for their weights and updates.  That
+//! order gives every column exactly the weights a column-by-column loop over
+//! [`InnerSolver::apply`] would: column `c` is invocation `call_count + c`
+//! either way, `ω_k` is only ever written by update invocations, in column
+//! order within sweep `k`, and a column reads it after every earlier column
+//! has written it — so the panel is bitwise the column loop, weights and
+//! invocation counter included.  A column that lands on an update invocation
+//! computes its `ω′` with the single-column fused SpMV + dots.
 
 use std::sync::Arc;
 
@@ -43,6 +56,21 @@ pub enum WeightStrategy {
     Fixed(f64),
 }
 
+impl WeightStrategy {
+    /// `Some(l)` when invocation number `call` recomputes ω′ (line 7 of
+    /// Algorithm 1), with `l` the number of update cycles completed before
+    /// it; `None` on every other invocation and for a fixed weight.
+    fn update_at(self, call: u64) -> Option<u64> {
+        match self {
+            WeightStrategy::Adaptive { cycle } => {
+                let c = cycle.max(1) as u64;
+                call.is_multiple_of(c).then_some(call / c)
+            }
+            WeightStrategy::Fixed(_) => None,
+        }
+    }
+}
+
 impl Default for WeightStrategy {
     fn default() -> Self {
         WeightStrategy::Adaptive { cycle: 64 }
@@ -63,7 +91,8 @@ pub struct RichardsonLevel<T: Scalar> {
     call_count: u64,
     depth: usize,
     counters: Arc<KernelCounters>,
-    // workspace
+    // workspace: residual and `M r` panels (one column until the first wider
+    // panel arrives), and the `A M r` of one update column.
     r: Vec<T>,
     mr: Vec<T>,
     amr: Vec<T>,
@@ -110,83 +139,74 @@ impl<T: Scalar> RichardsonLevel<T> {
     pub fn call_count(&self) -> u64 {
         self.call_count
     }
-
-    /// Whether this invocation recomputes ω′ (line 7 of Algorithm 1).
-    fn is_update_call(&self) -> bool {
-        match self.strategy {
-            WeightStrategy::Adaptive { cycle } => {
-                let c = cycle.max(1) as u64;
-                self.call_count.is_multiple_of(c)
-            }
-            WeightStrategy::Fixed(_) => false,
-        }
-    }
 }
 
 impl<T: Scalar> InnerSolver<T> for RichardsonLevel<T> {
     fn apply(&mut self, v: &[T], z: &mut [T]) {
+        self.apply_panel(v, z, 1);
+    }
+
+    fn apply_panel(&mut self, v: &[T], z: &mut [T], k: usize) {
         let n = self.matrix.dim();
-        assert_eq!(v.len(), n, "richardson: v length mismatch");
-        assert_eq!(z.len(), n, "richardson: z length mismatch");
-        let update_call = self.is_update_call();
-        // l in Algorithm 1: the number of completed update cycles.
-        let update_count = match self.strategy {
-            WeightStrategy::Adaptive { cycle } => self.call_count / cycle.max(1) as u64,
-            WeightStrategy::Fixed(_) => 0,
-        };
-
-        for zi in z.iter_mut() {
-            *zi = T::zero();
+        assert_eq!(v.len(), n * k, "richardson: v length mismatch");
+        assert_eq!(z.len(), n * k, "richardson: z length mismatch");
+        if n * k == 0 {
+            return;
         }
-        for k in 0..self.m {
-            // r_{k-1} = v - A z_{k-1}; for k = 0 this is just v (z = 0).
-            if k == 0 {
-                self.r.copy_from_slice(v);
+        if self.r.len() < n * k {
+            self.r.resize(n * k, T::zero());
+            self.mr.resize(n * k, T::zero());
+        }
+        let (r, mr) = (&mut self.r[..n * k], &mut self.mr[..n * k]);
+
+        z.fill(T::zero());
+        for sweep in 0..self.m {
+            // r = v - A z; for the first sweep this is just v (z = 0).
+            if sweep == 0 {
+                r.copy_from_slice(v);
+            } else if k == 1 {
+                self.matrix.residual(self.mat_storage, z, v, r, &self.counters);
             } else {
-                let mut r = std::mem::take(&mut self.r);
-                self.matrix.residual(self.mat_storage, z, v, &mut r, &self.counters);
-                self.r = r;
+                self.matrix.residual_multi(self.mat_storage, z, v, r, k, &self.counters);
             }
-            // M r_{k-1}
-            let mut mr = std::mem::take(&mut self.mr);
-            self.precond.apply_to(&self.r, &mut mr, &self.counters);
-            self.mr = mr;
+            // M r
+            self.precond.apply_panel_to(r, mr, k, &self.counters);
 
-            let omega = if update_call {
-                // ω'_k = (r, AMr) / (AMr, AMr), computed in fp32 precision or
-                // better (the fused kernel accumulates the dots in f64 from
-                // T::Accum ≥ fp32 operands).  The SpMV and both reductions
-                // run in one sweep: AMr is never re-read from memory.
-                let mut amr = std::mem::take(&mut self.amr);
-                let (num, den) =
-                    self.matrix
-                        .apply_dot2(self.mat_storage, &self.mr, &self.r, &mut amr, &self.counters);
-                self.amr = amr;
-                self.counters.record_weight_update();
-                let omega_opt = if den > 0.0 { num / den } else { 1.0 };
-                // Fold into the running average (Eq. 5); the step itself uses
-                // ω′ because it minimises the residual at this step.
-                let l = update_count as f64;
-                if let WeightStrategy::Adaptive { .. } = self.strategy {
-                    self.weights[k] = (l * self.weights[k] + omega_opt) / (l + 1.0);
-                }
-                omega_opt
-            } else {
-                match self.strategy {
-                    WeightStrategy::Adaptive { .. } => self.weights[k],
-                    WeightStrategy::Fixed(w) => w,
-                }
-            };
-
-            // z_k = z_{k-1} + ω · M r_{k-1}
-            blas1::axpy(omega, &self.mr, z);
-            self.counters.record_blas1(
-                T::PRECISION,
-                TrafficModel::blas1_bytes(n, 2, 1, T::PRECISION),
-            );
+            let columns = r.chunks_exact(n).zip(mr.chunks_exact(n)).zip(z.chunks_exact_mut(n));
+            for (c, ((rc, mrc), zc)) in columns.enumerate() {
+                let call = self.call_count + c as u64;
+                let omega = if let Some(update_count) = self.strategy.update_at(call) {
+                    // ω' = (r, AMr) / (AMr, AMr), computed in fp32 precision
+                    // or better (the fused kernel accumulates the dots in f64
+                    // from T::Accum ≥ fp32 operands).  The SpMV and both
+                    // reductions run in one sweep: AMr is never re-read from
+                    // memory.
+                    let (num, den) =
+                        self.matrix
+                            .apply_dot2(self.mat_storage, mrc, rc, &mut self.amr, &self.counters);
+                    self.counters.record_weight_update();
+                    let omega_opt = if den > 0.0 { num / den } else { 1.0 };
+                    // Fold into the running average (Eq. 5); the step itself
+                    // uses ω′ because it minimises the residual at this step.
+                    let l = update_count as f64;
+                    self.weights[sweep] = (l * self.weights[sweep] + omega_opt) / (l + 1.0);
+                    omega_opt
+                } else {
+                    match self.strategy {
+                        WeightStrategy::Adaptive { .. } => self.weights[sweep],
+                        WeightStrategy::Fixed(w) => w,
+                    }
+                };
+                // z_k = z_{k-1} + ω · M r_{k-1}
+                blas1::axpy(omega, mrc, zc);
+                self.counters.record_blas1(
+                    T::PRECISION,
+                    TrafficModel::blas1_bytes(n, 2, 1, T::PRECISION),
+                );
+            }
         }
-        self.counters.record_level_iterations(self.depth, self.m as u64);
-        self.call_count += 1;
+        self.counters.record_level_iterations(self.depth, (self.m * k) as u64);
+        self.call_count += k as u64;
     }
 
     fn name(&self) -> String {
@@ -198,6 +218,7 @@ impl<T: Scalar> InnerSolver<T> for RichardsonLevel<T> {
     }
 
     fn workspace_bytes(&self) -> u64 {
+        // `r` and `mr` are panels once a batch has come through.
         self.weights.len() as u64 * 8
             + (self.r.len() + self.mr.len() + self.amr.len()) as u64 * T::bytes() as u64
     }

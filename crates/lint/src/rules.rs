@@ -536,6 +536,7 @@ fn rule_unsafe(an: &Analysis, out: &mut FileOutcome) {
 /// and are exempt by design.
 const CAST_SCOPE: &[&str] = &[
     "crates/sparse/src/spmv.rs",
+    "crates/sparse/src/spmm.rs",
     "crates/sparse/src/blas1.rs",
     "crates/sparse/src/sell.rs",
     "crates/sparse/src/csr.rs",
@@ -697,6 +698,7 @@ fn operand_name(operand: &[&Tok]) -> Option<String> {
 /// outside this scope.
 const MUL_ADD_SCOPE: &[&str] = &[
     "crates/sparse/src/spmv.rs",
+    "crates/sparse/src/spmm.rs",
     "crates/sparse/src/blas1.rs",
     "crates/sparse/src/sell.rs",
     "crates/simd/src/",

@@ -133,6 +133,16 @@ fn float_cast_rule_scope_and_tests() {
     assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 1);
     let out = check_file("crates/precond/src/ic0.rs", body);
     assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 0);
+    // The panel kernels: the driver and scalar kernel in f3r-sparse, the
+    // dispatch and the x86 kernels in f3r-simd.
+    for path in [
+        "crates/sparse/src/spmm.rs",
+        "crates/simd/src/panel.rs",
+        "crates/simd/src/x86_panel.rs",
+    ] {
+        let out = check_file(path, body);
+        assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 1, "{path}");
+    }
     // Out of scope entirely (the conversion helpers' own crate).
     let out = check_file("crates/precision/src/scalar.rs", body);
     assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 0);
@@ -168,6 +178,16 @@ fn mul_add_rule() {
     assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{:?}", out.violations);
     let out = check_file("crates/precond/src/trisolve.rs", src);
     assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{:?}", out.violations);
+    // A fused multiply-add in a panel kernel would break the per-column
+    // parity with the single-vector kernels' separate multiply and add.
+    for path in [
+        "crates/sparse/src/spmm.rs",
+        "crates/simd/src/panel.rs",
+        "crates/simd/src/x86_panel.rs",
+    ] {
+        let out = check_file(path, src);
+        assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{path}: {:?}", out.violations);
+    }
     // Out of scope: the seed-reference kernels keep their fused semantics.
     let out = check_file("crates/sparse/src/reference.rs", src);
     assert_eq!(count(&out, rules::RULE_MUL_ADD), 0);
@@ -196,6 +216,17 @@ fn target_feature_rule() {
     assert_eq!(count(&out, rules::RULE_TARGET_FEATURE), 1);
     let out = check_file("crates/sparse/src/spmv.rs", bad);
     assert_eq!(count(&out, rules::RULE_TARGET_FEATURE), 2);
+
+    // The panel kernels follow the same split: `#[target_feature]` bodies in
+    // f3r-simd's x86_panel.rs, none in the driver or the triangular sweeps.
+    let out = check_file("crates/simd/src/x86_panel.rs", good);
+    assert_eq!(count(&out, rules::RULE_TARGET_FEATURE), 0);
+    let out = check_file("crates/simd/src/x86_panel.rs", bad);
+    assert_eq!(count(&out, rules::RULE_TARGET_FEATURE), 1);
+    for path in ["crates/sparse/src/spmm.rs", "crates/precond/src/trisolve.rs"] {
+        let out = check_file(path, good);
+        assert_eq!(count(&out, rules::RULE_TARGET_FEATURE), 1, "{path}");
+    }
 }
 
 // ---------------------------------------------------------------------------

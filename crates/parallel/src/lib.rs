@@ -26,6 +26,8 @@
 //!   yields a value, collected in chunk order (fused update + norm kernels),
 //! * [`par_map_ranges`] — map disjoint index ranges to per-chunk results and
 //!   collect them in order (chunked reductions: dot products, norms),
+//! * [`par_ranges`] — run a task per disjoint index range and collect
+//!   nothing (tasks that write their own outputs: panel products),
 //! * [`par_parts_mut`] / [`par_map`] — parallelise over a small list of
 //!   unevenly sized parts or items (block-Jacobi blocks).
 //!
@@ -323,20 +325,35 @@ fn run_batch<F: Fn(usize) + Sync>(count: usize, f: &F) {
     }
 }
 
-/// Shareable raw pointer used to hand disjoint sub-slices / result slots to
-/// chunk tasks.
-struct SyncPtr<T>(*mut T);
+/// Shareable raw pointer for handing disjoint regions of one allocation to
+/// pool tasks: sub-slices and result slots in the helpers below, and the
+/// strided slots of a column-major panel (`c * stride + row` for the rows a
+/// task owns) in the panel kernels of `f3r-sparse` and `f3r-precond`, which
+/// no `&mut` split can express.
+///
+/// Holding or sharing one grants nothing: every access through
+/// [`get`](Self::get) is an `unsafe` operation whose site vouches that its
+/// task's region is disjoint from every other task's and that the
+/// allocation outlives the batch.
+pub struct SyncPtr<T>(*mut T);
 
 impl<T> SyncPtr<T> {
-    fn get(&self) -> *mut T {
+    /// Wrap the base pointer of an allocation the tasks will partition.
+    pub fn new(base: *mut T) -> Self {
+        Self(base)
+    }
+
+    /// The wrapped pointer.
+    pub fn get(&self) -> *mut T {
         self.0
     }
 }
 
-// SAFETY: `SyncPtr` is only used inside the dispatch helpers below, where
-// every task derives a *disjoint* region from the shared base pointer, and
-// the underlying allocation outlives the batch (it is borrowed by the
-// enclosing helper call, which does not return until the batch completes).
+// SAFETY: the wrapper only moves a pointer *value* between threads; all
+// dereferences are `unsafe` at their sites, where every task derives a
+// *disjoint* region from the shared base pointer and the underlying
+// allocation outlives the batch (it is borrowed by the enclosing call, which
+// does not return until the batch completes).
 unsafe impl<T: Send> Send for SyncPtr<T> {}
 // SAFETY: see above — concurrent tasks never touch overlapping regions.
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
@@ -371,7 +388,7 @@ where
     }
     let per = n.div_ceil(nw);
     let count = n.div_ceil(per);
-    let base = SyncPtr(data.as_mut_ptr());
+    let base = SyncPtr::new(data.as_mut_ptr());
     run_batch(count, &|i: usize| {
         let start = i * per;
         let len = per.min(n - start);
@@ -401,8 +418,8 @@ where
     let per = n.div_ceil(nw);
     let count = n.div_ceil(per);
     let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    let base = SyncPtr(data.as_mut_ptr());
-    let slots = SyncPtr(out.as_mut_ptr());
+    let base = SyncPtr::new(data.as_mut_ptr());
+    let slots = SyncPtr::new(out.as_mut_ptr());
     run_batch(count, &|i: usize| {
         let start = i * per;
         let len = per.min(n - start);
@@ -438,7 +455,7 @@ where
     let per = len.div_ceil(nw);
     let count = len.div_ceil(per);
     let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    let slots = SyncPtr(out.as_mut_ptr());
+    let slots = SyncPtr::new(out.as_mut_ptr());
     run_batch(count, &|i: usize| {
         let start = i * per;
         let end = (start + per).min(len);
@@ -450,6 +467,29 @@ where
     out.into_iter()
         .map(|r| r.expect("pool task produced a result"))
         .collect()
+}
+
+/// Run `f` on disjoint index ranges covering `0..len`, in parallel.
+///
+/// The split is that of [`par_map_ranges`] (roughly equal ranges of at least
+/// `grain` indices, one range when called from a pool worker); nothing is
+/// collected and nothing is allocated, so this is the helper for kernels on
+/// a solver's steady-state path whose tasks write their own disjoint outputs
+/// (panel products, block-Jacobi blocks).
+pub fn par_ranges<F>(len: usize, grain: usize, f: F)
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    let nw = workers(len, grain);
+    if nw <= 1 || is_worker_thread() {
+        f(0..len);
+        return;
+    }
+    let per = len.div_ceil(nw);
+    run_batch(len.div_ceil(per), &|i: usize| {
+        let start = i * per;
+        f(start..(start + per).min(len));
+    });
 }
 
 /// Process the contiguous parts `data[offsets[p]..offsets[p + 1]]` in
@@ -470,21 +510,13 @@ where
         offsets.windows(2).all(|w| w[0] <= w[1]) && offsets.last().is_none_or(|&end| end <= data.len()),
         "par_parts_mut: offsets must be non-decreasing and within the data"
     );
-    let n = offsets.len().saturating_sub(1);
-    if n == 0 {
-        return;
-    }
-    let per = n.div_ceil(n.min(current_num_threads()));
-    let count = n.div_ceil(per);
-    let base = SyncPtr(data.as_mut_ptr());
-    // `run_batch` runs a single group, and any call made on a pool worker,
-    // inline.
-    run_batch(count, &|g: usize| {
-        for p in g * per..((g + 1) * per).min(n) {
+    let base = SyncPtr::new(data.as_mut_ptr());
+    par_ranges(offsets.len().saturating_sub(1), 1, |parts| {
+        for p in parts {
             // SAFETY: the offsets were checked to be ordered and in bounds,
             // so parts are disjoint in-range regions of `data`, which the
             // enclosing call keeps borrowed until the batch completes; each
-            // part index belongs to exactly one task's group.
+            // part index belongs to exactly one task's range.
             let part = unsafe {
                 std::slice::from_raw_parts_mut(base.get().add(offsets[p]), offsets[p + 1] - offsets[p])
             };
@@ -507,7 +539,7 @@ where
     let per = n.div_ceil(nw);
     let count = n.div_ceil(per);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let slots = SyncPtr(out.as_mut_ptr());
+    let slots = SyncPtr::new(out.as_mut_ptr());
     run_batch(count, &|g: usize| {
         let start = g * per;
         let end = (start + per).min(n);

@@ -53,3 +53,19 @@ pub const MIN_LEN_PER_TASK: usize = 1 << 15;
 /// dispatch cost — while letting systems just past [`PAR_ROW_THRESHOLD`]
 /// still split across workers.
 pub const MIN_ROWS_PER_TASK: usize = 1 << 12;
+
+/// Columns a lane group of a panel kernel (SpMM, panel triangular sweeps)
+/// must hold before the eight-lane kernel beats running the single-vector
+/// kernel once per column.
+///
+/// A panel kernel walks the matrix or factor once for up to eight columns
+/// and costs about the same whatever the number of live lanes, plus the
+/// interleaving of its operands; the per-column loop costs one walk per
+/// column.  Measured on HPCG 40³ per column at two columns, panel against
+/// column loop (2 threads, first quartiles): SpMM 0.48 against 0.58 ms
+/// (fp16 matrix, fp32 vectors), 0.46 against 0.91 ms (fp16 vectors);
+/// block-Jacobi IC(0) 0.59 against 0.92 ms in fp16, 0.53 against 0.70 ms in
+/// fp32 and break-even in fp64 (0.87 against 0.85 ms); under the scalar
+/// backend the same or better.  At three columns every pair wins by 1.4× or
+/// more, so only a group of one falls back to the column loop.
+pub const PANEL_MIN_COLUMNS: usize = 2;

@@ -252,7 +252,7 @@ pub trait Scalar:
     /// The slice's contents on entry are unspecified.  The buffer behind it
     /// grows on demand and is kept for the lifetime of the thread, so calls
     /// in steady state allocate nothing; a nested call on the same thread
-    /// (from inside `body`) gets a buffer of its own.
+    /// (from inside `body`) gets a buffer of its own, kept likewise.
     fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R;
 
     /// Number of bytes per stored value.
@@ -321,21 +321,27 @@ impl FromScalar for f64 {
     }
 }
 
-/// Shared body of [`Scalar::with_scratch`]: the buffer is taken out of its
-/// thread-local cell for the duration of `body` (so a nested call finds an
-/// empty cell instead of a live borrow) and put back afterwards; it only ever
-/// grows.
+/// Shared body of [`Scalar::with_scratch`]: the thread keeps a stack of idle
+/// buffers; a call takes the top one for the duration of `body` (so a nested
+/// call finds the next one, or none, instead of a live borrow) and puts it
+/// back afterwards.  Buffers only ever grow, and a thread keeps as many as
+/// its deepest nesting needed, so nested calls are allocation-free in steady
+/// state too.
 fn scratch_in<T: Scalar, R>(
-    cell: &'static LocalKey<Cell<Vec<T>>>,
+    cell: &'static LocalKey<Cell<Vec<Vec<T>>>>,
     len: usize,
     body: impl FnOnce(&mut [T]) -> R,
 ) -> R {
-    let mut buf = cell.take();
+    let mut idle = cell.take();
+    let mut buf = idle.pop().unwrap_or_default();
+    cell.set(idle);
     if buf.len() < len {
         buf.resize(len, T::zero());
     }
     let out = body(&mut buf[..len]);
-    cell.set(buf);
+    let mut idle = cell.take();
+    idle.push(buf);
+    cell.set(idle);
     out
 }
 
@@ -408,7 +414,7 @@ impl Scalar for f64 {
         Some(xs)
     }
     fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R {
-        thread_local!(static BUF: Cell<Vec<f64>> = const { Cell::new(Vec::new()) });
+        thread_local!(static BUF: Cell<Vec<Vec<f64>>> = const { Cell::new(Vec::new()) });
         scratch_in(&BUF, len, body)
     }
 }
@@ -482,7 +488,7 @@ impl Scalar for f32 {
         Some(xs)
     }
     fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R {
-        thread_local!(static BUF: Cell<Vec<f32>> = const { Cell::new(Vec::new()) });
+        thread_local!(static BUF: Cell<Vec<Vec<f32>>> = const { Cell::new(Vec::new()) });
         scratch_in(&BUF, len, body)
     }
 }
@@ -559,7 +565,7 @@ impl Scalar for f16 {
         None
     }
     fn with_scratch<R>(len: usize, body: impl FnOnce(&mut [Self]) -> R) -> R {
-        thread_local!(static BUF: Cell<Vec<f16>> = const { Cell::new(Vec::new()) });
+        thread_local!(static BUF: Cell<Vec<Vec<f16>>> = const { Cell::new(Vec::new()) });
         scratch_in(&BUF, len, body)
     }
 }
@@ -707,16 +713,23 @@ mod tests {
                 s.as_ptr() as usize
             });
             assert_eq!(first, again);
-            // A nested request gets a buffer of its own, and the outer one
-            // is still the thread's buffer afterwards.
-            T::with_scratch(8, |outer| {
-                outer[0] = T::one();
-                T::with_scratch(8, |inner| {
-                    assert_ne!(inner.as_ptr(), outer.as_ptr());
-                    inner[0] = T::zero();
-                });
-                assert_eq!(outer[0].to_f64(), 1.0);
-            });
+            // A nested request gets a buffer of its own, and both are the
+            // thread's buffers afterwards: the same nesting finds them again.
+            let nest = || {
+                T::with_scratch(8, |outer| {
+                    outer[0] = T::one();
+                    let inner = T::with_scratch(8, |inner| {
+                        assert_ne!(inner.as_ptr(), outer.as_ptr());
+                        inner[0] = T::zero();
+                        inner.as_ptr() as usize
+                    });
+                    assert_eq!(outer[0].to_f64(), 1.0);
+                    (outer.as_ptr() as usize, inner)
+                })
+            };
+            let nested = nest();
+            assert_eq!(nested.0, first);
+            assert_eq!(nest(), nested);
             assert_eq!(T::with_scratch(1 << 12, |s| s.len()), 1 << 12);
         }
         check::<f16>();

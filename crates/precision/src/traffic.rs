@@ -165,8 +165,18 @@ impl TrafficModel {
     /// length `n` in precision `v` (values stored in precision `m`).
     #[must_use]
     pub fn sparse_precond_bytes(nnz: usize, n: usize, m: Precision, v: Precision) -> u64 {
-        // Forward + backward sweeps read all factors once plus the vectors.
-        (nnz as u64) * (m.bytes() as u64 + 4) + 4 * (n as u64 + 1) + (n as u64) * 3 * v.bytes() as u64
+        Self::sparse_precond_panel_bytes(nnz, n, m, v, 1)
+    }
+
+    /// [`sparse_precond_bytes`](Self::sparse_precond_bytes) for a panel of
+    /// `k` right-hand sides applied together: the forward and backward
+    /// sweeps read the factors **once** for the panel, the vector traffic
+    /// scales with its width.
+    #[must_use]
+    pub fn sparse_precond_panel_bytes(nnz: usize, n: usize, m: Precision, v: Precision, k: usize) -> u64 {
+        (nnz as u64) * (m.bytes() as u64 + 4)
+            + 4 * (n as u64 + 1)
+            + (n as u64) * 3 * (k as u64) * v.bytes() as u64
     }
 }
 

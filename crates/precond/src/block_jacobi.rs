@@ -14,6 +14,7 @@ use f3r_sparse::CsrMatrix;
 use crate::ic0::Ic0Precond;
 use crate::ilu0::Ilu0Precond;
 use crate::traits::Preconditioner;
+use crate::trisolve::{solve_panel, TriangularSolve};
 
 /// Block-Jacobi preconditioner composed of independent per-block solvers.
 pub struct BlockJacobiPrecond<P> {
@@ -101,7 +102,7 @@ impl<P> BlockJacobiPrecond<P> {
 /// every `M` application.
 use f3r_parallel::thresholds::PAR_BLOCK_ROW_THRESHOLD;
 
-impl<T: Scalar, P: Preconditioner<T>> Preconditioner<T> for BlockJacobiPrecond<P> {
+impl<T: Scalar, P: Preconditioner<T> + TriangularSolve<T>> Preconditioner<T> for BlockJacobiPrecond<P> {
     fn apply(&self, r: &[T], z: &mut [T]) {
         assert_eq!(r.len(), self.n, "block-Jacobi: length mismatch");
         assert_eq!(z.len(), self.n, "block-Jacobi: length mismatch");
@@ -114,6 +115,28 @@ impl<T: Scalar, P: Preconditioner<T>> Preconditioner<T> for BlockJacobiPrecond<P
         f3r_parallel::par_parts_mut(z, &self.offsets, |b, z_block| {
             self.blocks[b].apply(&r[self.offsets[b]..self.offsets[b + 1]], z_block);
         });
+    }
+
+    fn apply_panel(&self, r: &[T], z: &mut [T], k: usize) {
+        assert_eq!(r.len(), self.n * k, "block-Jacobi: panel length mismatch");
+        assert_eq!(z.len(), self.n * k, "block-Jacobi: panel length mismatch");
+        // Each block task writes rows of its own block only, in every column.
+        let z = f3r_parallel::SyncPtr::new(z.as_mut_ptr());
+        let solve_blocks = |blocks: std::ops::Range<usize>| {
+            for b in blocks {
+                // SAFETY: block `b` owns rows `offsets[b] .. offsets[b + 1]`
+                // of every column, `k` columns of `n` fit in `z`, and each
+                // block belongs to exactly one task.
+                unsafe { solve_panel(&self.blocks[b], r, z.get(), self.n, self.offsets[b], k) };
+            }
+        };
+        // A panel application costs about one single application, so the
+        // same row count decides whether the blocks go to the pool.
+        if self.n < PAR_BLOCK_ROW_THRESHOLD {
+            solve_blocks(0..self.blocks.len());
+        } else {
+            f3r_parallel::par_ranges(self.blocks.len(), 1, solve_blocks);
+        }
     }
 
     fn dim(&self) -> usize {
@@ -139,6 +162,7 @@ impl<T: Scalar, P: Preconditioner<T>> Preconditioner<T> for BlockJacobiPrecond<P
 mod tests {
     use super::*;
     use f3r_sparse::gen::hpcg::hpcg_matrix;
+    use f3r_sparse::gen::hpgmp_matrix;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
     use f3r_sparse::spmv::spmv_seq;
 
@@ -213,6 +237,17 @@ mod tests {
         bj.apply(&r, &mut z);
         assert!(z.iter().all(|v| v.is_finite()));
         assert!(bj.name().contains("fp16"));
+    }
+
+    #[test]
+    fn panel_apply_is_bitwise_the_single_applications() {
+        use crate::trisolve::testing;
+        // 7 blocks over 2 324 and 512 rows: uneven blocks, inline.
+        let (spd, general) = (testing::ragged(true), hpgmp_matrix(8, 8, 8, 0.5));
+        testing::assert_panel_is_the_column_loop(&BlockJacobiPrecond::<Ic0Precond<half::f16>>::ic0(&spd, 7, 1.0));
+        testing::assert_panel_is_the_column_loop(&BlockJacobiPrecond::<Ic0Precond<f32>>::ic0(&spd, 7, 1.0));
+        testing::assert_panel_is_the_column_loop(&BlockJacobiPrecond::<Ilu0Precond<half::f16>>::ilu0(&general, 7, 1.0));
+        testing::assert_panel_is_the_column_loop(&BlockJacobiPrecond::<Ilu0Precond<f64>>::ilu0(&general, 7, 1.0));
     }
 
     #[test]

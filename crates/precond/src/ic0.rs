@@ -14,7 +14,7 @@ use f3r_precision::Scalar;
 use f3r_sparse::CsrMatrix;
 
 use crate::traits::Preconditioner;
-use crate::trisolve::Factor;
+use crate::trisolve::{solve_panel, Factor, Lanes, Sweep, TriangularSolve};
 
 /// IC(0) factor `L` (lower triangular, diagonal included) stored in CSR and
 /// precision `T`.
@@ -131,16 +131,32 @@ impl<T: Scalar> Ic0Precond<T> {
     }
 }
 
+impl<T: Scalar> TriangularSolve<T> for Ic0Precond<T> {
+    fn factor(&self) -> &Factor<T> {
+        &self.factor
+    }
+
+    fn sweeps<L: Lanes<T::Accum>>(&self, s: &mut Sweep<'_, T, L>) {
+        // Forward solve L y = r, then backward solve Lᵀ z = y by traversing
+        // the rows of L in reverse and scattering.
+        s.forward(|i| self.lower(i), false);
+        s.backward_transposed(|i| self.lower(i));
+    }
+}
+
 impl<T: Scalar> Preconditioner<T> for Ic0Precond<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
         assert_eq!(r.len(), self.factor.n(), "IC(0): length mismatch");
         assert_eq!(z.len(), self.factor.n(), "IC(0): length mismatch");
-        self.factor.solve(r, z, |s| {
-            // Forward solve L y = r, then backward solve Lᵀ z = y by
-            // traversing the rows of L in reverse and scattering.
-            s.forward(|i| self.lower(i), false);
-            s.backward_transposed(|i| self.lower(i));
-        });
+        self.factor.solve(r, z, self);
+    }
+
+    fn apply_panel(&self, r: &[T], z: &mut [T], k: usize) {
+        let n = self.factor.n();
+        assert_eq!(r.len(), n * k, "IC(0): panel length mismatch");
+        assert_eq!(z.len(), n * k, "IC(0): panel length mismatch");
+        // SAFETY: `z` is ours, exclusively, and holds `k` columns of `n`.
+        unsafe { solve_panel(self, r, z.as_mut_ptr(), n, 0, k) };
     }
 
     fn dim(&self) -> usize {
@@ -275,6 +291,15 @@ mod tests {
         for a in [jacobi_scale(&hpcg_matrix(8, 8, 8)), testing::ragged(true), poisson2d_5pt(9, 7)] {
             check::<f32>(&a);
             check::<f64>(&a);
+        }
+    }
+
+    #[test]
+    fn panel_apply_is_bitwise_the_single_applications() {
+        for a in [jacobi_scale(&hpcg_matrix(8, 8, 8)), testing::ragged(true)] {
+            testing::assert_panel_is_the_column_loop(&Ic0Precond::<f16>::new(&a, 1.0));
+            testing::assert_panel_is_the_column_loop(&Ic0Precond::<f32>::new(&a, 1.0));
+            testing::assert_panel_is_the_column_loop(&Ic0Precond::<f64>::new(&a, 1.0));
         }
     }
 

@@ -14,7 +14,7 @@ use f3r_precision::Scalar;
 use f3r_sparse::CsrMatrix;
 
 use crate::traits::Preconditioner;
-use crate::trisolve::Factor;
+use crate::trisolve::{solve_panel, Factor, Lanes, Sweep, TriangularSolve};
 
 /// ILU(0) factorisation of a square CSR matrix, stored in precision `T`.
 ///
@@ -144,16 +144,32 @@ impl<T: Scalar> Ilu0Precond<T> {
     }
 }
 
+impl<T: Scalar> TriangularSolve<T> for Ilu0Precond<T> {
+    fn factor(&self) -> &Factor<T> {
+        &self.factor
+    }
+
+    fn sweeps<L: Lanes<T::Accum>>(&self, s: &mut Sweep<'_, T, L>) {
+        // Forward substitution L y = r (unit lower triangle), then backward
+        // substitution U z = y.
+        s.forward(|i| self.lower(i), true);
+        s.backward(|i| self.upper(i));
+    }
+}
+
 impl<T: Scalar> Preconditioner<T> for Ilu0Precond<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
         assert_eq!(r.len(), self.factor.n(), "ILU(0): length mismatch");
         assert_eq!(z.len(), self.factor.n(), "ILU(0): length mismatch");
-        self.factor.solve(r, z, |s| {
-            // Forward substitution L y = r (unit lower triangle), then
-            // backward substitution U z = y.
-            s.forward(|i| self.lower(i), true);
-            s.backward(|i| self.upper(i));
-        });
+        self.factor.solve(r, z, self);
+    }
+
+    fn apply_panel(&self, r: &[T], z: &mut [T], k: usize) {
+        let n = self.factor.n();
+        assert_eq!(r.len(), n * k, "ILU(0): panel length mismatch");
+        assert_eq!(z.len(), n * k, "ILU(0): panel length mismatch");
+        // SAFETY: `z` is ours, exclusively, and holds `k` columns of `n`.
+        unsafe { solve_panel(self, r, z.as_mut_ptr(), n, 0, k) };
     }
 
     fn dim(&self) -> usize {
@@ -355,6 +371,15 @@ mod tests {
         for a in [jacobi_scale(&hpgmp_matrix(8, 8, 8, 0.5)), testing::ragged(false), poisson2d_5pt(9, 7)] {
             check::<f32>(&a);
             check::<f64>(&a);
+        }
+    }
+
+    #[test]
+    fn panel_apply_is_bitwise_the_single_applications() {
+        for a in [jacobi_scale(&hpgmp_matrix(8, 8, 8, 0.5)), testing::ragged(false)] {
+            testing::assert_panel_is_the_column_loop(&Ilu0Precond::<f16>::new(&a, 1.0));
+            testing::assert_panel_is_the_column_loop(&Ilu0Precond::<f32>::new(&a, 1.0));
+            testing::assert_panel_is_the_column_loop(&Ilu0Precond::<f64>::new(&a, 1.0));
         }
     }
 

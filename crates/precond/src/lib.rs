@@ -25,6 +25,22 @@
 //! partial result in fp16, and it is bitwise the same on every kernel backend,
 //! because widening is exact and the multiply–subtract loops are the same
 //! scalar loops everywhere.  Nothing on this path allocates in steady state.
+//!
+//! # Panels
+//!
+//! [`Preconditioner::apply_panel`] applies `M` to a column-major panel of
+//! right-hand sides; every column of the result is bitwise the single
+//! application.  IC(0), ILU(0) and block-Jacobi run the same sweeps on lane
+//! groups of eight columns: a group is interleaved into a per-thread block
+//! panel in the accumulation precision (entry `i` of the eight columns side
+//! by side), each stored factor value is fetched and widened once per sweep
+//! for all eight, and the one multiply and one subtract per stored value act
+//! on the eight lanes at once.  The dependency chain that bounds a single
+//! application (each row needs its predecessor's result) is shared by the
+//! group, so a panel application costs about one single application.  A
+//! group of fewer than `f3r_parallel::thresholds::PANEL_MIN_COLUMNS` columns
+//! is applied column by column; the other preconditioners keep the trait's
+//! column loop.
 
 #![warn(missing_docs)]
 

@@ -17,6 +17,28 @@ pub trait Preconditioner<T: Scalar>: Send + Sync {
     /// ignored.
     fn apply(&self, r: &[T], z: &mut [T]);
 
+    /// Apply the preconditioner to every column of a column-major panel of
+    /// `k` right-hand sides (column `c` is `r[c * dim() .. (c + 1) * dim()]`).
+    ///
+    /// Every column of the result is bitwise [`apply`](Self::apply) on that
+    /// column; the default is that column loop.  IC(0), ILU(0) and their
+    /// block-Jacobi wrappers override it with panel sweeps that walk the
+    /// factor once for eight columns (see the [crate docs](crate#panels)).
+    ///
+    /// # Panics
+    /// Panics if the panels are not `k * dim()` elements long.
+    fn apply_panel(&self, r: &[T], z: &mut [T], k: usize) {
+        let n = self.dim();
+        assert_eq!(r.len(), n * k, "apply_panel: panel length mismatch");
+        assert_eq!(z.len(), n * k, "apply_panel: panel length mismatch");
+        if n == 0 {
+            return;
+        }
+        for (rc, zc) in r.chunks_exact(n).zip(z.chunks_exact_mut(n)) {
+            self.apply(rc, zc);
+        }
+    }
+
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;
 

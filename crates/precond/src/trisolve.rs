@@ -22,11 +22,27 @@
 //! arithmetic stays scalar on purpose: each row needs an entry the previous
 //! row has just stored, so a row cannot be gathered before its predecessor's
 //! store retires.
+//!
+//! # Panels
+//!
+//! The same loops run on a panel of right-hand sides ([`solve_panel`]).  The
+//! sweeps are generic over what one entry of the working vector is
+//! ([`Lanes`]): a value, or the [`PANEL_LANES`] values of a lane group, one
+//! per column.  A lane group is interleaved into a per-thread block panel in
+//! `T::Accum` (`w[i]` holds the eight columns' entries `i`), each stored
+//! factor value is fetched and widened once per sweep for all eight, and the
+//! multiply and the subtract act on the eight lanes at once — the dependency
+//! chain that bounds a single application is shared by the group, so a panel
+//! application costs about one single application.  Lane `c` goes through
+//! exactly the operations of a single application to column `c`, so each
+//! column of the result is bitwise that application.
 
 use std::mem::size_of_val;
 use std::ops::Range;
 
+use f3r_parallel::thresholds::PANEL_MIN_COLUMNS;
 use f3r_precision::{convert_slice, Scalar};
+use f3r_sparse::spmm::{deinterleave_rows, interleave_rows, PANEL_LANES};
 
 /// Stored values widened per bulk conversion (fp16 factors only): long enough
 /// to spread the converter's call over some tens of stencil rows, short
@@ -36,7 +52,7 @@ const WINDOW: usize = 512;
 /// A triangular factor (or a pair sharing one pattern) in CSR, values stored
 /// in `T`, with the reciprocal diagonal kept pre-widened.
 #[derive(Debug, Clone)]
-pub(crate) struct Factor<T: Scalar> {
+pub struct Factor<T: Scalar> {
     pub(crate) row_ptr: Vec<usize>,
     pub(crate) col_idx: Vec<u32>,
     pub(crate) values: Vec<T>,
@@ -145,14 +161,14 @@ impl<T: Scalar> Factor<T> {
             + size_of_val(&self.inv_diag[..])) as u64
     }
 
-    /// Apply the two sweeps of a factorisation to `r`: run `sweeps` on a
-    /// working vector in `T::Accum` with the factor's values widened, and
-    /// leave the result in `z`, one rounding per entry (see the module docs).
-    /// `r` and `z` have the factor's dimension.
-    pub(crate) fn solve(&self, r: &[T], z: &mut [T], sweeps: impl FnOnce(&mut Sweep<'_, T>)) {
+    /// Apply the two sweeps of the factorisation `p` (whose factor this is)
+    /// to `r`: run them on a working vector in `T::Accum` with the factor's
+    /// values widened, and leave the result in `z`, one rounding per entry
+    /// (see the module docs).  `r` and `z` have the factor's dimension.
+    pub(crate) fn solve(&self, r: &[T], z: &mut [T], p: &impl TriangularSolve<T>) {
         let n = self.n();
         if let (Some(rhs), Some(w)) = (T::as_accum(r), T::as_accum_mut(z)) {
-            return sweeps(&mut Sweep {
+            return p.sweeps(&mut Sweep {
                 factor: self,
                 values: Widened::new(&self.values, &mut []),
                 rhs: Some(rhs),
@@ -162,7 +178,7 @@ impl<T: Scalar> Factor<T> {
         <T::Accum as Scalar>::with_scratch(n + self.window, |scratch| {
             let (w, window) = scratch.split_at_mut(n);
             convert_slice(r, w);
-            sweeps(&mut Sweep {
+            p.sweeps(&mut Sweep {
                 factor: self,
                 values: Widened::new(&self.values, window),
                 rhs: None,
@@ -173,18 +189,122 @@ impl<T: Scalar> Factor<T> {
     }
 }
 
+/// A factorisation applied by triangular sweeps over one [`Factor`]: what
+/// IC(0) and ILU(0) are to the code that drives them on a single vector
+/// ([`Factor::solve`]), on a panel ([`solve_panel`]) and on the blocks of a
+/// block-Jacobi preconditioner.
+pub trait TriangularSolve<T: Scalar> {
+    /// The stored factor.
+    fn factor(&self) -> &Factor<T>;
+
+    /// Run the forward and the backward sweep on the application `s`.
+    fn sweeps<L: Lanes<T::Accum>>(&self, s: &mut Sweep<'_, T, L>);
+}
+
+/// One entry of a sweep's working vector: a value of the accumulation type
+/// `A`, or one value per column of a lane group.  The operations are those
+/// of the scalar loops, applied to every lane.
+pub trait Lanes<A>: Copy {
+    /// `self -= v * x`: one multiply, one subtract, never fused.
+    fn sub_mul(&mut self, v: A, x: &Self);
+
+    /// `self * d`.
+    fn scaled(self, d: A) -> Self;
+}
+
+impl<A: Scalar> Lanes<A> for A {
+    #[inline(always)]
+    fn sub_mul(&mut self, v: A, x: &A) {
+        *self -= v * *x;
+    }
+
+    #[inline(always)]
+    fn scaled(self, d: A) -> A {
+        self * d
+    }
+}
+
+impl<A: Scalar> Lanes<A> for [A; PANEL_LANES] {
+    #[inline(always)]
+    fn sub_mul(&mut self, v: A, x: &Self) {
+        for (s, &xl) in self.iter_mut().zip(x) {
+            *s -= v * xl;
+        }
+    }
+
+    #[inline(always)]
+    fn scaled(self, d: A) -> Self {
+        self.map(|s| s * d)
+    }
+}
+
+/// Apply the factorisation `p` to rows `lo .. lo + n` (`n` the factor's
+/// dimension) of every column of a column-major panel of `k` right-hand
+/// sides: column `c` of `r` is `r[c * stride ..]`, of the result
+/// `z + c * stride`.  Each column of the result is bitwise
+/// [`Factor::solve`] on that column.
+///
+/// Columns go in lane groups of [`PANEL_LANES`] through the panel sweeps
+/// (see the module docs); a group of fewer than [`PANEL_MIN_COLUMNS`]
+/// columns is applied one column at a time.
+///
+/// # Safety
+/// `z + c * stride + lo` must be valid for writing `n` elements for every
+/// `c < k`, and no other thread may access those elements during the call.
+pub(crate) unsafe fn solve_panel<T: Scalar>(
+    p: &impl TriangularSolve<T>,
+    r: &[T],
+    z: *mut T,
+    stride: usize,
+    lo: usize,
+    k: usize,
+) {
+    let f = p.factor();
+    let n = f.n();
+    for c0 in (0..k).step_by(PANEL_LANES) {
+        let g = (k - c0).min(PANEL_LANES);
+        if g < PANEL_MIN_COLUMNS {
+            for c in c0..c0 + g {
+                let at = c * stride + lo;
+                // SAFETY: rows `lo .. lo + n` of column `c`, ours to write.
+                let z_col = unsafe { std::slice::from_raw_parts_mut(z.add(at), n) };
+                f.solve(&r[at..at + n], z_col, p);
+            }
+            continue;
+        }
+        // fp32/fp64 sweeps read the factor where it lies: no window.
+        let window = if T::as_accum(&f.values).is_some() { 0 } else { f.window };
+        <T::Accum as Scalar>::with_scratch(n * PANEL_LANES + window, |scratch| {
+            let (w, window) = scratch.split_at_mut(n * PANEL_LANES);
+            let (w, _) = w.as_chunks_mut::<PANEL_LANES>();
+            interleave_rows(&r[c0 * stride..], stride, g, lo, w);
+            p.sweeps(&mut Sweep {
+                factor: f,
+                values: Widened::new(&f.values, window),
+                rhs: None,
+                w,
+            });
+            // SAFETY: rows `lo .. lo + n` of columns `c0 .. c0 + g`, ours to
+            // write by this function's contract.
+            unsafe { deinterleave_rows(w, g, z.add(c0 * stride + lo), stride) };
+        });
+    }
+}
+
 /// One application in progress: the factor, its values as the sweeps read
-/// them, the right-hand side and the working vector.
-pub(crate) struct Sweep<'a, T: Scalar> {
+/// them, the right-hand side and the working vector, whose entries are single
+/// values or lane groups ([`Lanes`]).
+pub struct Sweep<'a, T: Scalar, L = <T as Scalar>::Accum> {
     factor: &'a Factor<T>,
     values: Widened<'a, T>,
     /// The right-hand side where it can be read in accumulation precision
-    /// (fp32/fp64); `None` when `w` was filled from it instead (fp16).
-    rhs: Option<&'a [T::Accum]>,
-    w: &'a mut [T::Accum],
+    /// (fp32/fp64 single applications); `None` when `w` was filled from it
+    /// instead (fp16, panels).
+    rhs: Option<&'a [L]>,
+    w: &'a mut [L],
 }
 
-impl<T: Scalar> Sweep<'_, T> {
+impl<T: Scalar, L: Lanes<T::Accum>> Sweep<'_, T, L> {
     /// Forward substitution `w ← L⁻¹ r`, rows ascending: `lower(i)` is the
     /// range of row `i`'s entries left of the diagonal; with `unit_diagonal`
     /// the diagonal of `L` is an implied one, otherwise `inv_diag` holds its
@@ -207,12 +327,12 @@ impl<T: Scalar> Sweep<'_, T> {
                 None => w[i],
             };
             for (&v, &j) in vals.iter().zip(cols) {
-                acc -= v * w[j as usize];
+                acc.sub_mul(v, &w[j as usize]);
             }
             w[i] = if unit_diagonal {
                 acc
             } else {
-                acc * inv_diag[i]
+                acc.scaled(inv_diag[i])
             };
         }
     }
@@ -228,9 +348,9 @@ impl<T: Scalar> Sweep<'_, T> {
             let vals = values.get(seg);
             let mut acc = w[i];
             for (&v, &j) in vals.iter().zip(cols) {
-                acc -= v * w[j as usize];
+                acc.sub_mul(v, &w[j as usize]);
             }
-            w[i] = acc * inv_diag[i];
+            w[i] = acc.scaled(inv_diag[i]);
         }
     }
 
@@ -244,10 +364,10 @@ impl<T: Scalar> Sweep<'_, T> {
             let seg = lower(i);
             let cols = &col_idx[seg.clone()];
             let vals = values.get(seg);
-            let wi = w[i] * inv_diag[i];
+            let wi = w[i].scaled(inv_diag[i]);
             w[i] = wi;
             for (&v, &j) in vals.iter().zip(cols) {
-                w[j as usize] -= v * wi;
+                w[j as usize].sub_mul(v, &wi);
             }
         }
     }
@@ -319,6 +439,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::WINDOW;
+    use crate::traits::Preconditioner;
     use f3r_precision::Scalar;
     use f3r_sparse::{CooMatrix, CsrMatrix};
 
@@ -373,6 +494,22 @@ pub(crate) mod testing {
         (0..n)
             .map(|i| T::from_f64(((i * 7919) % 1013) as f64 / 1013.0 - 0.5))
             .collect()
+    }
+
+    /// Every column of `apply_panel` must be the single application of that
+    /// column, bit for bit, on widths that leave lane groups of one, of
+    /// several and of eight columns.
+    pub(crate) fn assert_panel_is_the_column_loop<T: Scalar>(p: &dyn Preconditioner<T>) {
+        let n = p.dim();
+        for k in [1usize, 2, 7, 8, 9, 16] {
+            let r = rhs::<T>(n * k);
+            let (mut z, mut z_ref) = (vec![T::one(); n * k], vec![T::zero(); n * k]);
+            p.apply_panel(&r, &mut z, k);
+            for (rc, zc) in r.chunks_exact(n).zip(z_ref.chunks_exact_mut(n)) {
+                p.apply(rc, zc);
+            }
+            assert_eq!(bits(&z), bits(&z_ref), "{}, k = {k}", p.name());
+        }
     }
 
     /// The exact bit patterns of `z` (through the exact widening to fp64).

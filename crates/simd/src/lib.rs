@@ -65,8 +65,15 @@ use f3r_precision::{FromScalar, Scalar};
 #[cfg(target_arch = "x86_64")]
 use f3r_precision::{SliceView as V, SliceViewMut as VM};
 
+mod panel;
 #[cfg(target_arch = "x86_64")]
 mod x86;
+#[cfg(target_arch = "x86_64")]
+mod x86_panel;
+
+pub use panel::{
+    panel_finish, try_panel_deinterleave, try_panel_interleave, try_spmm_panel, PanelSink, PANEL_LANES,
+};
 
 /// Reduction kernels fold their accumulator into an `f64` running total every
 /// this many elements, mirroring the cascade of the scalar `blas1` kernels so

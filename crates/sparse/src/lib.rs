@@ -102,6 +102,7 @@ pub mod io;
 pub mod reference;
 pub mod scaling;
 pub mod sell;
+pub mod spmm;
 pub mod spmv;
 pub mod stats;
 

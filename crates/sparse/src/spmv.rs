@@ -32,7 +32,8 @@
 //! Every kernel has a sequential and a thread-parallel variant (chunk tasks
 //! on the persistent `f3r-parallel` worker pool); the un-suffixed entry
 //! points dispatch on problem size so small systems do not pay even the
-//! pool's (small) dispatch overhead.
+//! pool's (small) dispatch overhead.  The multi-vector (SpMM) products live
+//! in [`crate::spmm`].
 //!
 //! # SIMD backend
 //!
@@ -101,7 +102,7 @@ fn spmv_row<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV]) -> TV::
 /// are global per (matrix, vector) pair, so sequential and parallel sweeps
 /// make identical per-row choices.
 #[inline(always)]
-fn row_acc<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV]) -> TV::Accum {
+pub(crate) fn row_acc<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV]) -> TV::Accum {
     // SAFETY: `try_spmv_row` requires every column index to be a valid index
     // into `x` — the CsrMatrix constructor invariant plus the public kernels'
     // `x.len() == n_cols` assertion (the same contract `spmv_row`'s unchecked
@@ -464,373 +465,11 @@ fn sell_sweep<TA: Scalar, TV: Scalar>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-vector (SpMM) kernels.
-//
-// `spmv_multi` and its scaled/SELL twins multiply one matrix against a
-// column-major panel of `k` vectors (column `c` of the input panel is
-// `xs[c * n_cols .. (c + 1) * n_cols]`), writing a column-major output panel
-// of the same width.  The matrix is streamed ONCE per call: each row's
-// index/value entries are fetched once and reused across all k columns from
-// registers/L1, so the matrix-stream traffic — the dominant term of every
-// memory-bound solve — is amortized over the panel width.
-//
-// Per-column results are **bitwise identical** to the corresponding
-// single-vector kernel applied to that column alone: widening is a pure
-// function (re-widening a stored element per column equals widening it once
-// and reusing it), and every column runs the exact same row accumulation
-// (`row_acc`, `try_sell_group8`, `sell_row`) the single-vector sweeps use.
-// The SIMD acceptance conditions depend only on the latched backend, the row
-// geometry, and the column length — identical for every column of one panel
-// — so the per-row kernel choice is uniform across columns and the
-// seq == par bitwise rule carries over unchanged.
-// ---------------------------------------------------------------------------
-
-/// Shareable raw pointer for handing the column-major output panel to pool
-/// tasks (the `f3r-parallel` `SyncPtr` idiom, replicated locally because a
-/// panel task writes `k` *strided* slots per row — `c * n_rows + row` — not
-/// one contiguous chunk, so `par_chunks_mut` cannot express the partition).
-struct PanelPtr<T>(*mut T);
-
-impl<T> PanelPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: only used by the `*_multi_par` kernels below, where every task
-// owns a disjoint row range and writes only the slots `c * n_rows + row` of
-// its own rows; the allocation outlives the batch (borrowed by the enclosing
-// call, which does not return until the pool batch completes).
-unsafe impl<T: Send> Send for PanelPtr<T> {}
-// SAFETY: see above — concurrent tasks never write overlapping slots.
-unsafe impl<T: Send> Sync for PanelPtr<T> {}
-
-/// Rows per pool task for the panel kernels: [`MIN_ROWS_PER_TASK`] scaled
-/// down by the panel width (each row moves ~k columns of vector traffic, so
-/// a k-wide task hits the single-vector task's byte budget k× sooner),
-/// floored so tasks stay well above the pool's dispatch cost.  Grain only
-/// affects the partition, never per-row values, so it is free to depend on k.
-fn panel_grain(k: usize) -> usize {
-    (MIN_ROWS_PER_TASK / k.max(1)).max(512)
-}
-
-/// True when the panel kernels should take the parallel path: the total
-/// work is `n_rows · k` row accumulations, so a narrow problem still goes
-/// parallel once the panel is wide enough (deterministic in global
-/// properties only, preserving the seq == par rule).
-#[inline]
-fn panel_parallel(n_rows: usize, k: usize) -> bool {
-    n_rows.saturating_mul(k.max(1)) >= PAR_ROW_THRESHOLD
-}
-
-/// Sequential CSR SpMM: `Y = A X` on `k` column-major vectors.
-///
-/// Column `c` of the result is bitwise identical to `spmv_seq` applied to
-/// column `c` of `xs`.
-///
-/// # Panics
-/// Panics if `xs.len() != a.n_cols() * k` or `ys.len() != a.n_rows() * k`.
-pub fn spmv_multi_seq<TA: Scalar, TV: Scalar>(
-    a: &CsrMatrix<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "spmv_multi: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "spmv_multi: ys length mismatch");
-    let (nr, nc) = (a.n_rows(), a.n_cols());
-    for row in 0..nr {
-        let (cols, vals) = a.row_entries(row);
-        for c in 0..k {
-            let x = &xs[c * nc..(c + 1) * nc];
-            ys[c * nr + row] = TV::narrow(row_acc(cols, vals, x));
-        }
-    }
-}
-
-/// Thread-parallel CSR SpMM (row-range parallelism; every task computes all
-/// `k` columns of its rows, so the partition stays row-disjoint).
-pub fn spmv_multi_par<TA: Scalar, TV: Scalar>(
-    a: &CsrMatrix<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "spmv_multi: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "spmv_multi: ys length mismatch");
-    let (nr, nc) = (a.n_rows(), a.n_cols());
-    let out = PanelPtr(ys.as_mut_ptr());
-    let _: Vec<()> = f3r_parallel::par_map_ranges(nr, panel_grain(k), |rows| {
-        for row in rows {
-            let (cols, vals) = a.row_entries(row);
-            for c in 0..k {
-                let x = &xs[c * nc..(c + 1) * nc];
-                let v = TV::narrow(row_acc(cols, vals, x));
-                // SAFETY: this task owns `row`, so slot `c * nr + row` is
-                // written by exactly one task; `ys` outlives the batch.
-                unsafe { out.get().add(c * nr + row).write(v) };
-            }
-        }
-    });
-}
-
-/// CSR SpMM dispatching between the sequential and parallel kernels on the
-/// total work `n_rows · k`.
-pub fn spmv_multi<TA: Scalar, TV: Scalar>(a: &CsrMatrix<TA>, xs: &[TV], ys: &mut [TV], k: usize) {
-    if panel_parallel(a.n_rows(), k) {
-        spmv_multi_par(a, xs, ys, k);
-    } else {
-        spmv_multi_seq(a, xs, ys, k);
-    }
-}
-
-/// Sequential scaled CSR SpMM: `Y = A X` with `A` in row-scaled storage
-/// (per-column bitwise identical to [`spmv_scaled_seq`]).
-///
-/// # Panics
-/// Panics if the panel lengths do not match the matrix dimensions.
-pub fn spmv_scaled_multi_seq<TA: Scalar, TV: Scalar>(
-    a: &ScaledCsr<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "spmv_scaled_multi: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "spmv_scaled_multi: ys length mismatch");
-    let (nr, nc) = (a.n_rows(), a.n_cols());
-    let (m, scales) = (a.matrix(), a.row_scales());
-    for row in 0..nr {
-        let (cols, vals) = m.row_entries(row);
-        for c in 0..k {
-            let x = &xs[c * nc..(c + 1) * nc];
-            ys[c * nr + row] = fold_scale::<TV>(row_acc(cols, vals, x), scales[row]);
-        }
-    }
-}
-
-/// Thread-parallel scaled CSR SpMM (row-range parallelism).
-pub fn spmv_scaled_multi_par<TA: Scalar, TV: Scalar>(
-    a: &ScaledCsr<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "spmv_scaled_multi: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "spmv_scaled_multi: ys length mismatch");
-    let (nr, nc) = (a.n_rows(), a.n_cols());
-    let (m, scales) = (a.matrix(), a.row_scales());
-    let out = PanelPtr(ys.as_mut_ptr());
-    let _: Vec<()> = f3r_parallel::par_map_ranges(nr, panel_grain(k), |rows| {
-        for row in rows {
-            let (cols, vals) = m.row_entries(row);
-            for c in 0..k {
-                let x = &xs[c * nc..(c + 1) * nc];
-                let v = fold_scale::<TV>(row_acc(cols, vals, x), scales[row]);
-                // SAFETY: disjoint rows per task (see `spmv_multi_par`).
-                unsafe { out.get().add(c * nr + row).write(v) };
-            }
-        }
-    });
-}
-
-/// Scaled CSR SpMM dispatching on the total work `n_rows · k`.
-pub fn spmv_scaled_multi<TA: Scalar, TV: Scalar>(
-    a: &ScaledCsr<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    if panel_parallel(a.n_rows(), k) {
-        spmv_scaled_multi_par(a, xs, ys, k);
-    } else {
-        spmv_scaled_multi_seq(a, xs, ys, k);
-    }
-}
-
-/// Sequential sliced-ELLPACK SpMM (per-column bitwise identical to
-/// [`spmv_sell_seq`]).
-///
-/// # Panics
-/// Panics if the panel lengths do not match the matrix dimensions.
-pub fn spmv_sell_multi_seq<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "sell spmm: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "sell spmm: ys length mismatch");
-    let nr = a.n_rows();
-    sell_sweep_multi(a, xs, k, 0, nr, |row, c, acc| {
-        ys[c * nr + row] = TV::narrow(acc);
-    });
-}
-
-/// Thread-parallel sliced-ELLPACK SpMM (row-range parallelism; boundary
-/// groups are recomputed per task exactly as in [`spmv_sell_par`]).
-pub fn spmv_sell_multi_par<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "sell spmm: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "sell spmm: ys length mismatch");
-    let nr = a.n_rows();
-    let out = PanelPtr(ys.as_mut_ptr());
-    let _: Vec<()> = f3r_parallel::par_map_ranges(nr, panel_grain(k), |rows| {
-        sell_sweep_multi(a, xs, k, rows.start, rows.len(), |row, c, acc| {
-            // SAFETY: disjoint rows per task (see `spmv_multi_par`); boundary
-            // group rows outside `rows` are computed but never emitted.
-            unsafe { out.get().add(c * nr + row).write(TV::narrow(acc)) };
-        });
-    });
-}
-
-/// Sliced-ELLPACK SpMM dispatching on the total work `n_rows · k`.
-pub fn spmv_sell_multi<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    if panel_parallel(a.n_rows(), k) {
-        spmv_sell_multi_par(a, xs, ys, k);
-    } else {
-        spmv_sell_multi_seq(a, xs, ys, k);
-    }
-}
-
-/// Sequential scaled sliced-ELLPACK SpMM (per-column bitwise identical to
-/// [`spmv_scaled_sell_seq`]).
-///
-/// # Panics
-/// Panics if the panel lengths do not match the matrix dimensions.
-pub fn spmv_scaled_sell_multi_seq<TA: Scalar, TV: Scalar>(
-    a: &ScaledSell<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "scaled sell spmm: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "scaled sell spmm: ys length mismatch");
-    let nr = a.n_rows();
-    let (m, scales) = (a.matrix(), a.row_scales());
-    sell_sweep_multi(m, xs, k, 0, nr, |row, c, acc| {
-        ys[c * nr + row] = fold_scale::<TV>(acc, scales[row]);
-    });
-}
-
-/// Thread-parallel scaled sliced-ELLPACK SpMM (row-range parallelism).
-pub fn spmv_scaled_sell_multi_par<TA: Scalar, TV: Scalar>(
-    a: &ScaledSell<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "scaled sell spmm: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "scaled sell spmm: ys length mismatch");
-    let nr = a.n_rows();
-    let (m, scales) = (a.matrix(), a.row_scales());
-    let out = PanelPtr(ys.as_mut_ptr());
-    let _: Vec<()> = f3r_parallel::par_map_ranges(nr, panel_grain(k), |rows| {
-        sell_sweep_multi(m, xs, k, rows.start, rows.len(), |row, c, acc| {
-            // SAFETY: disjoint rows per task (see `spmv_multi_par`).
-            unsafe {
-                out.get()
-                    .add(c * nr + row)
-                    .write(fold_scale::<TV>(acc, scales[row]));
-            }
-        });
-    });
-}
-
-/// Scaled sliced-ELLPACK SpMM dispatching on the total work `n_rows · k`.
-pub fn spmv_scaled_sell_multi<TA: Scalar, TV: Scalar>(
-    a: &ScaledSell<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    if panel_parallel(a.n_rows(), k) {
-        spmv_scaled_sell_multi_par(a, xs, ys, k);
-    } else {
-        spmv_scaled_sell_multi_seq(a, xs, ys, k);
-    }
-}
-
-/// Compute SELL rows `base .. base + count` against all `k` panel columns,
-/// handing each accumulator to `emit(row, column, acc)`.
-///
-/// The multi-column twin of [`sell_sweep`]: each row group's lane window is
-/// fetched **once** and swept against every column before moving on, so the
-/// padded SELL layout streams through the cache a single time per call.  The
-/// group kernel's acceptance (`try_sell_group8` returning `Some`) depends
-/// only on the latched backend and the column length — both identical across
-/// a panel's columns — so either every column of a group takes the SIMD path
-/// or none does, and each column's accumulators match the single-vector
-/// [`sell_sweep`] bit for bit.
-#[inline(always)]
-fn sell_sweep_multi<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    xs: &[TV],
-    k: usize,
-    base: usize,
-    count: usize,
-    mut emit: impl FnMut(usize, usize, TV::Accum),
-) {
-    if k == 0 {
-        return;
-    }
-    let nc = a.n_cols();
-    let end = base + count;
-    let grouped = a.chunk_size().is_multiple_of(8)
-        && nc <= f3r_simd::MAX_GATHER_LEN
-        && f3r_simd::kernel_backend().is_simd();
-    let mut row = base;
-    while row < end {
-        let g0 = row & !7;
-        if grouped && g0 + 8 <= a.n_rows() {
-            let (cols, vals, stride, width) = a.row_lanes(g0);
-            // SAFETY: same contract as `sell_sweep` — the SellMatrix
-            // constructor bounds all column indices by n_cols, the callers
-            // assert each panel column has n_cols elements, and the lane
-            // window is in bounds because the chunk height and lane offset
-            // are multiples of 8.
-            let accs = unsafe { f3r_simd::try_sell_group8(cols, vals, stride, width, &xs[..nc]) };
-            if let Some(accs) = accs {
-                let hi = end.min(g0 + 8);
-                for r in row..hi {
-                    emit(r, 0, accs[r - g0]);
-                }
-                for c in 1..k {
-                    let x = &xs[c * nc..(c + 1) * nc];
-                    // SAFETY: as above; acceptance is uniform across columns
-                    // (backend and x.len() are the only gates).
-                    let accs = unsafe { f3r_simd::try_sell_group8(cols, vals, stride, width, x) }
-                        .expect("SELL group acceptance is uniform across panel columns");
-                    for r in row..hi {
-                        emit(r, c, accs[r - g0]);
-                    }
-                }
-                row = hi;
-                continue;
-            }
-        }
-        for c in 0..k {
-            let x = &xs[c * nc..(c + 1) * nc];
-            emit(row, c, sell_row(a, row, x));
-        }
-        row += 1;
-    }
-}
-
 /// One sliced-ELLPACK row: strided walk over the row's lanes with the same
 /// widen-into-accumulator scheme as the CSR kernel (two independent chains;
 /// SELL rows are strided, so deeper unrolling buys nothing here).
 #[inline(always)]
-fn sell_row<TA: Scalar, TV: Scalar>(a: &SellMatrix<TA>, row: usize, x: &[TV]) -> TV::Accum {
+pub(crate) fn sell_row<TA: Scalar, TV: Scalar>(a: &SellMatrix<TA>, row: usize, x: &[TV]) -> TV::Accum {
     let (cols, vals, stride, width) = a.row_lanes(row);
     let mut acc0 = <TV::Accum as Scalar>::zero();
     let mut acc1 = <TV::Accum as Scalar>::zero();
@@ -1142,165 +781,5 @@ mod tests {
             assert!((y1[i] - y2[i]).abs() <= tol, "row {i}: {} vs {}", y1[i], y2[i]);
             assert_eq!(y2[i], y3[i], "row {i}");
         }
-    }
-
-    /// Column-major panel of `k` deterministic pseudo-random columns.
-    fn panel(n: usize, k: usize, seed: f64) -> Vec<f64> {
-        (0..n * k)
-            .map(|i| ((i as f64) * 0.731 + seed).sin())
-            .collect()
-    }
-
-    #[test]
-    fn spmm_columns_are_bitwise_equal_to_spmv() {
-        for &n in &[1usize, 7, 33, 100] {
-            let a = tridiag(n);
-            for &k in &[1usize, 2, 3, 5, 8] {
-                let xs = panel(n, k, 0.3);
-                let mut ys = vec![0.0f64; n * k];
-                let mut yp = vec![0.0f64; n * k];
-                spmv_multi_seq(&a, &xs, &mut ys, k);
-                spmv_multi_par(&a, &xs, &mut yp, k);
-                assert_eq!(ys, yp, "n {n} k {k} seq/par");
-                for c in 0..k {
-                    let mut y1 = vec![0.0f64; n];
-                    spmv_seq(&a, &xs[c * n..(c + 1) * n], &mut y1);
-                    assert_eq!(&ys[c * n..(c + 1) * n], &y1[..], "n {n} k {k} col {c}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_handles_empty_rows_and_mixed_precision() {
-        // Rows alternating empty / 1-entry / dense, fp16 storage, f32 panel.
-        let n = 24;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            match i % 3 {
-                0 => {}
-                1 => coo.push(i, i, 1.5),
-                _ => {
-                    for j in 0..12 {
-                        coo.push(i, (i + j) % n, 0.25 * (j as f64 + 1.0));
-                    }
-                }
-            }
-        }
-        let a: CsrMatrix<f16> = coo.to_csr().to_precision();
-        let k = 3;
-        let xs: Vec<f32> = (0..n * k).map(|i| ((i % 11) as f32 - 5.0) / 11.0).collect();
-        let mut ys = vec![0.0f32; n * k];
-        spmv_multi(&a, &xs, &mut ys, k);
-        for c in 0..k {
-            let mut y1 = vec![0.0f32; n];
-            spmv_seq(&a, &xs[c * n..(c + 1) * n], &mut y1);
-            for row in 0..n {
-                assert_eq!(ys[c * n + row], y1[row], "col {c} row {row}");
-                if row % 3 == 0 {
-                    assert_eq!(ys[c * n + row], 0.0, "empty row {row}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_spmm_columns_match_scaled_spmv() {
-        let n = 200;
-        let a = wide_range_tridiag(n);
-        let s = ScaledCsr::<f16>::from_f64(&a);
-        for &k in &[2usize, 5] {
-            let xs = panel(n, k, 1.7);
-            let mut ys = vec![0.0f64; n * k];
-            let mut yp = vec![0.0f64; n * k];
-            spmv_scaled_multi_seq(&s, &xs, &mut ys, k);
-            spmv_scaled_multi_par(&s, &xs, &mut yp, k);
-            assert_eq!(ys, yp, "k {k} seq/par");
-            for c in 0..k {
-                let mut y1 = vec![0.0f64; n];
-                spmv_scaled_seq(&s, &xs[c * n..(c + 1) * n], &mut y1);
-                assert_eq!(&ys[c * n..(c + 1) * n], &y1[..], "k {k} col {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn sell_spmm_columns_match_sell_spmv() {
-        // Chunk 8 engages the 8-row group kernel where the backend allows;
-        // chunk 4 forces the scalar per-row path; n = 70 leaves a partial
-        // trailing group either way.
-        let n = 70;
-        let a = tridiag(n);
-        for &chunk in &[4usize, 8] {
-            let sell = SellMatrix::from_csr(&a, chunk);
-            for &k in &[1usize, 3, 8] {
-                let xs = panel(n, k, 0.9);
-                let mut ys = vec![0.0f64; n * k];
-                let mut yp = vec![0.0f64; n * k];
-                spmv_sell_multi_seq(&sell, &xs, &mut ys, k);
-                spmv_sell_multi_par(&sell, &xs, &mut yp, k);
-                assert_eq!(ys, yp, "chunk {chunk} k {k} seq/par");
-                for c in 0..k {
-                    let mut y1 = vec![0.0f64; n];
-                    spmv_sell_seq(&sell, &xs[c * n..(c + 1) * n], &mut y1);
-                    assert_eq!(
-                        &ys[c * n..(c + 1) * n],
-                        &y1[..],
-                        "chunk {chunk} k {k} col {c}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scaled_sell_spmm_columns_match_scaled_sell_spmv() {
-        let n = 120;
-        let a = wide_range_tridiag(n);
-        let sell = ScaledSell::<f16>::from_csr_f64(&a, 8);
-        let k = 4;
-        let xs = panel(n, k, 2.3);
-        let mut ys = vec![0.0f64; n * k];
-        let mut yp = vec![0.0f64; n * k];
-        spmv_scaled_sell_multi_seq(&sell, &xs, &mut ys, k);
-        spmv_scaled_sell_multi_par(&sell, &xs, &mut yp, k);
-        assert_eq!(ys, yp, "seq/par");
-        for c in 0..k {
-            let mut y1 = vec![0.0f64; n];
-            spmv_scaled_sell_seq(&sell, &xs[c * n..(c + 1) * n], &mut y1);
-            assert_eq!(&ys[c * n..(c + 1) * n], &y1[..], "col {c}");
-        }
-    }
-
-    #[test]
-    fn spmm_parallel_dispatch_above_threshold() {
-        let n = PAR_ROW_THRESHOLD / 2 + 77;
-        let a = tridiag(n);
-        let k = 3; // n * k crosses the work threshold even though n alone doesn't
-        let xs = panel(n, k, 0.1);
-        let mut ys = vec![0.0f64; n * k];
-        let mut yd = vec![0.0f64; n * k];
-        spmv_multi_seq(&a, &xs, &mut ys, k);
-        spmv_multi(&a, &xs, &mut yd, k);
-        assert_eq!(ys, yd);
-    }
-
-    #[test]
-    fn spmm_empty_panel_is_a_no_op() {
-        let a = tridiag(10);
-        let xs: Vec<f64> = vec![];
-        let mut ys: Vec<f64> = vec![];
-        spmv_multi(&a, &xs, &mut ys, 0);
-        let sell = SellMatrix::from_csr(&a, 8);
-        spmv_sell_multi(&sell, &xs, &mut ys, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "spmv_multi: xs length mismatch")]
-    fn spmm_dimension_mismatch_panics() {
-        let a = tridiag(4);
-        let xs = vec![0.0f64; 7]; // not 4 * k for k = 2
-        let mut ys = vec![0.0f64; 8];
-        spmv_multi_seq(&a, &xs, &mut ys, 2);
     }
 }

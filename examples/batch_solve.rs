@@ -1,5 +1,6 @@
 //! Measure how batched multi-RHS solving (`SolveSession::solve_batch`)
-//! amortizes the dominant matrix-stream traffic across right-hand sides.
+//! amortizes the dominant matrix-stream traffic across right-hand sides,
+//! and what that buys in wall-clock time.
 //!
 //! The same HPCG-style system is solved with batch widths k = 1, 2, 4, 8.
 //! Every outer and inner FGMRES iteration fuses the SpMVs of all
@@ -10,12 +11,21 @@
 //! stream is the row-scaled fp16 variant, the configuration the paper's
 //! traffic model rewards hardest.
 //!
+//! The time column is the steady-state wall-clock per right-hand side of a
+//! warmed session.  At this size (n = 4096, everything cache-resident) it
+//! shows the panel kernels sharing the instruction and latency work of one
+//! walk over the matrix between eight columns; the out-of-cache figure is
+//! the standing benchmark's `batch_rhs_s.fp16_f3r` on `batch8_stream`
+//! (HPCG 40³, fp16-F3R, k = 8): 0.080 s per right-hand side
+//! beside 0.29 s for a single solve (paired runs in CHANGES.md, PR 13).
+//!
 //! Run with:
 //! ```text
 //! cargo run --release --example batch_solve
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use f3r::prelude::*;
 use f3r::sparse::gen::{hpcg_matrix, random_rhs};
@@ -37,14 +47,25 @@ fn main() {
 
     println!("solver: {}", prepared.spec().name);
     println!(
-        "{:>6} {:>10} {:>12} {:>18} {:>18} {:>10}",
-        "batch", "converged", "iters/RHS", "matrix [MiB]", "MiB per RHS", "vs k=1"
+        "{:>6} {:>10} {:>12} {:>18} {:>18} {:>10} {:>12}",
+        "batch", "converged", "iters/RHS", "matrix [MiB]", "MiB per RHS", "vs k=1", "ms per RHS"
     );
     let mib = |b: f64| b / (1u64 << 20) as f64;
     let mut per_rhs_k1 = None;
     for k in [1usize, 2, 4, 8] {
         let bs: Vec<Vec<f64>> = (0..k as u64).map(|s| random_rhs(n, 77 + s)).collect();
         let mut xs = vec![Vec::new(); k];
+        // The first batch allocates the session's workspaces; time the best
+        // of a few more on the warmed session.
+        let mut session = prepared.session();
+        session.solve_batch(&bs, &mut xs);
+        let seconds = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                session.solve_batch(&bs, &mut xs);
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
         let results = prepared.session().solve_batch(&bs, &mut xs);
         // The whole batch shares one counter set, so any result's counters
         // carry the batch totals.
@@ -53,13 +74,14 @@ fn main() {
         let base = *per_rhs_k1.get_or_insert(per_rhs);
         let iters: usize = results.iter().map(|r| r.outer_iterations).sum();
         println!(
-            "{:>6} {:>10} {:>12.1} {:>18.2} {:>18.2} {:>9.1}%",
+            "{:>6} {:>10} {:>12.1} {:>18.2} {:>18.2} {:>9.1}% {:>12.3}",
             k,
             results.iter().all(|r| r.converged),
             iters as f64 / k as f64,
             mib(total),
             mib(per_rhs),
             100.0 * per_rhs / base,
+            1e3 * seconds / k as f64,
         );
     }
 }

@@ -1,0 +1,332 @@
+//! Parity suite for the panel (eight-column) kernels of the batched path.
+//!
+//! The panel contract (`docs/ARCHITECTURE.md`, "The panel contract"): a panel
+//! kernel regroups work, it never changes what a column computes.  This suite
+//! pins, from the public surface and on whatever kernel backend and pool
+//! shape the process latched, that every column is **bitwise** what the
+//! single-vector form gives for that column alone:
+//!
+//! * the CSR panel product × {plain store, scaled row fold, residual, scaled
+//!   residual} × fp16/fp32 storage × fp16/fp32 vectors × k ∈ {1, 2, 7, 8, 9,
+//!   16}, on rows of 0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 27 and 33 entries
+//!   (both summation trees, every tail length) and a last row that touches
+//!   column n − 1; inline == pool;
+//! * the panel application of IC(0), ILU(0) and their block-Jacobi wrappers
+//!   in fp16/fp32/fp64 on HPCG, HPGMP and a ragged banded pattern, through
+//!   the trait and through both branches of `AnyPrecond::apply_panel_to`;
+//! * `RichardsonLevel::apply_panel` against a twin level driven column by
+//!   column: outputs, weights and invocation counter, with panels straddling
+//!   update invocations and with an update on every invocation.
+//!
+//! The suite re-runs itself under `F3R_KERNEL_BACKEND=scalar` in a child
+//! process (the backend latches once per process), the way
+//! `tests/precond_parity.rs` does; CI also runs it with a two-thread pool.
+
+use std::process::Command;
+use std::sync::Arc;
+
+use f3r::core::inner::InnerSolver;
+use f3r::core::precond_any::AnyPrecond;
+use f3r::core::richardson::{RichardsonLevel, WeightStrategy};
+use f3r::precision::{KernelCounters, Precision, Scalar};
+use f3r::precond::{build_preconditioner, PrecondKind};
+use f3r::prelude::{MatrixStorage, ProblemMatrix};
+use f3r::sparse::gen::{hpcg_matrix, hpgmp_matrix};
+use f3r::sparse::scaling::jacobi_scale;
+use f3r::sparse::spmm::{csr_panel, CsrRows, Dispatch, PanelOp};
+use f3r::sparse::spmv::{spmv_residual, spmv_scaled_residual, spmv_scaled_seq, spmv_seq};
+use f3r::sparse::{CooMatrix, CsrMatrix, ScaledCsr};
+use half::f16;
+
+const WIDTHS: [usize; 6] = [1, 2, 7, 8, 9, 16];
+
+fn bits<T: Scalar>(z: &[T]) -> Vec<u64> {
+    z.iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
+/// Entries in (−0.5, 0.5) from integer arithmetic only.
+fn panel<T: Scalar>(n: usize, k: usize, salt: usize) -> Vec<T> {
+    (0..n * k)
+        .map(|i| T::from_f64((((i + salt) * 7919) % 1013) as f64 / 1013.0 - 0.5))
+        .collect()
+}
+
+/// Rows cycling through every interesting entry count — none, the four-chain
+/// tree with and without a remainder (1, 3, 4, 7), one and two SIMD blocks
+/// with every tail (8, 9, 15, 16, 17, 24, 27, 33) — with values whose sums
+/// depend on the order they are added in; the last row reaches column n − 1.
+fn ragged_rows() -> CsrMatrix<f64> {
+    let lens = [0usize, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 27, 33];
+    let n = 5 * lens.len() + 2;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        let len = if i + 1 == n { 27 } else { lens[i % lens.len()] };
+        // Spread over the columns, ending at n − 1 on the last row.
+        let first = if i + 1 == n { n - len } else { (i * 5) % (n - len + 1) };
+        for (t, j) in (first..first + len).enumerate() {
+            let v = (1.0 + ((i * 31 + t * 17) % 29) as f64) / 7.0 * if t % 3 == 1 { -1.0 } else { 1.0 };
+            coo.push(i, j, v * 10f64.powi((t % 5) as i32 - 2));
+        }
+    }
+    coo.to_csr()
+}
+
+fn run_panel<TA: Scalar, TV: Scalar>(
+    a: CsrRows<'_, TA>,
+    xs: &[TV],
+    op: PanelOp<'_, TV>,
+    n: usize,
+    k: usize,
+    dispatch: Dispatch,
+) -> Vec<u64> {
+    let mut out = vec![TV::zero(); n * k];
+    csr_panel(a, xs, op, &mut out, k, dispatch);
+    bits(&out)
+}
+
+fn spmm_case<TA: Scalar, TV: Scalar>(a64: &CsrMatrix<f64>) {
+    let n = a64.n_rows();
+    let plain: CsrMatrix<TA> = a64.to_precision();
+    let scaled = ScaledCsr::<TA>::from_f64(a64);
+    let label = format!("A {} x {}", TA::name(), TV::name());
+    for k in WIDTHS {
+        let xs = panel::<TV>(n, k, 3);
+        let bs = panel::<TV>(n, k, 11);
+        // Column by column through the single-vector kernels.
+        let mut want = [vec![], vec![], vec![], vec![]];
+        for c in 0..k {
+            let (x, b) = (&xs[c * n..(c + 1) * n], &bs[c * n..(c + 1) * n]);
+            let mut y = vec![TV::zero(); n];
+            spmv_seq(&plain, x, &mut y);
+            want[0].extend(bits(&y));
+            spmv_scaled_seq(&scaled, x, &mut y);
+            want[1].extend(bits(&y));
+            spmv_residual(&plain, x, b, &mut y);
+            want[2].extend(bits(&y));
+            spmv_scaled_residual(&scaled, x, b, &mut y);
+            want[3].extend(bits(&y));
+        }
+        for dispatch in [Dispatch::Seq, Dispatch::Par, Dispatch::Auto] {
+            let got = [
+                run_panel((&plain).into(), &xs, PanelOp::Product, n, k, dispatch),
+                run_panel((&scaled).into(), &xs, PanelOp::Product, n, k, dispatch),
+                run_panel((&plain).into(), &xs, PanelOp::Residual(&bs), n, k, dispatch),
+                run_panel((&scaled).into(), &xs, PanelOp::Residual(&bs), n, k, dispatch),
+            ];
+            for (op, (got, want)) in ["plain", "scaled", "residual", "scaled residual"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                assert_eq!(got, want, "{label}, {op}, k = {k}, {dispatch:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn panel_spmm_is_bitwise_the_single_vector_kernels() {
+    // The ragged pattern, and HPCG 12³: 1 728 rows, so panels from k = 10 up
+    // cross the work threshold and `Auto` deals rows to the pool.
+    for a in [ragged_rows(), jacobi_scale(&hpcg_matrix(12, 12, 12))] {
+        spmm_case::<f16, f16>(&a);
+        spmm_case::<f16, f32>(&a);
+        spmm_case::<f32, f16>(&a);
+        spmm_case::<f32, f32>(&a);
+    }
+}
+
+/// A diagonally dominant banded matrix whose rows cycle through 0 … 600
+/// entries left of the diagonal (more than a widening window of the sweeps).
+/// SPD when `symmetric`.
+fn ragged_band(symmetric: bool) -> CsrMatrix<f64> {
+    let lens = [0, 1, 7, 8, 9, 15, 16, 17, 33, 511, 3, 512, 0, 513, 2, 600, 5];
+    let n = 1400;
+    let mut coo = CooMatrix::new(n, n);
+    let mut row_sums = vec![0.0f64; n];
+    for i in 0..n {
+        let len = lens[i % lens.len()].min(i);
+        for j in i - len..i {
+            let v = -1.0 / (1 + (i * 7 + j * 13) % 11) as f64;
+            let vt = if symmetric { v } else { 0.5 * v - 0.01 };
+            coo.push(i, j, v);
+            coo.push(j, i, vt);
+            row_sums[i] += v.abs();
+            row_sums[j] += vt.abs();
+        }
+    }
+    for (i, s) in row_sums.iter().enumerate() {
+        coo.push(i, i, 1.0 + s);
+    }
+    coo.to_csr()
+}
+
+fn precond_case<T: Scalar>(name: &str, a: &CsrMatrix<f64>, kind: PrecondKind) {
+    let p = build_preconditioner::<T>(a, &kind);
+    let n = a.n_rows();
+    for k in WIDTHS {
+        let r = panel::<T>(n, k, 5);
+        let mut want = vec![T::zero(); n * k];
+        for (rc, zc) in r.chunks_exact(n).zip(want.chunks_exact_mut(n)) {
+            p.apply(rc, zc);
+        }
+        let mut got = vec![T::one(); n * k];
+        p.apply_panel(&r, &mut got, k);
+        assert_eq!(bits(&got), bits(&want), "{name} {} {}, k = {k}", kind.label(), T::name());
+    }
+}
+
+#[test]
+fn panel_preconditioners_are_bitwise_the_single_applications() {
+    let spd = [
+        ("hpcg12", jacobi_scale(&hpcg_matrix(12, 12, 12))),
+        // 21 952 rows: block-Jacobi deals its blocks to the pool.
+        ("hpcg28", jacobi_scale(&hpcg_matrix(28, 28, 28))),
+        ("ragged", ragged_band(true)),
+    ];
+    let general = [
+        ("hpgmp12", jacobi_scale(&hpgmp_matrix(12, 12, 12, 0.5))),
+        ("ragged", ragged_band(false)),
+    ];
+    for (name, a) in &spd {
+        for kind in [
+            PrecondKind::Ic0 { alpha: 1.0 },
+            PrecondKind::BlockJacobiIc0 { blocks: 8, alpha: 1.0 },
+        ] {
+            precond_case::<f16>(name, a, kind);
+            precond_case::<f32>(name, a, kind);
+            precond_case::<f64>(name, a, kind);
+        }
+    }
+    for (name, a) in &general {
+        for kind in [
+            PrecondKind::Ilu0 { alpha: 1.0 },
+            PrecondKind::BlockJacobiIlu0 { blocks: 8, alpha: 1.0 },
+        ] {
+            precond_case::<f16>(name, a, kind);
+            precond_case::<f32>(name, a, kind);
+            precond_case::<f64>(name, a, kind);
+        }
+    }
+    // A preconditioner without panel sweeps takes the trait's column loop.
+    precond_case::<f16>("hpcg12", &spd[0].1, PrecondKind::Jacobi);
+}
+
+#[test]
+fn apply_panel_to_is_bitwise_apply_to_on_both_branches() {
+    fn check<TV: Scalar>(m: &AnyPrecond, k: usize) {
+        let n = m.dim();
+        let counters = KernelCounters::new_shared();
+        let mut r = panel::<TV>(n, k, 9);
+        if k > 2 {
+            // A zero column gives a zero column, without disturbing the rest.
+            r[n..2 * n].fill(TV::zero());
+        }
+        let mut want = vec![TV::zero(); n * k];
+        for (rc, zc) in r.chunks_exact(n).zip(want.chunks_exact_mut(n)) {
+            m.apply_to(rc, zc, &counters);
+        }
+        let before = counters.snapshot();
+        let mut got = vec![TV::one(); n * k];
+        m.apply_panel_to(&r, &mut got, k, &counters);
+        assert_eq!(bits(&got), bits(&want), "M in {}, {} vectors, k = {k}", m.storage_precision(), TV::name());
+        // Table 3 counts stay per column; the factors are streamed once.
+        let panel = counters.snapshot().since(&before);
+        assert_eq!(panel.precond_applies, k as u64);
+        assert!(k == 1 || panel.total_bytes() < before.total_bytes());
+    }
+    let a = jacobi_scale(&hpcg_matrix(10, 10, 10));
+    let kind = PrecondKind::BlockJacobiIc0 { blocks: 4, alpha: 1.0 };
+    for storage in Precision::all() {
+        let m = AnyPrecond::build(&a, &kind, storage);
+        for k in [1usize, 3, 8, 11] {
+            check::<f16>(&m, k);
+            check::<f32>(&m, k);
+            check::<f64>(&m, k);
+        }
+    }
+}
+
+/// Drive `panels` through one level with `apply_panel` and through a twin
+/// column by column; both must agree on every output, on the weights and on
+/// the invocation counter after every panel.
+fn richardson_case<T: Scalar>(storage: MatrixStorage, m_prec: Precision, strategy: WeightStrategy, panels: &[usize]) {
+    let a = jacobi_scale(&hpcg_matrix(8, 8, 8));
+    let matrix = Arc::new(ProblemMatrix::from_csr(a));
+    let kind = PrecondKind::BlockJacobiIc0 { blocks: 2, alpha: 1.0 };
+    let precond = Arc::new(AnyPrecond::for_matrix(&matrix, &kind, m_prec));
+    let n = matrix.dim();
+    let level = || {
+        RichardsonLevel::<T>::new(
+            Arc::clone(&matrix),
+            storage,
+            2,
+            Arc::clone(&precond),
+            strategy,
+            4,
+            KernelCounters::new_shared(),
+        )
+    };
+    let (mut paneled, mut looped) = (level(), level());
+    for (p, &k) in panels.iter().enumerate() {
+        let v = panel::<T>(n, k, 13 * p + 1);
+        let mut got = vec![T::one(); n * k];
+        paneled.apply_panel(&v, &mut got, k);
+        let mut want = vec![T::zero(); n * k];
+        for (vc, zc) in v.chunks_exact(n).zip(want.chunks_exact_mut(n)) {
+            looped.apply(vc, zc);
+        }
+        let label = format!("{} on {storage}, {strategy:?}, panel {p} (k = {k})", T::name());
+        assert_eq!(bits(&got), bits(&want), "{label}");
+        assert_eq!(paneled.weights(), looped.weights(), "{label}");
+        assert_eq!(paneled.call_count(), looped.call_count(), "{label}");
+    }
+    assert_eq!(paneled.call_count(), panels.iter().sum::<usize>() as u64);
+}
+
+#[test]
+fn richardson_panels_are_bitwise_the_column_loop() {
+    // Invocations 0, 4, 8, … update: the panels below put an update column
+    // first, in the middle, last, twice in one panel, and nowhere.
+    let panels = [3usize, 3, 8, 1, 2, 9, 2];
+    let adaptive = WeightStrategy::Adaptive { cycle: 4 };
+    richardson_case::<f16>(MatrixStorage::Plain(Precision::Fp16), Precision::Fp16, adaptive, &panels);
+    richardson_case::<f32>(MatrixStorage::Scaled(Precision::Fp16), Precision::Fp16, adaptive, &panels);
+    richardson_case::<f64>(MatrixStorage::Plain(Precision::Fp64), Precision::Fp32, adaptive, &panels);
+    // Every invocation updates.
+    let every = WeightStrategy::Adaptive { cycle: 1 };
+    richardson_case::<f16>(MatrixStorage::Plain(Precision::Fp16), Precision::Fp16, every, &panels);
+    richardson_case::<f32>(MatrixStorage::Plain(Precision::Fp32), Precision::Fp32, every, &panels);
+    // The paper's cycle, longer than any panel here, and a fixed weight.
+    richardson_case::<f16>(
+        MatrixStorage::Plain(Precision::Fp16),
+        Precision::Fp16,
+        WeightStrategy::default(),
+        &panels,
+    );
+    richardson_case::<f16>(
+        MatrixStorage::Plain(Precision::Fp16),
+        Precision::Fp16,
+        WeightStrategy::Fixed(0.9),
+        &panels,
+    );
+}
+
+const CHILD_ENV: &str = "F3R_PANEL_PARITY_CHILD";
+
+#[test]
+fn panel_parity_holds_under_the_scalar_backend() {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        return; // the child runs the other tests, not itself again
+    }
+    let child = Command::new(std::env::current_exe().expect("path of this test binary"))
+        .env(CHILD_ENV, "1")
+        .env("F3R_KERNEL_BACKEND", "scalar")
+        .output()
+        .expect("re-running this suite under the scalar backend");
+    assert!(
+        child.status.success(),
+        "the suite fails under the scalar backend:\n{}\n{}",
+        String::from_utf8_lossy(&child.stdout),
+        String::from_utf8_lossy(&child.stderr)
+    );
+}

@@ -38,10 +38,13 @@
 
 use f3r::precision::{Precision, Scalar};
 use f3r::sparse::reference;
+use f3r::sparse::spmm::{
+    csr_panel, spmv_multi, spmv_scaled_multi, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch,
+    PanelOp,
+};
 use f3r::sparse::spmv::{
-    spmv_dot2, spmv_multi, spmv_multi_par, spmv_multi_seq, spmv_par, spmv_residual,
-    spmv_scaled_multi, spmv_scaled_seq, spmv_scaled_sell_multi, spmv_scaled_sell_seq, spmv_seq,
-    spmv_sell_multi, spmv_sell_par, spmv_sell_seq,
+    spmv_dot2, spmv_par, spmv_residual, spmv_scaled_seq, spmv_scaled_sell_seq, spmv_seq,
+    spmv_sell_par, spmv_sell_seq,
 };
 use f3r::sparse::{blas1, CooMatrix, CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
 use half::f16;
@@ -643,8 +646,8 @@ fn spmm_parity<TA: Scalar, TV: Scalar>(case: u64, k: usize) {
     let mut ys_seq = vec![TV::zero(); n * k];
     let mut ys_par = vec![TV::zero(); n * k];
     spmv_multi(&a, &xs, &mut ys, k);
-    spmv_multi_seq(&a, &xs, &mut ys_seq, k);
-    spmv_multi_par(&a, &xs, &mut ys_par, k);
+    csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys_seq, k, Dispatch::Seq);
+    csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys_par, k, Dispatch::Par);
     let mut ys_sell = vec![TV::zero(); n * k];
     spmv_sell_multi(&sell, &xs, &mut ys_sell, k);
     for c in 0..k {
