@@ -30,10 +30,7 @@ use std::sync::{Arc, OnceLock};
 use f3r_precision::{f16, KernelCounters, Precision, Scalar};
 use f3r_precision::traffic::TrafficModel;
 use f3r_sparse::blas1;
-use f3r_sparse::spmm::{
-    csr_panel, spmv_multi, spmv_scaled_multi, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch,
-    PanelOp,
-};
+use f3r_sparse::spmm::{csr_panel, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch, PanelOp};
 use f3r_sparse::spmv::{
     spmv, spmv_dot2, spmv_residual, spmv_scaled, spmv_scaled_dot2, spmv_scaled_residual,
     spmv_scaled_sell, spmv_sell,
@@ -517,9 +514,9 @@ impl ProblemMatrix {
     ) {
         self.record_panel_traffic(storage, TV::PRECISION, k, counters);
         with_variant!(self.variant(storage),
-            |c| spmv_multi(c, xs, ys, k),
+            |c| csr_panel(c.as_ref().into(), xs, PanelOp::Product, ys, k, Dispatch::Auto),
             |s| spmv_sell_multi(s, xs, ys, k),
-            |sc| spmv_scaled_multi(sc, xs, ys, k),
+            |sc| csr_panel(sc.as_ref().into(), xs, PanelOp::Product, ys, k, Dispatch::Auto),
             |ss| spmv_scaled_sell_multi(ss, xs, ys, k),
         );
     }

@@ -331,15 +331,21 @@ fn run_batch<F: Fn(usize) + Sync>(count: usize, f: &F) {
 /// task owns) in the panel kernels of `f3r-sparse` and `f3r-precond`, which
 /// no `&mut` split can express.
 ///
-/// Holding or sharing one grants nothing: every access through
-/// [`get`](Self::get) is an `unsafe` operation whose site vouches that its
-/// task's region is disjoint from every other task's and that the
-/// allocation outlives the batch.
+/// The wrapper is `Send` and `Sync` whatever it points at, so making one is
+/// the unsafe step ([`new`](Self::new)): that is where the pointer leaves
+/// the borrow checker's sight.
 pub struct SyncPtr<T>(*mut T);
 
 impl<T> SyncPtr<T> {
     /// Wrap the base pointer of an allocation the tasks will partition.
-    pub fn new(base: *mut T) -> Self {
+    ///
+    /// # Safety
+    /// Every thread the wrapper (or a copy of its pointer) reaches must
+    /// access only a region of the allocation that no other thread accesses
+    /// while it does, and the allocation must outlive all of those accesses
+    /// — in the helpers' terms: tasks take disjoint regions, and the batch
+    /// completes before the borrow `base` came from ends.
+    pub unsafe fn new(base: *mut T) -> Self {
         Self(base)
     }
 
@@ -349,11 +355,9 @@ impl<T> SyncPtr<T> {
     }
 }
 
-// SAFETY: the wrapper only moves a pointer *value* between threads; all
-// dereferences are `unsafe` at their sites, where every task derives a
-// *disjoint* region from the shared base pointer and the underlying
-// allocation outlives the batch (it is borrowed by the enclosing call, which
-// does not return until the batch completes).
+// SAFETY: the wrapper only moves a pointer *value* between threads; whoever
+// made it vouched (`new`'s contract) that the threads it reaches touch
+// disjoint regions of an allocation that outlives them.
 unsafe impl<T: Send> Send for SyncPtr<T> {}
 // SAFETY: see above — concurrent tasks never touch overlapping regions.
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
@@ -388,12 +392,13 @@ where
     }
     let per = n.div_ceil(nw);
     let count = n.div_ceil(per);
-    let base = SyncPtr::new(data.as_mut_ptr());
+    // SAFETY: task `i` takes chunk `i` of `data` and nothing else, and
+    // `run_batch` returns only when every task has, inside this borrow.
+    let base = unsafe { SyncPtr::new(data.as_mut_ptr()) };
     run_batch(count, &|i: usize| {
         let start = i * per;
         let len = per.min(n - start);
-        // SAFETY: tasks receive disjoint index ranges of `data`, which the
-        // enclosing call keeps borrowed until the batch completes.
+        // SAFETY: chunk `i` is this task's own (see `base`).
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), len) };
         f(start, chunk);
     });
@@ -418,8 +423,9 @@ where
     let per = n.div_ceil(nw);
     let count = n.div_ceil(per);
     let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    let base = SyncPtr::new(data.as_mut_ptr());
-    let slots = SyncPtr::new(out.as_mut_ptr());
+    // SAFETY: task `i` takes chunk `i` of `data` and slot `i` of `out`, both
+    // alive until `run_batch` returns.
+    let (base, slots) = unsafe { (SyncPtr::new(data.as_mut_ptr()), SyncPtr::new(out.as_mut_ptr())) };
     run_batch(count, &|i: usize| {
         let start = i * per;
         let len = per.min(n - start);
@@ -455,7 +461,9 @@ where
     let per = len.div_ceil(nw);
     let count = len.div_ceil(per);
     let mut out: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    let slots = SyncPtr::new(out.as_mut_ptr());
+    // SAFETY: task `i` writes slot `i` of `out` only, before `run_batch`
+    // returns.
+    let slots = unsafe { SyncPtr::new(out.as_mut_ptr()) };
     run_batch(count, &|i: usize| {
         let start = i * per;
         let end = (start + per).min(len);
@@ -510,7 +518,9 @@ where
         offsets.windows(2).all(|w| w[0] <= w[1]) && offsets.last().is_none_or(|&end| end <= data.len()),
         "par_parts_mut: offsets must be non-decreasing and within the data"
     );
-    let base = SyncPtr::new(data.as_mut_ptr());
+    // SAFETY: the parts are disjoint (offsets checked above), each belongs to
+    // one task, and `par_ranges` returns inside this borrow of `data`.
+    let base = unsafe { SyncPtr::new(data.as_mut_ptr()) };
     par_ranges(offsets.len().saturating_sub(1), 1, |parts| {
         for p in parts {
             // SAFETY: the offsets were checked to be ordered and in bounds,
@@ -539,7 +549,9 @@ where
     let per = n.div_ceil(nw);
     let count = n.div_ceil(per);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let slots = SyncPtr::new(out.as_mut_ptr());
+    // SAFETY: each slot of `out` belongs to one task's group, written before
+    // `run_batch` returns.
+    let slots = unsafe { SyncPtr::new(out.as_mut_ptr()) };
     run_batch(count, &|g: usize| {
         let start = g * per;
         let end = (start + per).min(n);

@@ -120,8 +120,9 @@ impl<T: Scalar, P: Preconditioner<T> + TriangularSolve<T>> Preconditioner<T> for
     fn apply_panel(&self, r: &[T], z: &mut [T], k: usize) {
         assert_eq!(r.len(), self.n * k, "block-Jacobi: panel length mismatch");
         assert_eq!(z.len(), self.n * k, "block-Jacobi: panel length mismatch");
-        // Each block task writes rows of its own block only, in every column.
-        let z = f3r_parallel::SyncPtr::new(z.as_mut_ptr());
+        // SAFETY: each block task writes rows of its own block only, in every
+        // column, and the batch completes inside this borrow of `z`.
+        let z = unsafe { f3r_parallel::SyncPtr::new(z.as_mut_ptr()) };
         let solve_blocks = |blocks: std::ops::Range<usize>| {
             for b in blocks {
                 // SAFETY: block `b` owns rows `offsets[b] .. offsets[b + 1]`

@@ -14,7 +14,7 @@ use f3r_precision::Scalar;
 use f3r_sparse::CsrMatrix;
 
 use crate::traits::Preconditioner;
-use crate::trisolve::{solve_panel, Factor, Lanes, Sweep, TriangularSolve};
+use crate::trisolve::{solve, solve_panel, Factor, Lanes, Sweep, TriangularSolve};
 
 /// ILU(0) factorisation of a square CSR matrix, stored in precision `T`.
 ///
@@ -161,7 +161,7 @@ impl<T: Scalar> Preconditioner<T> for Ilu0Precond<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
         assert_eq!(r.len(), self.factor.n(), "ILU(0): length mismatch");
         assert_eq!(z.len(), self.factor.n(), "ILU(0): length mismatch");
-        self.factor.solve(r, z, self);
+        solve(self, r, z);
     }
 
     fn apply_panel(&self, r: &[T], z: &mut [T], k: usize) {

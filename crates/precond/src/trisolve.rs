@@ -4,7 +4,7 @@
 //!
 //! Within one application `z = M r` the working vector lives in
 //! [`Scalar::Accum`] and every entry of the result is rounded to the storage
-//! precision `T` exactly once, on the way out ([`Factor::solve`]).  For fp32
+//! precision `T` exactly once, on the way out ([`solve`]).  For fp32
 //! and fp64 the accumulation type is `T` itself: the working vector *is* `z`,
 //! the sweeps run in place, read the factor where it lies, and the rounding is
 //! the identity.  For fp16 the working vector is a per-thread fp32 scratch the
@@ -160,38 +160,11 @@ impl<T: Scalar> Factor<T> {
             + size_of_val(&self.values[..])
             + size_of_val(&self.inv_diag[..])) as u64
     }
-
-    /// Apply the two sweeps of the factorisation `p` (whose factor this is)
-    /// to `r`: run them on a working vector in `T::Accum` with the factor's
-    /// values widened, and leave the result in `z`, one rounding per entry
-    /// (see the module docs).  `r` and `z` have the factor's dimension.
-    pub(crate) fn solve(&self, r: &[T], z: &mut [T], p: &impl TriangularSolve<T>) {
-        let n = self.n();
-        if let (Some(rhs), Some(w)) = (T::as_accum(r), T::as_accum_mut(z)) {
-            return p.sweeps(&mut Sweep {
-                factor: self,
-                values: Widened::new(&self.values, &mut []),
-                rhs: Some(rhs),
-                w,
-            });
-        }
-        <T::Accum as Scalar>::with_scratch(n + self.window, |scratch| {
-            let (w, window) = scratch.split_at_mut(n);
-            convert_slice(r, w);
-            p.sweeps(&mut Sweep {
-                factor: self,
-                values: Widened::new(&self.values, window),
-                rhs: None,
-                w,
-            });
-            convert_slice(w, z);
-        });
-    }
 }
 
 /// A factorisation applied by triangular sweeps over one [`Factor`]: what
 /// IC(0) and ILU(0) are to the code that drives them on a single vector
-/// ([`Factor::solve`]), on a panel ([`solve_panel`]) and on the blocks of a
+/// ([`solve`]), on a panel ([`solve_panel`]) and on the blocks of a
 /// block-Jacobi preconditioner.
 pub trait TriangularSolve<T: Scalar> {
     /// The stored factor.
@@ -238,11 +211,39 @@ impl<A: Scalar> Lanes<A> for [A; PANEL_LANES] {
     }
 }
 
+/// Apply the two sweeps of the factorisation `p` to `r`: run them on a
+/// working vector in `T::Accum` with the factor's values widened, and leave
+/// the result in `z`, one rounding per entry (see the module docs).  `r` and
+/// `z` have the factor's dimension.
+pub(crate) fn solve<T: Scalar>(p: &impl TriangularSolve<T>, r: &[T], z: &mut [T]) {
+    let f = p.factor();
+    if let (Some(rhs), Some(w)) = (T::as_accum(r), T::as_accum_mut(z)) {
+        return p.sweeps(&mut Sweep {
+            factor: f,
+            values: Widened::new(&f.values, &mut []),
+            rhs: Some(rhs),
+            w,
+        });
+    }
+    let n = f.n();
+    <T::Accum as Scalar>::with_scratch(n + f.window, |scratch| {
+        let (w, window) = scratch.split_at_mut(n);
+        convert_slice(r, w);
+        p.sweeps(&mut Sweep {
+            factor: f,
+            values: Widened::new(&f.values, window),
+            rhs: None,
+            w,
+        });
+        convert_slice(w, z);
+    });
+}
+
 /// Apply the factorisation `p` to rows `lo .. lo + n` (`n` the factor's
 /// dimension) of every column of a column-major panel of `k` right-hand
 /// sides: column `c` of `r` is `r[c * stride ..]`, of the result
 /// `z + c * stride`.  Each column of the result is bitwise
-/// [`Factor::solve`] on that column.
+/// [`solve`] on that column.
 ///
 /// Columns go in lane groups of [`PANEL_LANES`] through the panel sweeps
 /// (see the module docs); a group of fewer than [`PANEL_MIN_COLUMNS`]
@@ -268,7 +269,7 @@ pub(crate) unsafe fn solve_panel<T: Scalar>(
                 let at = c * stride + lo;
                 // SAFETY: rows `lo .. lo + n` of column `c`, ours to write.
                 let z_col = unsafe { std::slice::from_raw_parts_mut(z.add(at), n) };
-                f.solve(&r[at..at + n], z_col, p);
+                solve(p, &r[at..at + n], z_col);
             }
             continue;
         }

@@ -146,11 +146,14 @@ pub fn csr_panel<TA: Scalar, TV: Scalar>(
         }
     };
     let parallel = dispatch.parallel(nr, k);
-    let out = SyncPtr::new(out.as_mut_ptr());
+    // SAFETY: every task below writes the rows of its own range, in the
+    // columns of one lane group, and each batch completes inside this call.
+    let out = unsafe { SyncPtr::new(out.as_mut_ptr()) };
     for c0 in (0..k).step_by(PANEL_LANES) {
         let g = (k - c0).min(PANEL_LANES);
         let xs = &xs[c0 * nc..(c0 + g) * nc];
-        let group_out = SyncPtr::new(out.get().wrapping_add(c0 * nr));
+        // SAFETY: as `out`, of which these are the group's columns.
+        let group_out = unsafe { SyncPtr::new(out.get().wrapping_add(c0 * nr)) };
         let sink = || PanelSink {
             out: group_out.get(),
             stride: nr,
@@ -326,29 +329,6 @@ unsafe fn column_loop_rows<TA: Scalar, TV: Scalar>(
     }
 }
 
-/// CSR SpMM `Y = A X` on `k` column-major vectors, dispatching on the total
-/// work (per column bitwise [`spmv`](crate::spmv::spmv)).
-///
-/// # Panics
-/// Panics if `xs.len() != a.n_cols() * k` or `ys.len() != a.n_rows() * k`.
-pub fn spmv_multi<TA: Scalar, TV: Scalar>(a: &CsrMatrix<TA>, xs: &[TV], ys: &mut [TV], k: usize) {
-    csr_panel(a.into(), xs, PanelOp::Product, ys, k, Dispatch::Auto);
-}
-
-/// Scaled CSR SpMM `Y = A X` with `A` in row-scaled storage (per column
-/// bitwise [`spmv_scaled`](crate::spmv::spmv_scaled)).
-///
-/// # Panics
-/// Panics if the panel lengths do not match the matrix dimensions.
-pub fn spmv_scaled_multi<TA: Scalar, TV: Scalar>(
-    a: &ScaledCsr<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    csr_panel(a.into(), xs, PanelOp::Product, ys, k, Dispatch::Auto);
-}
-
 /// Sliced-ELLPACK panel product `Y = A X` on `k` column-major vectors, with
 /// `scales` the per-row amplitude scales of scaled storage.  SELL panels keep
 /// the column loop: each row group's lane window is fetched once and swept
@@ -366,7 +346,9 @@ fn sell_panel<TA: Scalar, TV: Scalar>(
     assert_eq!(xs.len(), a.n_cols() * k, "sell spmm: xs length mismatch");
     assert_eq!(ys.len(), a.n_rows() * k, "sell spmm: ys length mismatch");
     let nr = a.n_rows();
-    let out = SyncPtr::new(ys.as_mut_ptr());
+    // SAFETY: a task writes rows of its own range only (see `emit` below),
+    // and the batch completes inside this borrow of `ys`.
+    let out = unsafe { SyncPtr::new(ys.as_mut_ptr()) };
     for_row_ranges(nr, panel_grain(k), dispatch.parallel(nr, k), |rows| {
         sell_sweep_multi(a, xs, k, rows.start, rows.len(), |row, c, acc| {
             let done = panel_finish::<TV>(acc, scales.map(|s| s[row]), None);
@@ -557,8 +539,7 @@ mod tests {
         let a: CsrMatrix<f16> = coo.to_csr().to_precision();
         let k = 3;
         let xs: Vec<f32> = (0..n * k).map(|i| ((i % 11) as f32 - 5.0) / 11.0).collect();
-        let mut ys = vec![0.0f32; n * k];
-        spmv_multi(&a, &xs, &mut ys, k);
+        let ys = product(&a, &xs, k, Dispatch::Auto);
         for c in 0..k {
             let mut y1 = vec![0.0f32; n];
             spmv_seq(&a, &xs[c * n..(c + 1) * n], &mut y1);
@@ -689,7 +670,7 @@ mod tests {
         let a = tridiag(10);
         let xs: Vec<f64> = vec![];
         let mut ys: Vec<f64> = vec![];
-        spmv_multi(&a, &xs, &mut ys, 0);
+        csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys, 0, Dispatch::Auto);
         let sell = SellMatrix::from_csr(&a, 8);
         spmv_sell_multi(&sell, &xs, &mut ys, 0);
     }
@@ -700,6 +681,6 @@ mod tests {
         let a = tridiag(4);
         let xs = vec![0.0f64; 7]; // not 4 * k for k = 2
         let mut ys = vec![0.0f64; 8];
-        spmv_multi(&a, &xs, &mut ys, 2);
+        csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys, 2, Dispatch::Auto);
     }
 }

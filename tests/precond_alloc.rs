@@ -9,6 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use f3r::core::precond_any::AnyPrecond;
 use f3r::precision::{KernelCounters, Precision, Scalar};
@@ -54,26 +55,32 @@ fn rhs<T: Scalar>(n: usize) -> Vec<T> {
         .collect()
 }
 
-/// Allocations made by `rounds` applications to a panel of `k` columns
-/// (`k = 1` is what `apply_to` runs) in steady state.
+/// Allocations made by `rounds` consecutive applications to a panel of `k`
+/// columns (`k = 1` is what `apply_to` runs) once every thread has warmed up.
 ///
 /// Scratch is per thread, and which pool thread runs which block is up to the
-/// pool: a thread that happened to sit out the warm-up pays its one-off
-/// growth in a later round.  So a set of rounds is repeated a few times and
-/// the cleanest set counts — a per-call allocation shows in every set.
+/// pool, so the warm-up cannot be left to a few plain applications: a worker
+/// that wakes late sits them out and pays its one-off growth inside the
+/// counted rounds.  Instead every pool thread, the caller included, runs one
+/// whole application itself (on a worker the blocks run inline) and then
+/// waits at a barrier, which keeps it from taking a second thread's turn.
 fn steady_state_allocations<T: Scalar>(m: &AnyPrecond, k: usize, rounds: usize) -> usize {
     let counters = KernelCounters::new_shared();
     let r = rhs::<T>(m.dim() * k);
-    let mut z = vec![T::zero(); r.len()];
-    let mut allocations_of_a_set = || {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..rounds {
-            m.apply_panel_to(&r, &mut z, k, &counters);
+    let threads = f3r_parallel::current_num_threads();
+    let all_warm = Barrier::new(threads);
+    f3r_parallel::par_ranges(threads, 1, |turns| {
+        for _ in turns {
+            m.apply_panel_to(&r, &mut vec![T::zero(); r.len()], k, &counters);
+            all_warm.wait();
         }
-        ALLOCATIONS.load(Ordering::Relaxed) - before
-    };
-    allocations_of_a_set(); // warm-up
-    (0..3).map(|_| allocations_of_a_set()).min().unwrap_or(0)
+    });
+    let mut z = vec![T::zero(); r.len()];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..rounds {
+        m.apply_panel_to(&r, &mut z, k, &counters);
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
 #[test]
@@ -97,17 +104,17 @@ fn steady_state_application_allocates_nothing() {
             for k in [1, 8, 9] {
                 let label = format!("{} in {storage}, n = {}, k = {k}", kind.label(), m.dim());
                 assert_eq!(
-                    steady_state_allocations::<f16>(&m, k, 2),
+                    steady_state_allocations::<f16>(&m, k, 5),
                     0,
                     "{label}, fp16 vectors"
                 );
                 assert_eq!(
-                    steady_state_allocations::<f32>(&m, k, 2),
+                    steady_state_allocations::<f32>(&m, k, 5),
                     0,
                     "{label}, fp32 vectors"
                 );
                 assert_eq!(
-                    steady_state_allocations::<f64>(&m, k, 2),
+                    steady_state_allocations::<f64>(&m, k, 5),
                     0,
                     "{label}, fp64 vectors"
                 );

@@ -38,10 +38,7 @@
 
 use f3r::precision::{Precision, Scalar};
 use f3r::sparse::reference;
-use f3r::sparse::spmm::{
-    csr_panel, spmv_multi, spmv_scaled_multi, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch,
-    PanelOp,
-};
+use f3r::sparse::spmm::{csr_panel, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch, PanelOp};
 use f3r::sparse::spmv::{
     spmv_dot2, spmv_par, spmv_residual, spmv_scaled_seq, spmv_scaled_sell_seq, spmv_seq,
     spmv_sell_par, spmv_sell_seq,
@@ -645,7 +642,7 @@ fn spmm_parity<TA: Scalar, TV: Scalar>(case: u64, k: usize) {
     let mut ys = vec![TV::zero(); n * k];
     let mut ys_seq = vec![TV::zero(); n * k];
     let mut ys_par = vec![TV::zero(); n * k];
-    spmv_multi(&a, &xs, &mut ys, k);
+    csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys, k, Dispatch::Auto);
     csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys_seq, k, Dispatch::Seq);
     csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys_par, k, Dispatch::Par);
     let mut ys_sell = vec![TV::zero(); n * k];
@@ -715,7 +712,7 @@ fn scaled_spmm_columns_match_single_vector_scaled_spmv() {
             let xs: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
             let mut ys = vec![0.0f32; n * k];
             let mut ys_sell = vec![0.0f32; n * k];
-            spmv_scaled_multi(&scaled, &xs, &mut ys, k);
+            csr_panel((&scaled).into(), &xs, PanelOp::Product, &mut ys, k, Dispatch::Auto);
             spmv_scaled_sell_multi(&ssell, &xs, &mut ys_sell, k);
             for c in 0..k {
                 let xcol = &xs[c * n..(c + 1) * n];
