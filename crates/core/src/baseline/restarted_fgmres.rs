@@ -88,8 +88,8 @@ impl SparseSolver for RestartedFgmresSolver {
                         matrix: &self.matrix,
                         mat_storage: MatrixStorage::Plain(Precision::Fp64),
                         inner: &mut inner,
-                        abs_tol: Some(abs_tol),
-                        x_nonzero: cycle > 0,
+                        abs_tols: Some(&[abs_tol]),
+                        x_nonzero: Some(&[cycle > 0]),
                         depth: 1,
                         counters: &self.counters,
                         progress: None,
@@ -97,7 +97,8 @@ impl SparseSolver for RestartedFgmresSolver {
                     x,
                     b,
                     &mut self.ws,
-                );
+                    1,
+                )[0];
                 total_iterations += outcome.iterations;
                 let true_rel = self.matrix.true_relative_residual(x, b);
                 history.push(true_rel);

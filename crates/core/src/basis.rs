@@ -141,44 +141,6 @@ impl<S: Scalar> CompressedBasis<S> {
     pub fn norm2(&self, j: usize) -> f64 {
         blas1::norm2_compressed(&self.vecs[j], self.scales[j])
     }
-
-    /// Compress the `alphas.len()` columns of a column-major panel into the
-    /// consecutive slots `first .. first + alphas.len()` (column `c` of the
-    /// panel is `src[c*n .. (c+1)*n]`, scaled by `alphas[c]`).
-    ///
-    /// Each column is an independent vector with its own amplitude scale, so
-    /// this is a per-column loop over [`compress_scaled`](Self::compress_scaled):
-    /// there is no shared operand to amortize (every column is read and
-    /// written exactly once either way), and keeping the per-column kernels
-    /// makes the results bitwise identical to individual calls — the
-    /// invariant the batched FGMRES parity rests on.
-    ///
-    /// # Panics
-    /// Panics if `src` is not `dim() * alphas.len()` elements long or a slot
-    /// index is out of range.
-    pub fn compress_panel<T: Scalar>(&mut self, first: usize, alphas: &[f64], src: &[T]) {
-        let k = alphas.len();
-        assert_eq!(src.len(), self.n * k, "compress_panel: panel length mismatch");
-        for (c, &alpha) in alphas.iter().enumerate() {
-            self.compress_scaled(first + c, alpha, &src[c * self.n..(c + 1) * self.n]);
-        }
-    }
-
-    /// Decompress the consecutive slots `first .. first + k` into the columns
-    /// of a column-major panel (bitwise equal to per-slot
-    /// [`decompress_into`](Self::decompress_into) calls; see
-    /// [`compress_panel`](Self::compress_panel) for why the per-column form
-    /// is kept).
-    ///
-    /// # Panics
-    /// Panics if `dst` is not `dim() * k` elements long or a slot index is
-    /// out of range.
-    pub fn decompress_panel<T: Scalar>(&self, first: usize, k: usize, dst: &mut [T]) {
-        assert_eq!(dst.len(), self.n * k, "decompress_panel: panel length mismatch");
-        for c in 0..k {
-            self.decompress_into(first + c, &mut dst[c * self.n..(c + 1) * self.n]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,40 +175,6 @@ mod tests {
         }
         let nrm: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!((basis.norm2(0) - nrm).abs() < 2e-3 * nrm);
-    }
-
-    #[test]
-    fn panel_round_trip_matches_per_slot_calls() {
-        let n = 64;
-        let k = 3;
-        let src: Vec<f64> = (0..n * k).map(|i| ((i as f64) * 0.37 - 20.0).cos() * 1e-6).collect();
-        let alphas = [1.0, 0.5, -2.0];
-
-        let mut panel = CompressedBasis::<f16>::new(n, 2 + k);
-        panel.compress_panel(2, &alphas, &src);
-        let mut slots = CompressedBasis::<f16>::new(n, 2 + k);
-        for (c, &alpha) in alphas.iter().enumerate() {
-            slots.compress_scaled(2 + c, alpha, &src[c * n..(c + 1) * n]);
-        }
-        for c in 0..k {
-            assert_eq!(panel.vector(2 + c).0, slots.vector(2 + c).0, "column {c}");
-            assert_eq!(panel.vector(2 + c).1, slots.vector(2 + c).1, "column {c}");
-        }
-
-        let mut back_panel = vec![0.0f64; n * k];
-        panel.decompress_panel(2, k, &mut back_panel);
-        for c in 0..k {
-            let mut back = vec![0.0f64; n];
-            slots.decompress_into(2 + c, &mut back);
-            assert_eq!(&back_panel[c * n..(c + 1) * n], &back[..], "column {c}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "compress_panel: panel length mismatch")]
-    fn panel_length_mismatch_panics() {
-        let mut b = CompressedBasis::<f32>::new(8, 4);
-        b.compress_panel(0, &[1.0, 1.0], &[0.0f64; 8]);
     }
 
     #[test]

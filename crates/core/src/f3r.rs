@@ -2,9 +2,9 @@
 //! nesting-depth reference solvers F2 / fp16-F2 / F3 / fp16-F3 / F4
 //! (Section 6.2, Table 4).
 //!
-//! Every preset returns a [`NestedSpec`]; build it with
-//! [`crate::nested::NestedSolver::new`] for a given
-//! [`ProblemMatrix`](crate::operator::ProblemMatrix).
+//! Every preset returns a [`NestedSpec`]; prepare it for a given
+//! [`ProblemMatrix`](crate::operator::ProblemMatrix) with
+//! [`SolverBuilder::spec`](crate::session::SolverBuilder::spec).
 
 use f3r_precision::Precision;
 use f3r_precond::PrecondKind;

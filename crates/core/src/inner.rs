@@ -34,43 +34,33 @@ use crate::precond_any::AnyPrecond;
 /// `A z = v`.  Stateful: Richardson's adaptive weight persists across calls
 /// (Algorithm 1), and FGMRES levels reuse workspace.
 pub trait InnerSolver<T: Scalar>: Send {
-    /// Approximately solve `A z = v`, overwriting `z` (the initial guess is
-    /// always the zero vector, as assumed by the paper's traffic model).
-    fn apply(&mut self, v: &[T], z: &mut [T]);
-
-    /// Apply this solver to every column of a column-major panel of `k`
-    /// right-hand sides (column `c` of the `n × k` panel `v` is
-    /// `v[c*n .. (c+1)*n]`), overwriting the corresponding columns of `z`.
+    /// Approximately solve `A z_c = v_c` for every column of a column-major
+    /// panel of `k` right-hand sides (column `c` of the `n × k` panel `v` is
+    /// `v[c*n .. (c+1)*n]`), overwriting the corresponding columns of `z`
+    /// (the initial guess is always the zero vector, as assumed by the
+    /// paper's traffic model).
     ///
-    /// The default implementation is a column loop over
-    /// [`apply`](Self::apply), and every override must match its output
-    /// column for column: batching is a memory-traffic optimisation, not a
-    /// semantic change.  [`FgmresLevel`](crate::fgmres::FgmresLevel)
-    /// overrides it with a block cycle whose SpMVs fuse into one pass over
-    /// the matrix ([`crate::operator::ProblemMatrix::apply_multi`]), and
+    /// Every implementation must produce each column exactly as it would
+    /// alone: batching is a memory-traffic optimisation, not a semantic
+    /// change.  [`FgmresLevel`](crate::fgmres::FgmresLevel) runs one cycle on
+    /// the panel, whose products fuse into one pass over the matrix
+    /// ([`crate::operator::ProblemMatrix::apply_multi`]);
     /// [`PrecisionBridge`] converts the whole panel so the batching reaches
     /// the narrow inner levels where the matrix stream dominates;
     /// [`RichardsonLevel`](crate::richardson::RichardsonLevel) sweeps the
-    /// panel with one residual SpMM and one panel application of `M` per
-    /// sweep, and [`PrecondInner`] hands the panel to `M`.
+    /// panel with one residual pass and one panel application of `M` per
+    /// sweep, and [`PrecondInner`] hands the panel to `M`.  A one-column
+    /// panel reaches the single-vector kernels (and their counters) at the
+    /// bottom of each of these.
     ///
     /// # Panics
-    /// Panics if `v` and `z` differ in length or their length is not a
-    /// multiple of `k`.
-    fn apply_panel(&mut self, v: &[T], z: &mut [T], k: usize) {
-        assert_eq!(v.len(), z.len(), "apply_panel: panel length mismatch");
-        if k == 0 {
-            assert!(v.is_empty(), "apply_panel: zero-column panel must be empty");
-            return;
-        }
-        assert_eq!(v.len() % k, 0, "apply_panel: panel length not a multiple of k");
-        let n = v.len() / k;
-        if n == 0 {
-            return;
-        }
-        for (vc, zc) in v.chunks_exact(n).zip(z.chunks_exact_mut(n)) {
-            self.apply(vc, zc);
-        }
+    /// Panics if `v` and `z` differ in length or their length is not `k`
+    /// times the operator's dimension.
+    fn apply_panel(&mut self, v: &[T], z: &mut [T], k: usize);
+
+    /// [`apply_panel`](Self::apply_panel) on one column.
+    fn apply(&mut self, v: &[T], z: &mut [T]) {
+        self.apply_panel(v, z, 1);
     }
 
     /// Descriptive name, e.g. `"F8(fp32)"` or `"R2(fp16, adaptive)"`.
@@ -114,10 +104,6 @@ impl<T: Scalar> PrecondInner<T> {
 }
 
 impl<T: Scalar> InnerSolver<T> for PrecondInner<T> {
-    fn apply(&mut self, v: &[T], z: &mut [T]) {
-        self.precond.apply_to(v, z, &self.counters);
-    }
-
     fn apply_panel(&mut self, v: &[T], z: &mut [T], k: usize) {
         self.precond.apply_panel_to(v, z, k, &self.counters);
     }
@@ -147,9 +133,8 @@ impl<T: Scalar> InnerSolver<T> for PrecondInner<T> {
 /// precisions).  A zero vector gives a zero result whatever the child makes
 /// of it, and NaNs and infinities pass through.
 ///
-/// The single-vector [`apply`](InnerSolver::apply) is the one-column case of
-/// [`apply_panel`](InnerSolver::apply_panel): each column of a panel gets
-/// its own scale, so a batched column converts exactly as it would alone.
+/// Each column of a panel gets its own scale, so a batched column converts
+/// exactly as it would alone.
 pub struct PrecisionBridge<TP, TC> {
     child: Box<dyn InnerSolver<TC>>,
     v_lo: Vec<TC>,
@@ -174,10 +159,6 @@ impl<TP: Scalar, TC: Scalar> PrecisionBridge<TP, TC> {
 }
 
 impl<TP: Scalar, TC: Scalar> InnerSolver<TP> for PrecisionBridge<TP, TC> {
-    fn apply(&mut self, v: &[TP], z: &mut [TP]) {
-        self.apply_panel(v, z, 1);
-    }
-
     fn apply_panel(&mut self, v: &[TP], z: &mut [TP], k: usize) {
         assert_eq!(v.len(), z.len(), "apply_panel: panel length mismatch");
         if k == 0 {
@@ -246,7 +227,7 @@ mod tests {
         depth: usize,
     }
     impl<T: Scalar> InnerSolver<T> for Doubler {
-        fn apply(&mut self, v: &[T], z: &mut [T]) {
+        fn apply_panel(&mut self, v: &[T], z: &mut [T], _k: usize) {
             for (zi, &vi) in z.iter_mut().zip(v.iter()) {
                 *zi = vi + vi;
             }
@@ -292,23 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn default_apply_panel_matches_per_column_applies() {
-        let n = 9;
-        let k = 4;
-        let v: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.11).sin()).collect();
-        let mut panel = vec![0.0f64; n * k];
-        let mut d = Doubler { depth: 2 };
-        d.apply_panel(&v, &mut panel, k);
-        for c in 0..k {
-            let mut z = vec![0.0f64; n];
-            d.apply(&v[c * n..(c + 1) * n], &mut z);
-            assert_eq!(&panel[c * n..(c + 1) * n], &z[..], "column {c}");
-        }
-        // k = 0 on an empty panel is a no-op.
-        InnerSolver::<f64>::apply_panel(&mut d, &[], &mut [], 0);
-    }
-
-    #[test]
     fn bridge_apply_panel_matches_per_column_bridge_applies() {
         let n = 6;
         let k = 3;
@@ -333,10 +297,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "apply_panel: panel length not a multiple of k")]
     fn apply_panel_length_mismatch_panics() {
-        let mut d = Doubler { depth: 2 };
+        let mut bridge = PrecisionBridge::<f64, f16>::new(Box::new(Doubler { depth: 2 }), 7);
         let v = vec![0.0f64; 7];
         let mut z = vec![0.0f64; 7];
-        d.apply_panel(&v, &mut z, 2);
+        bridge.apply_panel(&v, &mut z, 2);
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! * the prepared-solver session API ([`session`]): a fluent
 //!   [`SolverBuilder`] compiles problem + spec + preconditioner into an
 //!   immutable, `Arc`-shareable [`PreparedSolver`]; concurrent
-//!   [`SolveSession`]s own the mutable workspaces (warm starts, per-solve
-//!   overrides, `solve_many`/`solve_batch`, observers),
-//! * batched multi-RHS solving ([`block`]): `k` independent FGMRES
-//!   recurrences share one matrix pass per iteration
-//!   (`ProblemMatrix::apply_multi`), cutting the dominant per-RHS matrix
-//!   traffic to `1/k` while staying bitwise equal, per column, to `k`
-//!   sequential solves,
+//!   [`SolveSession`]s own the mutable workspaces and run every solve —
+//!   one right-hand side or a batch, each column with its own warm start,
+//!   tolerance and cycle budget, observed or not — through one column-wise
+//!   driver,
+//! * the one FGMRES cycle ([`fgmres`]): `k` independent recurrences share
+//!   one matrix pass per iteration (`ProblemMatrix::apply_multi`), cutting
+//!   the dominant per-RHS matrix traffic to `1/k` while staying bitwise
+//!   equal, per column, to `k` one-column solves; a single right-hand side
+//!   is the one-column batch,
 //! * the nested-solver framework ([`nested`]): declarative [`NestedSpec`]s
 //!   built from FGMRES and Richardson levels with per-level matrix/vector
-//!   precisions (the legacy [`NestedSolver`] remains as a deprecated shim),
+//!   precisions,
 //! * the demand-driven matrix store ([`operator`]): [`ProblemMatrix`] is a
 //!   lazy per-(storage, format) variant table — plain *and* row-scaled
 //!   fp64/fp32/fp16 copies in CSR or sliced-ELLPACK, materialized only when
@@ -81,7 +83,6 @@
 pub mod adaptive;
 pub mod baseline;
 pub mod basis;
-pub mod block;
 pub mod convergence;
 pub mod cost_model;
 pub mod f3r;
@@ -101,13 +102,12 @@ pub mod prelude {
     };
     pub use crate::baseline::{BaselineConfig, BiCgStabSolver, CgSolver, RestartedFgmresSolver};
     pub use crate::basis::CompressedBasis;
-    pub use crate::block::BlockFgmresWorkspace;
     pub use crate::convergence::{SolveResult, SparseSolver, StopReason};
     pub use crate::f3r::{
         f2_spec, f3_spec, f3r_spec, f3r_spec_fixed_weight, f4_spec, fp16_f2_spec, fp16_f3_spec,
         F3rParams, F3rScheme, SolverSettings,
     };
-    pub use crate::nested::{LevelSpec, NestedSolver, NestedSpec, SpecError};
+    pub use crate::nested::{LevelSpec, NestedSpec, SpecError};
     pub use crate::operator::{MatrixFormat, MatrixStorage, ProblemMatrix, SpmvBackend, VariantInfo};
     pub use crate::richardson::WeightStrategy;
     pub use crate::session::{
@@ -117,6 +117,6 @@ pub mod prelude {
 }
 
 pub use convergence::{SolveResult, SparseSolver, StopReason};
-pub use nested::{LevelSpec, NestedSolver, NestedSpec, SpecError};
+pub use nested::{LevelSpec, NestedSpec, SpecError};
 pub use operator::{MatrixFormat, MatrixStorage, ProblemMatrix, SpmvBackend, VariantInfo};
 pub use session::{PreparedSolver, SolveObserver, SolveOptions, SolveSession, SolverBuilder};

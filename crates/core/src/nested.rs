@@ -9,20 +9,17 @@
 //! private chain of [`InnerSolver`](crate::inner::InnerSolver)s with
 //! precision bridges inserted wherever the vector precision changes.
 //!
-//! [`NestedSolver`] remains as a thin deprecated shim over the session API
-//! for callers of the historical `NestedSolver::new(matrix, spec)` +
-//! `solve(&mut self, …)` two-step.
+//! [`SolverBuilder`]: crate::session::SolverBuilder
+//! [`PreparedSolver`]: crate::session::PreparedSolver
+//! [`SolveSession`]: crate::session::SolveSession
 
 use std::fmt;
-use std::sync::Arc;
 
-use f3r_precision::{KernelCounters, Precision};
+use f3r_precision::Precision;
 use f3r_precond::PrecondKind;
 
-use crate::convergence::{SolveResult, SparseSolver};
-use crate::operator::{MatrixStorage, ProblemMatrix};
+use crate::operator::MatrixStorage;
 use crate::richardson::WeightStrategy;
-use crate::session::{PreparedSolver, SolveSession, SolverBuilder};
 
 /// One level of a nested solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,9 +125,10 @@ impl LevelSpec {
     }
 }
 
-/// A structural problem in a [`NestedSpec`] or a [`SolverBuilder`]
+/// A structural problem in a [`NestedSpec`] or a
+/// [`SolverBuilder`](crate::session::SolverBuilder)
 /// configuration, reported by [`NestedSpec::check`] and
-/// [`SolverBuilder::try_build`].
+/// [`SolverBuilder::try_build`](crate::session::SolverBuilder::try_build).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(String);
 
@@ -322,71 +320,13 @@ impl NestedSpec {
     }
 }
 
-/// A fully constructed nested Krylov solver (the paper's F3R and all of its
-/// F2/F3/F4 relatives) behind the historical one-struct interface.
-///
-/// This is now a thin shim over the session API: internally it is exactly an
-/// `Arc<PreparedSolver>` plus one [`SolveSession`].  New code should use
-/// those types directly — they add shared setup across threads, warm starts,
-/// per-solve overrides, `solve_many` and observers.
-pub struct NestedSolver {
-    session: SolveSession,
-}
-
-impl NestedSolver {
-    /// Build the solver described by `spec` for the matrix `matrix`.
-    ///
-    /// # Panics
-    /// Panics if the spec fails [`NestedSpec::check`].
-    #[deprecated(
-        note = "use SolverBuilder (e.g. `SolverBuilder::new(matrix).spec(spec).build()`) and open SolveSessions from the shared PreparedSolver"
-    )]
-    #[must_use]
-    pub fn new(matrix: Arc<ProblemMatrix>, spec: NestedSpec) -> Self {
-        Self::from_prepared(&SolverBuilder::new(matrix).spec(spec).build())
-    }
-
-    /// Wrap a prepared solver as a legacy [`SparseSolver`] (one private
-    /// session over the shared setup).
-    #[must_use]
-    pub fn from_prepared(prepared: &Arc<PreparedSolver>) -> Self {
-        Self {
-            session: prepared.session(),
-        }
-    }
-
-    /// The spec this solver was built from.
-    #[must_use]
-    pub fn spec(&self) -> &NestedSpec {
-        self.session.prepared().spec()
-    }
-
-    /// Shared kernel counters (reset at the start of every `solve`).
-    #[must_use]
-    pub fn counters(&self) -> &Arc<KernelCounters> {
-        self.session.counters()
-    }
-
-    /// The underlying solve session.
-    #[must_use]
-    pub fn session_mut(&mut self) -> &mut SolveSession {
-        &mut self.session
-    }
-}
-
-impl SparseSolver for NestedSolver {
-    fn solve(&mut self, b: &[f64], x: &mut [f64]) -> SolveResult {
-        self.session.solve(b, x)
-    }
-
-    fn name(&self) -> String {
-        self.spec().name.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::operator::ProblemMatrix;
+    use crate::session::SolverBuilder;
     use f3r_sparse::gen::hpcg::hpcg_matrix;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
     use f3r_sparse::gen::rhs::random_rhs;
@@ -657,30 +597,6 @@ mod tests {
         assert!(res.converged);
         assert_eq!(res.outer_iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_solves_and_exposes_spec() {
-        let a = jacobi_scale(&poisson2d_5pt(12, 12));
-        let pm = Arc::new(ProblemMatrix::from_csr(a));
-        let spec = simple_spec(
-            "shim",
-            vec![
-                LevelSpec::fgmres(20, Precision::Fp64, Precision::Fp64),
-                LevelSpec::fgmres(5, Precision::Fp32, Precision::Fp32),
-            ],
-        );
-        let mut solver = NestedSolver::new(pm, spec);
-        assert_eq!(solver.name(), "shim");
-        assert_eq!(solver.spec().depth(), 2);
-        let n = 144;
-        let b = random_rhs(n, 8);
-        let mut x = vec![0.0; n];
-        let res = solver.solve(&b, &mut x);
-        assert!(res.converged, "residual {}", res.final_relative_residual);
-        assert!(solver.counters().snapshot().precond_applies > 0);
-        assert_eq!(solver.session_mut().workspace_generation(), 1);
     }
 
     #[test]

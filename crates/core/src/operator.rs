@@ -500,7 +500,10 @@ impl ProblemMatrix {
     /// [`apply`](Self::apply) on column `c` of `xs` — the batched solver's
     /// per-column parity rests on this (see [`f3r_sparse::spmm`] for how the
     /// panel kernels keep it).  The traffic is recorded as one matrix stream
-    /// plus `k` vector sweeps.
+    /// plus `k` vector sweeps.  A one-column panel *is* handed to
+    /// [`apply`](Self::apply): a single right-hand side runs the
+    /// single-vector kernel and is counted as an SpMV, whichever caller
+    /// brought it here.
     ///
     /// # Panics
     /// Panics if the panel lengths are not `k` times the matrix dimension.
@@ -512,6 +515,9 @@ impl ProblemMatrix {
         k: usize,
         counters: &KernelCounters,
     ) {
+        if k == 1 {
+            return self.apply(storage, xs, ys, counters);
+        }
         self.record_panel_traffic(storage, TV::PRECISION, k, counters);
         with_variant!(self.variant(storage),
             |c| csr_panel(c.as_ref().into(), xs, PanelOp::Product, ys, k, Dispatch::Auto),
@@ -528,7 +534,9 @@ impl ProblemMatrix {
     /// [`residual`](Self::residual) on column `c` — with the CSR backend the
     /// subtraction is the panel kernel's epilogue, the SELL backend
     /// subtracts in a second pass per column, exactly as the single-vector
-    /// form does.  Recorded as one panel product plus the `b`/`r` sweeps.
+    /// form does.  Recorded as one panel product plus the `b`/`r` sweeps; a
+    /// one-column panel is handed to [`residual`](Self::residual), like
+    /// [`apply_multi`](Self::apply_multi)'s.
     ///
     /// # Panics
     /// Panics if the panel lengths are not `k` times the matrix dimension.
@@ -541,6 +549,9 @@ impl ProblemMatrix {
         k: usize,
         counters: &KernelCounters,
     ) {
+        if k == 1 {
+            return self.residual(storage, xs, bs, rs, counters);
+        }
         assert_eq!(bs.len(), self.n * k, "residual_multi: bs panel length mismatch");
         self.record_panel_traffic(storage, TV::PRECISION, k, counters);
         let reads = match self.backend {

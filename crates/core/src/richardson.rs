@@ -142,10 +142,6 @@ impl<T: Scalar> RichardsonLevel<T> {
 }
 
 impl<T: Scalar> InnerSolver<T> for RichardsonLevel<T> {
-    fn apply(&mut self, v: &[T], z: &mut [T]) {
-        self.apply_panel(v, z, 1);
-    }
-
     fn apply_panel(&mut self, v: &[T], z: &mut [T], k: usize) {
         let n = self.matrix.dim();
         assert_eq!(v.len(), n * k, "richardson: v length mismatch");
@@ -164,8 +160,6 @@ impl<T: Scalar> InnerSolver<T> for RichardsonLevel<T> {
             // r = v - A z; for the first sweep this is just v (z = 0).
             if sweep == 0 {
                 r.copy_from_slice(v);
-            } else if k == 1 {
-                self.matrix.residual(self.mat_storage, z, v, r, &self.counters);
             } else {
                 self.matrix.residual_multi(self.mat_storage, z, v, r, k, &self.counters);
             }

@@ -25,15 +25,20 @@
 //!   which persist across solves by design — the optimal weight depends on
 //!   the preconditioned operator, not the right-hand side), and the kernel
 //!   counters.  Workspaces are allocated on the first solve and reused
-//!   verbatim afterwards ([`SolveSession::workspace_generation`] proves it):
-//!   in steady state, repeated solves and [`SolveSession::solve_many`]
-//!   allocate nothing proportional to the problem size — only the O(cycles)
-//!   result bookkeeping (residual history, counter snapshot) per solve.
+//!   verbatim afterwards, regrown only when a wider batch arrives
+//!   ([`SolveSession::workspace_generation`] counts it): in steady state,
+//!   repeated solves and batches allocate nothing proportional to the
+//!   problem size — only the O(columns + cycles) result bookkeeping
+//!   (residual histories, counter snapshot) per call.
 //!
-//! Per-solve behaviour is controlled by [`SolveOptions`] (warm-start `x0`,
-//! tolerance and cycle-budget overrides) and observed through
-//! [`SolveObserver`] (per-outer-iteration residual events with early-stop
-//! control).
+//! There is one solve driver.  [`SolveSession::solve`], `solve_with`,
+//! `solve_observed`, `solve_batch` and `solve_batch_with` all run it, on one
+//! column or several: every column has its own right-hand side, solution,
+//! [`SolveOptions`] (warm-start `x0`, tolerance and cycle-budget overrides),
+//! history and — on adaptive sessions — stall detector, and all running
+//! columns share the outer cycles of [`crate::fgmres`].  A one-column call
+//! can be watched through a [`SolveObserver`] (per-outer-iteration residual
+//! events with early-stop control).
 //!
 //! # Example
 //!
@@ -77,7 +82,6 @@ use crate::adaptive::{
     auto_spec_for_matrix, escalation_ladder, AdaptivePolicy, AutoTuneConfig, StallDetector,
     StallSignal,
 };
-use crate::block::{block_fgmres_cycle, BlockCycleParams, BlockFgmresWorkspace};
 use crate::convergence::{SolveResult, SparseSolver, StopReason};
 use crate::f3r::{f3r_spec, F3rParams, F3rScheme, SolverSettings};
 use crate::fgmres::{fgmres_cycle, CycleOutcome, CycleParams, CycleProgress, FgmresLevel, FgmresWorkspace};
@@ -211,63 +215,41 @@ enum OuterWorkspace {
 }
 
 impl OuterWorkspace {
-    fn new(basis_prec: Precision, n: usize, m: usize) -> Self {
+    fn new(basis_prec: Precision, n: usize, m: usize, columns: usize) -> Self {
         match basis_prec {
-            Precision::Fp64 => OuterWorkspace::F64(FgmresWorkspace::new(n, m)),
-            Precision::Fp32 => OuterWorkspace::F32(FgmresWorkspace::new(n, m)),
-            Precision::Fp16 => OuterWorkspace::F16(FgmresWorkspace::new(n, m)),
+            Precision::Fp64 => OuterWorkspace::F64(FgmresWorkspace::with_columns(n, m, columns)),
+            Precision::Fp32 => OuterWorkspace::F32(FgmresWorkspace::with_columns(n, m, columns)),
+            Precision::Fp16 => OuterWorkspace::F16(FgmresWorkspace::with_columns(n, m, columns)),
         }
     }
 
-    fn run_cycle(&mut self, params: CycleParams<'_, f64>, x: &mut [f64], b: &[f64]) -> CycleOutcome {
+    fn reserve_columns(&mut self, k: usize) -> bool {
         match self {
-            OuterWorkspace::F64(ws) => fgmres_cycle(params, x, b, ws),
-            OuterWorkspace::F32(ws) => fgmres_cycle(params, x, b, ws),
-            OuterWorkspace::F16(ws) => fgmres_cycle(params, x, b, ws),
-        }
-    }
-}
-
-/// Outermost block-FGMRES workspace for [`SolveSession::solve_batch`],
-/// instantiated for the spec's basis storage precision like
-/// [`OuterWorkspace`].
-enum OuterBlockWorkspace {
-    /// Uncompressed fp64 basis storage.
-    F64(BlockFgmresWorkspace<f64, f64>),
-    /// fp32-compressed basis storage.
-    F32(BlockFgmresWorkspace<f64, f32>),
-    /// fp16-compressed basis storage.
-    F16(BlockFgmresWorkspace<f64, f16>),
-}
-
-impl OuterBlockWorkspace {
-    fn new(basis_prec: Precision, n: usize, m: usize, k: usize) -> Self {
-        match basis_prec {
-            Precision::Fp64 => OuterBlockWorkspace::F64(BlockFgmresWorkspace::new(n, m, k)),
-            Precision::Fp32 => OuterBlockWorkspace::F32(BlockFgmresWorkspace::new(n, m, k)),
-            Precision::Fp16 => OuterBlockWorkspace::F16(BlockFgmresWorkspace::new(n, m, k)),
+            OuterWorkspace::F64(ws) => ws.reserve_columns(k),
+            OuterWorkspace::F32(ws) => ws.reserve_columns(k),
+            OuterWorkspace::F16(ws) => ws.reserve_columns(k),
         }
     }
 
-    fn max_columns(&self) -> usize {
+    fn workspace_bytes(&self) -> u64 {
         match self {
-            OuterBlockWorkspace::F64(ws) => ws.max_columns(),
-            OuterBlockWorkspace::F32(ws) => ws.max_columns(),
-            OuterBlockWorkspace::F16(ws) => ws.max_columns(),
+            OuterWorkspace::F64(ws) => ws.workspace_bytes(),
+            OuterWorkspace::F32(ws) => ws.workspace_bytes(),
+            OuterWorkspace::F16(ws) => ws.workspace_bytes(),
         }
     }
 
     fn run_cycle(
         &mut self,
-        params: BlockCycleParams<'_, f64>,
+        params: CycleParams<'_, f64>,
         xs: &mut [f64],
         bs: &[f64],
         k: usize,
-    ) -> Vec<CycleOutcome> {
+    ) -> &[CycleOutcome] {
         match self {
-            OuterBlockWorkspace::F64(ws) => block_fgmres_cycle(params, xs, bs, ws, k),
-            OuterBlockWorkspace::F32(ws) => block_fgmres_cycle(params, xs, bs, ws, k),
-            OuterBlockWorkspace::F16(ws) => block_fgmres_cycle(params, xs, bs, ws, k),
+            OuterWorkspace::F64(ws) => fgmres_cycle(params, xs, bs, ws, k),
+            OuterWorkspace::F32(ws) => fgmres_cycle(params, xs, bs, ws, k),
+            OuterWorkspace::F16(ws) => fgmres_cycle(params, xs, bs, ws, k),
         }
     }
 }
@@ -580,7 +562,7 @@ impl SolverBuilder {
     }
 
     /// Like [`try_build`](Self::try_build) but panics on an invalid
-    /// configuration (the historical `NestedSolver::new` behaviour).
+    /// configuration.
     ///
     /// # Panics
     /// Panics with the [`SpecError`] message if the configuration is invalid.
@@ -804,53 +786,43 @@ pub trait SolveObserver {
     }
 }
 
-/// Bridges the per-iteration [`CycleProgress`] hook of the outermost FGMRES
-/// cycle onto the public [`SolveObserver`] interface.  Whether the observer
-/// stopped the cycle is reported back through `CycleOutcome::stopped`.
-struct ProgressAdapter<'o> {
-    observer: &'o mut dyn SolveObserver,
-    bnorm: f64,
-    cycle: usize,
-    outer_before: usize,
-}
-
-impl CycleProgress for ProgressAdapter<'_> {
-    fn on_iteration(&mut self, iteration_in_cycle: usize, residual_estimate: f64) -> bool {
-        let event = OuterEvent {
-            outer_iteration: self.outer_before + iteration_in_cycle + 1,
-            cycle: self.cycle,
-            relative_residual_estimate: residual_estimate / self.bnorm,
-        };
-        self.observer.on_outer_iteration(&event) == SolveControl::Continue
-    }
-}
-
-/// Per-iteration hook of the outermost cycle: forwards events to the user's
-/// observer (if any) and, on adaptive sessions, feeds the stall detector.
-/// A stall/divergence signal ends the cycle early (`switch_wanted`) so the
-/// session can escalate; a user stop always wins and is recorded separately
-/// so the two exits stay distinguishable after the cycle returns.
+/// Progress hook of the outermost cycle: turns each column's iterations into
+/// [`OuterEvent`]s for the observer (if any) and, on adaptive sessions, feeds
+/// the column's stall detector.  A stall/divergence signal ends that column's
+/// cycle early (`switch_wanted`) so the session can escalate at the cycle
+/// boundary; an observer stop always wins and is recorded separately so the
+/// two exits stay distinguishable after the cycle returns.
 struct OuterHook<'o> {
-    user: Option<ProgressAdapter<'o>>,
-    detector: Option<&'o mut StallDetector>,
-    bnorm: f64,
+    observer: Option<&'o mut dyn SolveObserver>,
+    /// Stall state by column of the call (adaptive sessions only).
+    watches: Option<&'o mut [ColumnWatch]>,
+    runs: &'o mut [ColumnRun],
+    /// Column of the call behind each column of the cycle's panel.
+    packed: &'o [usize],
+    cycle: usize,
     can_escalate: bool,
-    switch_wanted: bool,
-    user_stopped: bool,
 }
 
 impl CycleProgress for OuterHook<'_> {
-    fn on_iteration(&mut self, iteration_in_cycle: usize, residual_estimate: f64) -> bool {
-        if let Some(user) = self.user.as_mut() {
-            if !user.on_iteration(iteration_in_cycle, residual_estimate) {
-                self.user_stopped = true;
+    fn on_iteration(&mut self, column: usize, iteration_in_cycle: usize, residual_estimate: f64) -> bool {
+        let c = self.packed[column];
+        let run = &mut self.runs[c];
+        let relative = residual_estimate / run.bnorm;
+        if let Some(observer) = self.observer.as_deref_mut() {
+            let event = OuterEvent {
+                outer_iteration: run.outer_iterations + iteration_in_cycle + 1,
+                cycle: self.cycle,
+                relative_residual_estimate: relative,
+            };
+            if observer.on_outer_iteration(&event) == SolveControl::Stop {
+                run.user_stopped = true;
                 return false;
             }
         }
-        if let Some(detector) = self.detector.as_deref_mut() {
-            let signal = detector.observe(residual_estimate / self.bnorm);
+        if let Some(watches) = self.watches.as_deref_mut() {
+            let signal = watches[c].detector.observe(relative);
             if self.can_escalate && !matches!(signal, StallSignal::Progressing) {
-                self.switch_wanted = true;
+                run.switch_wanted = true;
                 return false;
             }
         }
@@ -913,35 +885,64 @@ impl<'a> SolveOptions<'a> {
 // SolveSession
 // ---------------------------------------------------------------------------
 
-/// Mutable per-session state: the inner-solver chain, the outer workspace
-/// and the scratch vector for true-residual convergence checks.
+/// Mutable per-session state: the inner-solver chain, the outer workspace,
+/// the scratch vector for true-residual convergence checks and the packed
+/// panels handed to a cycle when several columns are running.
 struct SessionWork {
     inner: Box<dyn InnerSolver<f64>>,
     outer: OuterWorkspace,
     residual: Vec<f64>,
-    /// Batched-path state, allocated on the first [`SolveSession::solve_batch`]
-    /// and regrown only for wider batches.  Single-RHS solves never touch it,
-    /// and allocating it does not bump the workspace generation: the
-    /// generation tracks the per-session workspaces every solve shares.
-    block: Option<BlockWork>,
-}
-
-/// Outer block workspace plus the packed right-hand-side / solution panels of
-/// the batched path (reused across `solve_batch` calls).
-struct BlockWork {
-    outer: OuterBlockWorkspace,
-    /// Column-major RHS panel over the still-running columns.
+    /// Column-major right-hand-side panel over the still-running columns.
     bp: Vec<f64>,
     /// Column-major solution panel over the still-running columns.
     xp: Vec<f64>,
 }
 
+/// Per-column state of one driver call: the column's own options, progress
+/// and verdict.
+struct ColumnRun {
+    bnorm: f64,
+    tol: f64,
+    max_cycles: usize,
+    /// Ceiling on the column's cycles whatever the switches (see `drive`).
+    hard_cap: usize,
+    warm: bool,
+    outer_iterations: usize,
+    history: Vec<f64>,
+    stop_reason: StopReason,
+    done: bool,
+    /// Set by the hook when the column's detector asked for an escalation
+    /// during the running cycle.
+    switch_wanted: bool,
+    /// Set by the hook when the observer stopped the column during the
+    /// running cycle.
+    user_stopped: bool,
+}
+
+impl ColumnRun {
+    fn finish(&mut self, reason: StopReason) {
+        self.stop_reason = reason;
+        self.done = true;
+    }
+}
+
+/// Stall state of one column of an adaptive session's running call.
+struct ColumnWatch {
+    detector: StallDetector,
+    /// True relative residual after the column's previous cycle at this rung
+    /// (for the cycle-boundary reduction check); `None` right after a switch.
+    last_cycle_rel: Option<f64>,
+}
+
 /// Runtime state of an adaptive session: the escalation ladder derived from
 /// the prepared spec, the rung currently driving the inner chain, and the
 /// stall/health bookkeeping of the escalate → cool-down → de-escalate state
-/// machine.  The rung and its floor persist across solves of the same
-/// session (a matrix that needed fp32 last solve starts there next solve);
-/// the per-solve fields reset in [`begin_solve`](Self::begin_solve).
+/// machine.  Detection is per column (every column has its own detector and
+/// last-cycle residual); the rung, and so every escalation, is per session,
+/// because the columns share one inner chain.  The rung and its floor persist
+/// across solves of the same session (a matrix that needed fp32 last solve
+/// starts there next solve); the per-solve fields reset in
+/// [`begin_solve`](Self::begin_solve).
 struct AdaptiveRun {
     policy: AdaptivePolicy,
     ladder: Vec<Vec<LevelSpec>>,
@@ -960,12 +961,12 @@ struct AdaptiveRun {
     /// until it survives `deescalate_after` healthy cycles; stalling while
     /// on probation pins `floor` at the re-escalated rung.
     probation: bool,
-    detector: StallDetector,
-    /// True relative residual after the previous cycle at this rung (for
-    /// the cycle-boundary reduction check); `None` right after a switch.
-    last_cycle_rel: Option<f64>,
-    /// Copy of `x` from the start of the current cycle, for rolling back a
-    /// cycle that broke down before escalating.
+    /// Stall state by column of the running call (kept across calls, so a
+    /// steady-state solve allocates no detector).
+    watches: Vec<ColumnWatch>,
+    /// Copy of every running column's `x` from the start of the current
+    /// cycle (column `c` at `c * n`), for rolling back a column whose cycle
+    /// broke down before escalating.
     x_backup: Vec<f64>,
 }
 
@@ -978,109 +979,75 @@ impl AdaptiveRun {
             escalations: 0,
             healthy_cycles: 0,
             probation: false,
-            detector: StallDetector::new(policy.stall),
-            last_cycle_rel: None,
+            watches: Vec::new(),
             x_backup: Vec::new(),
             policy,
         }
     }
 
-    /// Reset the per-solve state, keeping the rung and floor the session
-    /// has settled on.
-    fn begin_solve(&mut self, n: usize) {
+    /// Reset the per-solve state for a call on `k` columns of length `n`,
+    /// keeping the rung and floor the session has settled on.
+    fn begin_solve(&mut self, n: usize, k: usize) {
         self.escalations = 0;
         self.healthy_cycles = 0;
         self.probation = false;
-        self.detector.reset();
-        self.last_cycle_rel = None;
-        self.x_backup.resize(n, 0.0);
+        let stall = self.policy.stall;
+        self.watches.resize_with(k.max(self.watches.len()), || ColumnWatch {
+            detector: StallDetector::new(stall),
+            last_cycle_rel: None,
+        });
+        self.reset_watches();
+        self.x_backup.resize(n * k, 0.0);
+    }
+
+    fn reset_watches(&mut self) {
+        for watch in &mut self.watches {
+            watch.detector.reset();
+            watch.last_cycle_rel = None;
+        }
     }
 
     fn can_escalate(&self) -> bool {
         self.rung + 1 < self.ladder.len() && self.escalations < self.policy.max_escalations
     }
+
+    /// The rung to switch to at a cycle boundary, if any: one up when a
+    /// running column `asked` and the session `can_escalate`, one down after
+    /// `deescalate_after` consecutive cycles in which no running column
+    /// `stalled` (not below the floor, and only once a rung on probation has
+    /// survived as long).
+    fn next_rung(&mut self, can_escalate: bool, asked: bool, stalled: bool) -> Option<usize> {
+        if can_escalate && asked {
+            self.escalations += 1;
+            if self.probation {
+                self.floor = self.rung + 1;
+            }
+            return Some(self.rung + 1);
+        }
+        if stalled {
+            return None;
+        }
+        self.healthy_cycles += 1;
+        if self.healthy_cycles < self.policy.deescalate_after? {
+            return None;
+        }
+        if self.probation {
+            // The narrow rung survived its probation: it is the session's
+            // rung for good.
+            self.probation = false;
+            self.healthy_cycles = 0;
+            return None;
+        }
+        (self.rung > self.floor).then(|| self.rung - 1)
+    }
 }
 
-/// Shared context of a mid-solve precision switch (the immutable pieces the
-/// chain rebuild needs, plus the event data reported to the observer).
-struct SwitchContext<'a> {
-    prepared: &'a PreparedSolver,
-    counters: &'a Arc<KernelCounters>,
+/// Where a mid-solve precision switch happened (the event data reported to
+/// the observer).
+struct SwitchPoint {
     cycle: usize,
     outer_iterations: usize,
     true_relative_residual: f64,
-}
-
-/// Move an adaptive session to `new_rung`: materialize the rung's matrix
-/// variants from the lazy store (counting the newly faulted-in bytes),
-/// rebuild the inner-solver chain against them, attribute the per-level
-/// escalation/de-escalation events, and reset the rung-local detector
-/// state.  The outer workspace — and with it the outer Krylov state — is
-/// untouched: the outermost level never changes, and FGMRES is flexible, so
-/// a different inner solver between iterations is legal by construction.
-fn switch_rung(
-    run: &mut AdaptiveRun,
-    work: &mut SessionWork,
-    new_rung: usize,
-    ctx: &SwitchContext<'_>,
-    observer: Option<&mut (dyn SolveObserver + '_)>,
-) {
-    let escalated = new_rung > run.rung;
-    let from_rung = run.rung;
-    let new_levels = run.ladder[new_rung].clone();
-    let matrix = &ctx.prepared.matrix;
-    let bytes_before = matrix.storage_bytes();
-    for level in &new_levels[1..] {
-        matrix.materialize(level.matrix_storage());
-    }
-    let faulted = matrix.storage_bytes().saturating_sub(bytes_before);
-    if faulted > 0 {
-        ctx.counters.record_switch_bytes(faulted);
-    }
-    work.inner = if new_levels.len() == 1 {
-        Box::new(PrecondInner::<f64>::new(
-            Arc::clone(&ctx.prepared.precond),
-            Arc::clone(ctx.counters),
-            2,
-        ))
-    } else {
-        build_child::<f64>(
-            &new_levels[1..],
-            2,
-            matrix,
-            &ctx.prepared.precond,
-            ctx.counters,
-        )
-    };
-    for (depth0, (old, new)) in run.ladder[from_rung]
-        .iter()
-        .zip(new_levels.iter())
-        .enumerate()
-        .skip(1)
-    {
-        if old != new {
-            if escalated {
-                ctx.counters.record_escalation(depth0 + 1);
-            } else {
-                ctx.counters.record_deescalation(depth0 + 1);
-            }
-        }
-    }
-    run.rung = new_rung;
-    run.detector.reset();
-    run.healthy_cycles = 0;
-    run.last_cycle_rel = None;
-    if let Some(obs) = observer {
-        obs.on_precision_switch(&PrecisionSwitchEvent {
-            cycle: ctx.cycle,
-            outer_iterations: ctx.outer_iterations,
-            true_relative_residual: ctx.true_relative_residual,
-            escalated,
-            from_rung,
-            to_rung: new_rung,
-            levels: new_levels,
-        });
-    }
 }
 
 /// One solve stream over a [`PreparedSolver`]: owns the mutable level
@@ -1089,11 +1056,21 @@ fn switch_rung(
 /// Sessions are `Send` (move one into a worker thread) but deliberately not
 /// shareable: concurrency is achieved by opening one session per thread over
 /// the same `Arc<PreparedSolver>`.  Workspaces (including the true-residual
-/// scratch vector) are allocated on the first solve and reused for every
-/// later solve — [`workspace_generation`](Self::workspace_generation)
-/// exposes the allocation epoch so tests can assert steady-state reuse; the
-/// only steady-state allocations left are the O(cycles) result bookkeeping
-/// each solve returns.
+/// scratch vector) are allocated on the first solve, as wide as that call,
+/// and reused for every later solve that is no wider —
+/// [`workspace_generation`](Self::workspace_generation) exposes the
+/// allocation epoch so tests can assert steady-state reuse; the only
+/// steady-state allocations left are the O(columns + cycles) result
+/// bookkeeping each call returns.
+///
+/// Every public solve entry — [`solve`](Self::solve),
+/// [`solve_with`](Self::solve_with), [`solve_observed`](Self::solve_observed),
+/// [`solve_batch`](Self::solve_batch),
+/// [`solve_batch_with`](Self::solve_batch_with) — is the same column-wise
+/// driver on one or more columns: each column has its own right-hand side,
+/// solution, tolerance, cycle budget, warm start and history, and all running
+/// columns march through shared outer FGMRES cycles
+/// ([`fgmres_cycle`]).
 pub struct SolveSession {
     prepared: Arc<PreparedSolver>,
     counters: Arc<KernelCounters>,
@@ -1116,17 +1093,21 @@ impl SolveSession {
     }
 
     /// Number of times this session has (re)allocated its workspaces: 0
-    /// before the first solve, 1 from then on.  A steady-state solve never
-    /// bumps this.
+    /// before the first solve, 1 after it, one more each time a call arrives
+    /// with more columns than any before it (the one workspace set is
+    /// regrown to the wider panel).  A steady-state solve — no wider than the
+    /// widest so far — never bumps this.
     #[must_use]
     pub fn workspace_generation(&self) -> u64 {
         self.generation
     }
 
-    /// Heap bytes of this session's own mutable state: the outer FGMRES
-    /// workspace (plus the block twin if `solve_batch` allocated it), the
-    /// whole inner-solver chain, the true-residual scratch and the batched
-    /// RHS/solution panels.  0 before the first solve (workspaces are lazy).
+    /// Heap bytes of this session's own mutable state at its current column
+    /// capacity: the outer FGMRES workspace, the whole inner-solver chain,
+    /// the true-residual scratch and the packed right-hand-side / solution
+    /// panels.  0 before the first solve (workspaces are lazy).  There is one
+    /// workspace set whatever mix of single and batched solves the session
+    /// has served, so the figure depends only on the widest call.
     ///
     /// This is the *per-session* complement of
     /// [`PreparedSolver::storage_bytes`]: the shared matrix variants and
@@ -1135,21 +1116,11 @@ impl SolveSession {
     /// `storage_bytes() + s × workspace_bytes()` resident bytes in total.
     #[must_use]
     pub fn workspace_bytes(&self) -> u64 {
-        let Some(work) = &self.work else { return 0 };
-        let outer = match &work.outer {
-            OuterWorkspace::F64(ws) => ws.workspace_bytes(),
-            OuterWorkspace::F32(ws) => ws.workspace_bytes(),
-            OuterWorkspace::F16(ws) => ws.workspace_bytes(),
-        };
-        let block = work.block.as_ref().map_or(0, |b| {
-            let ws = match &b.outer {
-                OuterBlockWorkspace::F64(ws) => ws.workspace_bytes(),
-                OuterBlockWorkspace::F32(ws) => ws.workspace_bytes(),
-                OuterBlockWorkspace::F16(ws) => ws.workspace_bytes(),
-            };
-            ws + (b.bp.len() + b.xp.len()) as u64 * 8
-        });
-        outer + block + work.inner.workspace_bytes() + work.residual.len() as u64 * 8
+        self.work.as_ref().map_or(0, |work| {
+            work.outer.workspace_bytes()
+                + work.inner.workspace_bytes()
+                + (work.residual.len() + work.bp.len() + work.xp.len()) as u64 * 8
+        })
     }
 
     /// The escalation-ladder rung an adaptive session currently runs at
@@ -1161,55 +1132,115 @@ impl SolveSession {
         self.adaptive.as_ref().map(|run| run.rung)
     }
 
-    /// Allocate the level workspaces if this is the first solve.
-    fn ensure_work(&mut self) {
-        if self.work.is_some() {
-            return;
-        }
-        let spec = &self.prepared.spec;
-        let matrix = &self.prepared.matrix;
-        // An adaptive session builds its inner chain from the current ladder
-        // rung (which persists across solves); rung 0 is the spec itself.
-        let levels: &[LevelSpec] = match &self.adaptive {
-            Some(run) => &run.ladder[run.rung],
-            None => &spec.levels,
-        };
-        let inner: Box<dyn InnerSolver<f64>> = if levels.len() == 1 {
-            Box::new(PrecondInner::<f64>::new(
-                Arc::clone(&self.prepared.precond),
-                Arc::clone(&self.counters),
-                2,
-            ))
+    /// The inner-solver chain below the outermost level for `levels`
+    /// (outermost first).
+    fn build_inner(&self, levels: &[LevelSpec]) -> Box<dyn InnerSolver<f64>> {
+        let precond = &self.prepared.precond;
+        if levels.len() == 1 {
+            Box::new(PrecondInner::<f64>::new(Arc::clone(precond), Arc::clone(&self.counters), 2))
         } else {
-            build_child::<f64>(
-                &levels[1..],
-                2,
-                matrix,
-                &self.prepared.precond,
-                &self.counters,
-            )
-        };
-        let outer_basis = spec.levels[0].basis_precision().unwrap_or(Precision::Fp64);
-        let outer = OuterWorkspace::new(outer_basis, matrix.dim(), spec.levels[0].iterations());
-        self.work = Some(SessionWork {
-            inner,
-            outer,
-            residual: vec![0.0; matrix.dim()],
-            block: None,
-        });
+            build_child::<f64>(&levels[1..], 2, &self.prepared.matrix, precond, &self.counters)
+        }
+    }
+
+    /// Make the level workspaces hold `k` columns: allocate them on the
+    /// first solve, regrow the outer workspace and the packed panels when a
+    /// wider call arrives (the inner levels regrow themselves when the wider
+    /// panel reaches them).
+    fn ensure_work(&mut self, k: usize) {
+        let n = self.prepared.dim();
+        // A lone column runs on the caller's own vectors: only a session
+        // that has seen several needs panels to pack them into.
+        let panel = if k > 1 { n * k } else { 0 };
+        if let Some(work) = self.work.as_mut() {
+            if !work.outer.reserve_columns(k) {
+                return;
+            }
+            work.bp = vec![0.0; panel];
+            work.xp = vec![0.0; panel];
+        } else {
+            let spec = &self.prepared.spec;
+            // An adaptive session builds its inner chain from the current
+            // ladder rung (which persists across solves); rung 0 is the spec
+            // itself.
+            let levels: &[LevelSpec] = match &self.adaptive {
+                Some(run) => &run.ladder[run.rung],
+                None => &spec.levels,
+            };
+            let outer_basis = spec.levels[0].basis_precision().unwrap_or(Precision::Fp64);
+            self.work = Some(SessionWork {
+                inner: self.build_inner(levels),
+                outer: OuterWorkspace::new(outer_basis, n, spec.levels[0].iterations(), k),
+                residual: vec![0.0; n],
+                bp: vec![0.0; panel],
+                xp: vec![0.0; panel],
+            });
+        }
         self.generation += 1;
+    }
+
+    /// Move an adaptive session to `new_rung`: materialize the rung's matrix
+    /// variants from the lazy store (counting the newly faulted-in bytes),
+    /// rebuild the inner-solver chain against them, attribute the per-level
+    /// escalation/de-escalation events, and reset the rung-local detector
+    /// state of every column.  The outer workspace — and with it the outer
+    /// Krylov state — is untouched: the outermost level never changes, and
+    /// FGMRES is flexible, so a different inner solver between iterations is
+    /// legal by construction.
+    fn switch_rung(&mut self, new_rung: usize, at: &SwitchPoint, observer: Option<&mut (dyn SolveObserver + '_)>) {
+        let run = self.adaptive.as_ref().expect("only adaptive sessions switch");
+        let from_rung = run.rung;
+        let escalated = new_rung > from_rung;
+        let new_levels = run.ladder[new_rung].clone();
+        let matrix = &self.prepared.matrix;
+        let bytes_before = matrix.storage_bytes();
+        for level in &new_levels[1..] {
+            matrix.materialize(level.matrix_storage());
+        }
+        let faulted = matrix.storage_bytes().saturating_sub(bytes_before);
+        if faulted > 0 {
+            self.counters.record_switch_bytes(faulted);
+        }
+        for (depth0, (old, new)) in run.ladder[from_rung].iter().zip(&new_levels).enumerate().skip(1) {
+            if old != new {
+                if escalated {
+                    self.counters.record_escalation(depth0 + 1);
+                } else {
+                    self.counters.record_deescalation(depth0 + 1);
+                }
+            }
+        }
+        let inner = self.build_inner(&new_levels);
+        self.work.as_mut().expect("a switch happens mid-solve").inner = inner;
+        let run = self.adaptive.as_mut().expect("only adaptive sessions switch");
+        run.rung = new_rung;
+        run.healthy_cycles = 0;
+        // A de-escalated rung is on probation; an escalation ends one.
+        run.probation = !escalated;
+        run.reset_watches();
+        if let Some(obs) = observer {
+            obs.on_precision_switch(&PrecisionSwitchEvent {
+                cycle: at.cycle,
+                outer_iterations: at.outer_iterations,
+                true_relative_residual: at.true_relative_residual,
+                escalated,
+                from_rung,
+                to_rung: new_rung,
+                levels: new_levels,
+            });
+        }
     }
 
     /// Solve `A x = b` from the zero initial guess with the spec's tolerance
     /// and cycle budget, overwriting `x`.
     pub fn solve(&mut self, b: &[f64], x: &mut [f64]) -> SolveResult {
-        self.solve_impl(b, x, &SolveOptions::default(), None)
+        self.solve_one(b, x, &SolveOptions::default(), None)
     }
 
     /// Solve `A x = b` with per-solve overrides (warm start, tolerance,
     /// cycle budget).
     pub fn solve_with(&mut self, b: &[f64], x: &mut [f64], opts: &SolveOptions<'_>) -> SolveResult {
-        self.solve_impl(b, x, opts, None)
+        self.solve_one(b, x, opts, None)
     }
 
     /// Solve `A x = b` while reporting progress to `observer` (which may stop
@@ -1221,72 +1252,51 @@ impl SolveSession {
         opts: &SolveOptions<'_>,
         observer: &mut dyn SolveObserver,
     ) -> SolveResult {
-        self.solve_impl(b, x, opts, Some(observer))
+        self.solve_one(b, x, opts, Some(observer))
     }
 
-    /// Solve one system per right-hand side, reusing the session workspaces
-    /// across solves.  Each `xs[i]` is resized to the matrix dimension and
-    /// overwritten; every system starts from the zero initial guess and uses
-    /// the spec's tolerance and cycle budget.
-    ///
-    /// With two or more right-hand sides this delegates to
-    /// [`solve_batch`](Self::solve_batch): since all systems share one
-    /// matrix and one tolerance, batching is profitable from `k = 2` on —
-    /// every batched matrix pass serves all still-running systems, so the
-    /// dominant matrix-stream traffic drops to roughly `1/k` per right-hand
-    /// side with no change to any system's convergence path (each column
-    /// computes the same floating-point sequence as its sequential solve;
-    /// see [`crate::block`]).  The only observable differences are the ones
-    /// documented on `solve_batch`: per-result counters and timings report
-    /// batch totals, and adaptive Richardson weights see the interleaved
-    /// application order.  A single right-hand side takes the plain
-    /// [`solve`](Self::solve) path unchanged.
-    ///
-    /// # Panics
-    /// Panics if `bs` and `xs` have different lengths (the same contract,
-    /// with the same wording, as `solve_batch`) or a right-hand side has the
-    /// wrong length.
-    pub fn solve_many<B: AsRef<[f64]>>(&mut self, bs: &[B], xs: &mut [Vec<f64>]) -> Vec<SolveResult> {
-        assert_eq!(
-            bs.len(),
-            xs.len(),
-            "solve_many: need one solution vector per right-hand side"
-        );
-        if bs.len() >= 2 {
-            return self.solve_batch(bs, xs);
-        }
-        let n = self.prepared.dim();
-        bs.iter()
-            .zip(xs.iter_mut())
-            .map(|(b, x)| {
-                x.resize(n, 0.0);
-                self.solve(b.as_ref(), x)
-            })
-            .collect()
+    /// The one-column call of the driver.
+    fn solve_one(
+        &mut self,
+        b: &[f64],
+        x: &mut [f64],
+        opts: &SolveOptions<'_>,
+        observer: Option<&mut dyn SolveObserver>,
+    ) -> SolveResult {
+        self.drive(&[b], &mut [x], std::slice::from_ref(opts), observer)
+            .pop()
+            .expect("one result per column")
     }
 
-    /// Solve the `k = bs.len()` systems `A x_c = b_c` together, marching all
-    /// right-hand sides through shared outer FGMRES cycles, and return one
-    /// [`SolveResult`] per system (in input order).  Each `xs[c]` is resized
-    /// to the matrix dimension and overwritten; every system starts from the
-    /// zero initial guess and uses the spec's tolerance and cycle budget.
+    /// Solve the `k = bs.len()` systems `A x_c = b_c` together from the zero
+    /// initial guess with the spec's tolerance and cycle budget:
+    /// [`solve_batch_with`](Self::solve_batch_with) under default options.
+    pub fn solve_batch<B: AsRef<[f64]>>(&mut self, bs: &[B], xs: &mut [Vec<f64>]) -> Vec<SolveResult> {
+        self.solve_batch_with(bs, xs, &vec![SolveOptions::default(); bs.len()])
+    }
+
+    /// Solve the `k = bs.len()` systems `A x_c = b_c` together, column `c`
+    /// under `opts[c]` (its own warm start, tolerance and cycle budget), and
+    /// return one [`SolveResult`] per system (in input order).  Each `xs[c]`
+    /// is resized to the matrix dimension and overwritten.
     ///
-    /// Per iteration, the SpMVs of all still-running systems fuse into one
-    /// pass over the matrix ([`ProblemMatrix::apply_multi`]) on every FGMRES
-    /// level of the nesting hierarchy, so the dominant matrix-stream traffic
-    /// is paid once per batch instead of once per right-hand side.  Each
-    /// column still runs its own independent recurrence — same Arnoldi
-    /// process, same convergence checks against the same tolerance, bitwise
-    /// the same floating-point sequence as a sequential [`solve`](Self::solve)
+    /// All still-running columns march through shared outer FGMRES cycles:
+    /// per iteration, their products fuse into one pass over the matrix
+    /// ([`ProblemMatrix::apply_multi`]) on every FGMRES level of the nesting
+    /// hierarchy, so the dominant matrix-stream traffic is paid once per
+    /// batch instead of once per right-hand side.  Each column still runs
+    /// its own independent recurrence — same Arnoldi process, same
+    /// convergence checks against its own tolerance, bitwise the same
+    /// floating-point sequence as its own [`solve_with`](Self::solve_with)
     /// (except under adaptive Richardson levels, whose weight state evolves
     /// in application order; such specs still converge to the same
-    /// tolerance, just not bitwise identically).  Convergence is tracked per
-    /// column: a system that converges (true relative residual below the
-    /// spec tolerance) or breaks down is *deflated* — later cycles and
-    /// batched kernel calls no longer carry its column.
-    ///
-    /// A single right-hand side falls back to the plain sequential path;
-    /// with `k = 0` an empty result vector is returned.
+    /// tolerance, just not bitwise identically).  A column that converges
+    /// (true relative residual below its tolerance), breaks down or runs out
+    /// of its cycle budget is *deflated* — later cycles and batched kernel
+    /// calls no longer carry it; a lone running column is handed to the
+    /// cycle as the caller's own vectors.  One column *is*
+    /// [`solve_with`](Self::solve_with); with `k = 0` an empty result vector
+    /// is returned.
     ///
     /// Because the whole batch shares this session's kernel counters (reset
     /// once at batch start), the `counters`, `precond_applications` and
@@ -1299,155 +1309,273 @@ impl SolveSession {
     /// `counters.matrix_bytes_total() / counters.spmm_columns_total()`
     /// exposes the per-RHS matrix traffic the batching saves.
     ///
-    /// On an adaptive session (see [`SolverBuilder::adaptive`]) the batch
-    /// runs at the session's current escalation-ladder rung but does not
-    /// adapt mid-batch: stall detection needs the per-column residual
-    /// trajectory, and the batched cycle reports per-cycle only.  Solve one
-    /// representative system through [`solve`](Self::solve) first if the
-    /// matrix may need a wider rung; the rung it settles on carries over.
+    /// On an adaptive session (see [`SolverBuilder::adaptive`]) a batch
+    /// adapts like a single solve: stall detection is per column, and
+    /// because the columns share one inner chain the escalation is per
+    /// session — at a cycle boundary the chain is switched once if any
+    /// running column asked, for all of them, and only a column whose
+    /// residual went non-finite is rolled back to its cycle start.
     ///
     /// # Panics
-    /// Panics if `bs` and `xs` have different lengths or a right-hand side
-    /// is not `dim()` elements long.
-    pub fn solve_batch<B: AsRef<[f64]>>(&mut self, bs: &[B], xs: &mut [Vec<f64>]) -> Vec<SolveResult> {
+    /// Panics if `bs`, `xs` and `opts` differ in length, a right-hand side
+    /// or warm start is not `dim()` elements long, or an override is out of
+    /// range (like [`solve_with`](Self::solve_with)).
+    pub fn solve_batch_with<B: AsRef<[f64]>>(
+        &mut self,
+        bs: &[B],
+        xs: &mut [Vec<f64>],
+        opts: &[SolveOptions<'_>],
+    ) -> Vec<SolveResult> {
         assert_eq!(
             bs.len(),
             xs.len(),
             "solve_batch: need one solution vector per right-hand side"
         );
+        assert_eq!(bs.len(), opts.len(), "solve_batch: need one set of options per right-hand side");
+        let n = self.prepared.dim();
+        let bs: Vec<&[f64]> = bs.iter().map(AsRef::as_ref).collect();
+        let mut xs: Vec<&mut [f64]> = xs
+            .iter_mut()
+            .map(|x| {
+                x.resize(n, 0.0);
+                x.as_mut_slice()
+            })
+            .collect();
+        self.drive(&bs, &mut xs, opts, None)
+    }
+
+    /// The one solve driver: column `c` solves `A xs[c] = bs[c]` under
+    /// `opts[c]`.  An `observer` belongs to a one-column call.
+    fn drive(
+        &mut self,
+        bs: &[&[f64]],
+        xs: &mut [&mut [f64]],
+        opts: &[SolveOptions<'_>],
+        mut observer: Option<&mut dyn SolveObserver>,
+    ) -> Vec<SolveResult> {
         let k = bs.len();
+        debug_assert!(observer.is_none() || k == 1, "observers watch one column");
         if k == 0 {
             return Vec::new();
         }
         let n = self.prepared.dim();
-        if k == 1 {
-            xs[0].resize(n, 0.0);
-            return vec![self.solve(bs[0].as_ref(), &mut xs[0])];
-        }
-        for b in bs {
-            assert_eq!(b.as_ref().len(), n, "solve_batch: b length mismatch");
-        }
         let start = Instant::now();
-        self.ensure_work();
+        self.ensure_work(k);
         self.counters.reset();
-        let tol = self.prepared.spec.tol;
-        let max_cycles = self.prepared.spec.max_outer_cycles;
-        for x in xs.iter_mut() {
-            x.clear();
-            x.resize(n, 0.0);
-        }
-
-        // Per-column convergence bookkeeping (the O(k·cycles) result state
-        // every batch allocates — panels and workspaces are reused).
-        struct ColRun {
-            converged: bool,
-            stop_reason: StopReason,
-            outer_iterations: usize,
-            history: Vec<f64>,
-            done: bool,
-        }
-        let bnorms: Vec<f64> = bs.iter().map(|b| blas1::norm2(b.as_ref())).collect();
-        let mut runs: Vec<ColRun> = bnorms
-            .iter()
-            .map(|&bnorm| {
-                // x = 0 is the exact solution of a zero-RHS column, exactly
-                // as in the sequential path.
+        // An adaptive session may reset its cycle budget at every precision
+        // switch (a freshly widened chain deserves a full budget), bounded by
+        // a hard cap so a pathological matrix cannot loop forever; a
+        // fixed-precision session runs the plain budget.
+        let cap_factor = self
+            .adaptive
+            .as_ref()
+            .map_or(1, |run| 2 * run.policy.max_escalations + 2);
+        let mut runs: Vec<ColumnRun> = (0..k)
+            .map(|c| {
+                let (b, x, opts) = (bs[c], &mut *xs[c], &opts[c]);
+                assert_eq!(b.len(), n, "solve: b length mismatch");
+                assert_eq!(x.len(), n, "solve: x length mismatch");
+                // Per-solve overrides must satisfy the same invariants
+                // NestedSpec::check enforces on the spec values they replace.
+                let tol = opts.tol.unwrap_or(self.prepared.spec.tol);
+                assert!(!tol.is_nan() && tol > 0.0, "solve: tolerance override must be positive");
+                let max_cycles = opts.max_outer_cycles.unwrap_or(self.prepared.spec.max_outer_cycles);
+                assert!(max_cycles >= 1, "solve: need at least one outer cycle");
+                let bnorm = blas1::norm2(b);
+                // x = 0 is the exact solution of a zero right-hand side (also
+                // under a warm start).
                 let trivial = bnorm == 0.0;
-                ColRun {
-                    converged: trivial,
-                    stop_reason: if trivial {
-                        StopReason::Converged
-                    } else {
-                        StopReason::MaxIterations
-                    },
+                assert!(opts.x0.is_none_or(|x0| x0.len() == n), "solve: x0 length mismatch");
+                match opts.x0 {
+                    Some(x0) if !trivial => x.copy_from_slice(x0),
+                    _ => x.fill(0.0),
+                }
+                ColumnRun {
+                    bnorm,
+                    tol,
+                    max_cycles,
+                    hard_cap: max_cycles * cap_factor,
+                    warm: opts.x0.is_some(),
                     outer_iterations: 0,
                     history: Vec::new(),
+                    stop_reason: if trivial { StopReason::Converged } else { StopReason::MaxIterations },
                     done: trivial,
+                    switch_wanted: false,
+                    user_stopped: false,
                 }
             })
             .collect();
-        let abs_tols: Vec<f64> = bnorms.iter().map(|&bnorm| tol * bnorm).collect();
-
-        let spec = &self.prepared.spec;
-        let work = self.work.as_mut().expect("workspaces allocated by ensure_work");
-        if work.block.as_ref().is_none_or(|bw| bw.outer.max_columns() < k) {
-            let outer_basis = spec.levels[0].basis_precision().unwrap_or(Precision::Fp64);
-            work.block = Some(BlockWork {
-                outer: OuterBlockWorkspace::new(outer_basis, n, spec.levels[0].iterations(), k),
-                bp: vec![0.0; n * k],
-                xp: vec![0.0; n * k],
-            });
+        if let Some(run) = self.adaptive.as_mut() {
+            run.begin_solve(n, k);
         }
-        let SessionWork {
-            inner,
-            block,
-            residual,
-            ..
-        } = work;
-        let block = block.as_mut().expect("block workspaces just ensured");
 
+        // Columns of the call behind the columns of the cycle's panel, and
+        // their tolerances and warm flags in panel order.
         let mut packed: Vec<usize> = Vec::with_capacity(k);
-        let mut tols: Vec<f64> = Vec::with_capacity(k);
-        for cycle in 0..max_cycles {
+        let mut abs_tols: Vec<f64> = Vec::with_capacity(k);
+        let mut x_nonzero: Vec<bool> = Vec::with_capacity(k);
+        // Every running column has run every cycle so far, so the cycle
+        // counts are the driver's; only the budgets are per column.
+        let mut total_cycles = 0usize;
+        let mut cycles_since_switch = 0usize;
+        loop {
             packed.clear();
-            packed.extend(
-                runs.iter()
-                    .enumerate()
-                    .filter(|(_, r)| !r.done)
-                    .map(|(c, _)| c),
-            );
+            for (c, run) in runs.iter_mut().enumerate() {
+                // A column out of budget keeps its `MaxIterations` verdict.
+                run.done |= cycles_since_switch >= run.max_cycles || total_cycles >= run.hard_cap;
+                if !run.done {
+                    (run.switch_wanted, run.user_stopped) = (false, false);
+                    packed.push(c);
+                }
+            }
             let ka = packed.len();
             if ka == 0 {
                 break;
             }
-            // Pack the still-running columns into contiguous panels; deflated
-            // columns stop paying for matrix, preconditioner and basis work.
-            for (p, &c) in packed.iter().enumerate() {
-                block.bp[p * n..(p + 1) * n].copy_from_slice(bs[c].as_ref());
-                block.xp[p * n..(p + 1) * n].copy_from_slice(&xs[c]);
+            abs_tols.clear();
+            abs_tols.extend(packed.iter().map(|&c| runs[c].tol * runs[c].bnorm));
+            x_nonzero.clear();
+            x_nonzero.extend(packed.iter().map(|&c| runs[c].warm || total_cycles > 0));
+            let cycle = total_cycles;
+            let can_escalate = self.adaptive.as_ref().is_some_and(AdaptiveRun::can_escalate);
+            if can_escalate {
+                // Snapshot x so a column whose cycle breaks down in the
+                // narrow chain can be rolled back and retried one rung wider.
+                let run = self.adaptive.as_mut().expect("adaptive run present");
+                for &c in &packed {
+                    run.x_backup[c * n..(c + 1) * n].copy_from_slice(xs[c]);
+                }
             }
-            tols.clear();
-            tols.extend(packed.iter().map(|&c| abs_tols[c]));
-            let outcomes = block.outer.run_cycle(
-                BlockCycleParams {
+
+            let SessionWork {
+                inner,
+                outer,
+                residual,
+                bp,
+                xp,
+            } = self.work.as_mut().expect("workspaces allocated by ensure_work");
+            // A lone running column is the caller's own vectors; several are
+            // packed into contiguous panels, so deflated columns stop paying
+            // for matrix, preconditioner and basis work.
+            let lone = match packed[..] {
+                [c] => Some(c),
+                _ => None,
+            };
+            let (xs_cycle, bs_cycle): (&mut [f64], &[f64]) = match lone {
+                Some(c) => (&mut *xs[c], bs[c]),
+                None => {
+                    for (p, &c) in packed.iter().enumerate() {
+                        bp[p * n..(p + 1) * n].copy_from_slice(bs[c]);
+                        xp[p * n..(p + 1) * n].copy_from_slice(xs[c]);
+                    }
+                    (&mut xp[..ka * n], &bp[..ka * n])
+                }
+            };
+            let mut hook = OuterHook {
+                // (the closure shortens the trait object's lifetime bound)
+                observer: observer.as_deref_mut().map(|obs| -> &mut dyn SolveObserver { obs }),
+                watches: self.adaptive.as_mut().map(|run| &mut run.watches[..]),
+                runs: &mut runs,
+                packed: &packed,
+                cycle,
+                can_escalate,
+            };
+            let outcomes = outer.run_cycle(
+                CycleParams {
                     matrix: &self.prepared.matrix,
-                    mat_storage: spec.levels[0].matrix_storage(),
+                    mat_storage: self.prepared.spec.levels[0].matrix_storage(),
                     inner: inner.as_mut(),
-                    abs_tols: Some(&tols),
-                    x_nonzero: cycle > 0,
+                    abs_tols: Some(&abs_tols),
+                    x_nonzero: Some(&x_nonzero),
                     depth: 1,
                     counters: &self.counters,
+                    progress: Some(&mut hook),
                 },
-                &mut block.xp[..ka * n],
-                &block.bp[..ka * n],
+                xs_cycle,
+                bs_cycle,
                 ka,
             );
+
+            // Whether a still-running column asked for a wider chain, whether
+            // one stalled, and where: at the first column that asked, else at
+            // the last one still running.
+            let (mut asked, mut stalled) = (false, false);
+            let mut at = None;
             for (p, &c) in packed.iter().enumerate() {
-                xs[c].copy_from_slice(&block.xp[p * n..(p + 1) * n]);
-                let run = &mut runs[c];
-                let outcome = &outcomes[p];
+                if lone.is_none() {
+                    xs[c].copy_from_slice(&xp[p * n..(p + 1) * n]);
+                }
+                let (run, outcome) = (&mut runs[c], outcomes[p]);
                 run.outer_iterations += outcome.iterations;
                 let true_rel = self
                     .prepared
                     .matrix
-                    .true_relative_residual_with(&xs[c], bs[c].as_ref(), residual);
-                run.history.push(true_rel);
-                if !true_rel.is_finite() {
-                    run.stop_reason = StopReason::Breakdown;
-                    run.done = true;
-                    continue;
+                    .true_relative_residual_with(xs[c], bs[c], residual);
+                let sterile = outcome.breakdown && outcome.iterations == 0;
+                let mut column_asked = sterile;
+                if !true_rel.is_finite() && can_escalate {
+                    // Rescue: the narrow chain poisoned x — roll it back to
+                    // the cycle start and retry one rung wider (the
+                    // non-finite residual is not recorded; the rolled back x
+                    // is still the last valid iterate).
+                    let backup = &self.adaptive.as_ref().expect("adaptive run present").x_backup;
+                    xs[c].copy_from_slice(&backup[c * n..(c + 1) * n]);
+                    column_asked = true;
+                } else {
+                    run.history.push(true_rel);
+                    if !true_rel.is_finite() {
+                        run.finish(StopReason::Breakdown);
+                    } else if true_rel < run.tol {
+                        run.finish(StopReason::Converged);
+                    } else if run.user_stopped
+                        || observer.as_deref_mut().is_some_and(|obs| {
+                            let event = CycleEvent {
+                                cycle,
+                                outer_iterations: run.outer_iterations,
+                                true_relative_residual: true_rel,
+                            };
+                            obs.on_cycle_complete(&event) == SolveControl::Stop
+                        })
+                    {
+                        run.finish(StopReason::Stopped);
+                    } else if sterile && !can_escalate {
+                        // A breakdown that still produced iterations
+                        // restarts; only a sterile cycle is terminal.
+                        run.finish(StopReason::Breakdown);
+                    } else if let Some(adaptive) = self.adaptive.as_mut() {
+                        // Cycle-boundary stall check: a full cycle that
+                        // failed to shrink the true residual by the policy's
+                        // reduction factor counts as stalled even if the
+                        // per-iteration detector stayed quiet.
+                        let watch = &mut adaptive.watches[c];
+                        let boundary_stall = watch
+                            .last_cycle_rel
+                            .is_some_and(|prev| prev / true_rel < adaptive.policy.cycle_reduction);
+                        watch.last_cycle_rel = Some(true_rel);
+                        let column_stalled = run.switch_wanted || boundary_stall;
+                        stalled |= column_stalled;
+                        column_asked |= column_stalled;
+                    }
                 }
-                if true_rel < tol {
-                    run.converged = true;
-                    run.stop_reason = StopReason::Converged;
-                    run.done = true;
-                    continue;
+                if !run.done {
+                    if !asked {
+                        at = Some(SwitchPoint {
+                            cycle,
+                            outer_iterations: run.outer_iterations,
+                            true_relative_residual: true_rel,
+                        });
+                    }
+                    asked |= column_asked;
                 }
-                // As in the sequential path, a breakdown that still produced
-                // iterations restarts; only a sterile cycle is terminal.
-                if outcome.breakdown && outcome.iterations == 0 {
-                    run.stop_reason = StopReason::Breakdown;
-                    run.done = true;
+            }
+
+            total_cycles += 1;
+            cycles_since_switch += 1;
+            // `at` is set exactly when a column is still running.
+            if let (Some(adaptive), Some(at)) = (self.adaptive.as_mut(), at) {
+                if let Some(new_rung) = adaptive.next_rung(can_escalate, asked, stalled) {
+                    self.switch_rung(new_rung, &at, observer.as_deref_mut());
+                    cycles_since_switch = 0;
                 }
             }
         }
@@ -1456,10 +1584,14 @@ impl SolveSession {
         let snapshot = self.counters.snapshot();
         runs.into_iter()
             .map(|run| SolveResult {
-                converged: run.converged,
+                converged: run.stop_reason == StopReason::Converged,
                 stop_reason: run.stop_reason,
                 outer_iterations: run.outer_iterations,
                 precond_applications: snapshot.precond_applies,
+                // `x` has not changed since the column's last in-loop
+                // residual evaluation, so reuse it instead of paying another
+                // fp64 SpMV (the zero-rhs path has no history and is exact by
+                // construction).
                 final_relative_residual: run.history.last().copied().unwrap_or(0.0),
                 seconds,
                 residual_history: run.history,
@@ -1468,258 +1600,6 @@ impl SolveSession {
                 fingerprint: Some(self.prepared.fingerprint),
             })
             .collect()
-    }
-
-    fn solve_impl(
-        &mut self,
-        b: &[f64],
-        x: &mut [f64],
-        opts: &SolveOptions<'_>,
-        mut observer: Option<&mut dyn SolveObserver>,
-    ) -> SolveResult {
-        let n = self.prepared.dim();
-        assert_eq!(b.len(), n, "solve: b length mismatch");
-        assert_eq!(x.len(), n, "solve: x length mismatch");
-        let start = Instant::now();
-        self.ensure_work();
-        self.counters.reset();
-        // Per-solve overrides must satisfy the same invariants NestedSpec::check
-        // enforces on the spec values they replace.
-        let tol = opts.tol.unwrap_or(self.prepared.spec.tol);
-        assert!(
-            !tol.is_nan() && tol > 0.0,
-            "solve: tolerance override must be positive"
-        );
-        let max_cycles = opts.max_outer_cycles.unwrap_or(self.prepared.spec.max_outer_cycles);
-        assert!(max_cycles >= 1, "solve: need at least one outer cycle");
-        let warm = match opts.x0 {
-            Some(x0) => {
-                assert_eq!(x0.len(), n, "solve: x0 length mismatch");
-                x.copy_from_slice(x0);
-                true
-            }
-            None => {
-                for xi in x.iter_mut() {
-                    *xi = 0.0;
-                }
-                false
-            }
-        };
-
-        let bnorm = blas1::norm2(b);
-        let mut history = Vec::new();
-        let mut outer_iterations = 0usize;
-        let mut stop_reason = StopReason::MaxIterations;
-        let mut converged = false;
-
-        if bnorm == 0.0 {
-            // x = 0 is the exact solution (also under a warm start).
-            for xi in x.iter_mut() {
-                *xi = 0.0;
-            }
-            converged = true;
-            stop_reason = StopReason::Converged;
-        } else {
-            let abs_tol = tol * bnorm;
-            // An adaptive session may reset its cycle budget at every
-            // precision switch (a freshly widened chain deserves a full
-            // budget), bounded by a hard cap so a pathological matrix cannot
-            // loop forever; a fixed-precision session runs the plain
-            // `max_cycles` budget.
-            let hard_cap = match &self.adaptive {
-                Some(run) => max_cycles * (2 * run.policy.max_escalations + 2),
-                None => max_cycles,
-            };
-            if let Some(run) = self.adaptive.as_mut() {
-                run.begin_solve(n);
-            }
-            let mut total_cycles = 0usize;
-            let mut cycles_since_switch = 0usize;
-            'outer: while cycles_since_switch < max_cycles && total_cycles < hard_cap {
-                let cycle = total_cycles;
-                let can_escalate = self
-                    .adaptive
-                    .as_ref()
-                    .is_some_and(AdaptiveRun::can_escalate);
-                if can_escalate {
-                    // Snapshot x so a cycle that breaks down in the narrow
-                    // chain can be rolled back and retried one rung wider.
-                    let run = self.adaptive.as_mut().expect("adaptive run present");
-                    run.x_backup.copy_from_slice(x);
-                }
-                let spec = &self.prepared.spec;
-                let work = self.work.as_mut().expect("workspaces allocated by ensure_work");
-                let mut hook = OuterHook {
-                    user: observer.as_deref_mut().map(|obs| ProgressAdapter {
-                        observer: obs,
-                        bnorm,
-                        cycle,
-                        outer_before: outer_iterations,
-                    }),
-                    detector: self.adaptive.as_mut().map(|run| &mut run.detector),
-                    bnorm,
-                    can_escalate,
-                    switch_wanted: false,
-                    user_stopped: false,
-                };
-                let have_hook = hook.user.is_some() || hook.detector.is_some();
-                let outcome = work.outer.run_cycle(
-                    CycleParams {
-                        matrix: &self.prepared.matrix,
-                        mat_storage: spec.levels[0].matrix_storage(),
-                        inner: work.inner.as_mut(),
-                        abs_tol: Some(abs_tol),
-                        x_nonzero: warm || total_cycles > 0,
-                        depth: 1,
-                        counters: &self.counters,
-                        progress: have_hook.then_some(&mut hook as &mut dyn CycleProgress),
-                    },
-                    x,
-                    b,
-                );
-                let switch_wanted = hook.switch_wanted;
-                let observer_stopped = hook.user_stopped;
-                outer_iterations += outcome.iterations;
-                let true_rel =
-                    self.prepared
-                        .matrix
-                        .true_relative_residual_with(x, b, &mut work.residual);
-                if !true_rel.is_finite() {
-                    if can_escalate {
-                        // Rescue: the narrow chain poisoned x — roll it back
-                        // to the cycle start and retry one rung wider (the
-                        // non-finite residual is not recorded; the rolled
-                        // back x is still the last valid iterate).
-                        let run = self.adaptive.as_mut().expect("adaptive run present");
-                        x.copy_from_slice(&run.x_backup);
-                        let new_rung = run.rung + 1;
-                        run.escalations += 1;
-                        if run.probation {
-                            run.floor = new_rung;
-                            run.probation = false;
-                        }
-                        let work = self.work.as_mut().expect("workspaces exist");
-                        let ctx = SwitchContext {
-                            prepared: &self.prepared,
-                            counters: &self.counters,
-                            cycle,
-                            outer_iterations,
-                            true_relative_residual: true_rel,
-                        };
-                        switch_rung(run, work, new_rung, &ctx, observer.as_deref_mut());
-                        cycles_since_switch = 0;
-                        total_cycles += 1;
-                        continue 'outer;
-                    }
-                    history.push(true_rel);
-                    stop_reason = StopReason::Breakdown;
-                    break 'outer;
-                }
-                history.push(true_rel);
-                if true_rel < tol {
-                    converged = true;
-                    stop_reason = StopReason::Converged;
-                    break 'outer;
-                }
-                if observer_stopped {
-                    stop_reason = StopReason::Stopped;
-                    break 'outer;
-                }
-                if let Some(obs) = observer.as_deref_mut() {
-                    let event = CycleEvent {
-                        cycle,
-                        outer_iterations,
-                        true_relative_residual: true_rel,
-                    };
-                    if obs.on_cycle_complete(&event) == SolveControl::Stop {
-                        stop_reason = StopReason::Stopped;
-                        break 'outer;
-                    }
-                }
-                let sterile = outcome.breakdown && outcome.iterations == 0;
-                if sterile && !can_escalate {
-                    stop_reason = StopReason::Breakdown;
-                    break 'outer;
-                }
-                if let Some(run) = self.adaptive.as_mut() {
-                    // Cycle-boundary stall check: a full cycle that failed to
-                    // shrink the true residual by the policy's reduction
-                    // factor counts as stalled even if the per-iteration
-                    // detector stayed quiet.
-                    let boundary_stall = run
-                        .last_cycle_rel
-                        .is_some_and(|prev| prev / true_rel < run.policy.cycle_reduction);
-                    run.last_cycle_rel = Some(true_rel);
-                    if can_escalate && (switch_wanted || boundary_stall || sterile) {
-                        let new_rung = run.rung + 1;
-                        run.escalations += 1;
-                        if run.probation {
-                            run.floor = new_rung;
-                            run.probation = false;
-                        }
-                        let work = self.work.as_mut().expect("workspaces exist");
-                        let ctx = SwitchContext {
-                            prepared: &self.prepared,
-                            counters: &self.counters,
-                            cycle,
-                            outer_iterations,
-                            true_relative_residual: true_rel,
-                        };
-                        switch_rung(run, work, new_rung, &ctx, observer.as_deref_mut());
-                        cycles_since_switch = 0;
-                        total_cycles += 1;
-                        continue 'outer;
-                    }
-                    if !switch_wanted && !boundary_stall {
-                        run.healthy_cycles += 1;
-                        if let Some(after) = run.policy.deescalate_after {
-                            if run.healthy_cycles >= after {
-                                if run.probation {
-                                    // The narrow rung survived its probation:
-                                    // it is the session's rung for good.
-                                    run.probation = false;
-                                    run.healthy_cycles = 0;
-                                } else if run.rung > run.floor {
-                                    let new_rung = run.rung - 1;
-                                    let work = self.work.as_mut().expect("workspaces exist");
-                                    let ctx = SwitchContext {
-                                        prepared: &self.prepared,
-                                        counters: &self.counters,
-                                        cycle,
-                                        outer_iterations,
-                                        true_relative_residual: true_rel,
-                                    };
-                                    switch_rung(run, work, new_rung, &ctx, observer.as_deref_mut());
-                                    run.probation = true;
-                                    cycles_since_switch = 0;
-                                    total_cycles += 1;
-                                    continue 'outer;
-                                }
-                            }
-                        }
-                    }
-                }
-                total_cycles += 1;
-                cycles_since_switch += 1;
-            }
-        }
-
-        // `x` has not changed since the last in-loop residual evaluation, so
-        // reuse it instead of paying another fp64 SpMV (the zero-rhs path has
-        // no history and is exact by construction).
-        let final_rel = history.last().copied().unwrap_or(0.0);
-        SolveResult {
-            converged,
-            stop_reason,
-            outer_iterations,
-            precond_applications: self.counters.snapshot().precond_applies,
-            final_relative_residual: final_rel,
-            seconds: start.elapsed().as_secs_f64(),
-            residual_history: history,
-            counters: self.counters.snapshot(),
-            solver_name: self.prepared.spec.name.clone(),
-            fingerprint: Some(self.prepared.fingerprint),
-        }
     }
 }
 
@@ -2065,29 +1945,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_individual_solves() {
-        let prepared = small_prepared();
-        let n = prepared.dim();
-        let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 100 + s)).collect();
-        let mut xs = vec![Vec::new(); 3];
-        let mut session = prepared.session();
-        let results = session.solve_many(&bs, &mut xs);
-        assert_eq!(results.len(), 3);
-        for (i, r) in results.iter().enumerate() {
-            assert!(r.converged, "rhs {i}: {r}");
-            let mut x_ref = vec![0.0; n];
-            let mut fresh = prepared.session();
-            fresh.solve(&bs[i], &mut x_ref);
-            // A session reuses Richardson weight state across solves, so
-            // compare against the residual level rather than bitwise here
-            // (bitwise determinism is covered by the integration tests).
-            assert!(prepared.matrix().true_relative_residual(&xs[i], &bs[i]) < 1e-8);
-            assert!(prepared.matrix().true_relative_residual(&x_ref, &bs[i]) < 1e-8);
-        }
-        assert_eq!(session.workspace_generation(), 1);
-    }
-
-    #[test]
     fn solve_batch_columns_are_bitwise_equal_to_sequential_solves() {
         // FGMRES-only chain: every batched column computes the exact
         // floating-point sequence of its sequential solve, so solutions,
@@ -2138,21 +1995,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_delegates_to_the_batched_path() {
-        let prepared = small_prepared();
-        let n = prepared.dim();
-        let bs: Vec<Vec<f64>> = (0..2).map(|s| random_rhs(n, 300 + s)).collect();
-        let mut xs = vec![Vec::new(); 2];
-        let results = prepared.session().solve_many(&bs, &mut xs);
-        // Batched matrix passes only exist on the solve_batch path.
-        assert!(results[0].counters.total_spmm() > 0);
-        let mut xb = vec![Vec::new(); 2];
-        let batched = prepared.session().solve_batch(&bs, &mut xb);
-        assert_eq!(xs, xb);
-        assert_eq!(results[0].outer_iterations, batched[0].outer_iterations);
-    }
-
-    #[test]
     #[should_panic(expected = "solve_batch: need one solution vector per right-hand side")]
     fn solve_batch_mismatched_lengths_panic() {
         let prepared = small_prepared();
@@ -2162,7 +2004,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "solve_batch: b length mismatch")]
+    #[should_panic(expected = "b length mismatch")]
     fn solve_batch_short_rhs_panics() {
         let prepared = small_prepared();
         let bs = vec![vec![0.0; prepared.dim()], vec![0.0; 3]];

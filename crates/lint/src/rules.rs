@@ -544,7 +544,6 @@ const CAST_SCOPE: &[&str] = &[
     "crates/simd/src/",
     "crates/precond/src/trisolve.rs",
     "crates/core/src/basis.rs",
-    "crates/core/src/block.rs",
     "crates/core/src/fgmres.rs",
     "crates/core/src/richardson.rs",
 ];

@@ -90,11 +90,14 @@ impl std::error::Error for SubmitError {}
 /// Owned per-request solve options.
 ///
 /// The borrowed [`SolveOptions`] cannot cross the queue, so requests carry an
-/// owned mirror.  Options apply to **single-RHS requests only**: the fused
-/// batch path ([`SolveSession::solve_batch`](f3r_core::session::SolveSession::solve_batch))
-/// runs every column under the spec's own tolerance and cycle budget, so a
-/// batch submitted with options fails fast in [`ServeHandle::submit_batch`]
-/// rather than silently ignoring them.
+/// owned mirror.  A request's options apply to **every** right-hand side it
+/// carries: the worker hands each column of a batch the same `tol` and
+/// `max_outer_cycles`
+/// ([`SolveSession::solve_batch_with`](f3r_core::session::SolveSession::solve_batch_with)),
+/// so each served column is bitwise its own `solve_with`.  The one exception
+/// is `x0`: one warm start cannot stand for several columns, so a multi-RHS
+/// batch carrying one fails fast in [`ServeHandle::submit_batch`] rather than
+/// guessing.
 #[derive(Debug, Clone, Default)]
 pub struct RequestOptions {
     /// Warm-start initial guess (default: the zero vector).
@@ -106,10 +109,6 @@ pub struct RequestOptions {
 }
 
 impl RequestOptions {
-    fn is_default(&self) -> bool {
-        self.x0.is_none() && self.tol.is_none() && self.max_outer_cycles.is_none()
-    }
-
     fn as_solve_options(&self) -> SolveOptions<'_> {
         SolveOptions {
             x0: self.x0.as_deref(),
@@ -249,19 +248,20 @@ impl ServeHandle {
     }
 
     /// Submit a batch of right-hand sides solved by one fused
-    /// [`solve_batch`](f3r_core::session::SolveSession::solve_batch) call.
+    /// [`solve_batch_with`](f3r_core::session::SolveSession::solve_batch_with)
+    /// call, every column under `opts`' tolerance and cycle budget.
     ///
     /// # Errors
-    /// As [`submit`](Self::submit); additionally rejects non-default `opts`
-    /// (the fused batch path has no per-request overrides — see
-    /// [`RequestOptions`]) and empty batches with [`SubmitError::Rejected`].
+    /// As [`submit`](Self::submit); additionally rejects an empty batch, and
+    /// an `x0` on a batch of more than one right-hand side (see
+    /// [`RequestOptions`]), with [`SubmitError::Rejected`].
     pub fn submit_batch(
         &self,
         solver: &CachedSolver,
         bs: Vec<Vec<f64>>,
         opts: RequestOptions,
     ) -> Result<Ticket, SubmitError> {
-        if bs.is_empty() || (bs.len() > 1 && !opts.is_default()) {
+        if bs.is_empty() || (bs.len() > 1 && opts.x0.is_some()) {
             return Err(SubmitError::Rejected { queue_depth: 0 });
         }
         self.enqueue(solver, bs, opts)
@@ -400,12 +400,7 @@ fn worker_loop(shared: &Shared) {
         let n = session.prepared().matrix().dim();
         let k = job.rhs.len();
         let mut xs = vec![vec![0.0; n]; k];
-        let results = if k == 1 {
-            let opts = job.opts.as_solve_options();
-            vec![session.solve_with(&job.rhs[0], &mut xs[0], &opts)]
-        } else {
-            session.solve_batch(&job.rhs, &mut xs)
-        };
+        let results = session.solve_batch_with(&job.rhs, &mut xs, &vec![job.opts.as_solve_options(); k]);
         drop(session);
 
         {

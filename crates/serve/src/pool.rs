@@ -4,8 +4,10 @@
 //! weights settled) solving ~35% faster than a cold one.  A [`SessionPool`]
 //! turns that into a serving-layer primitive: sessions are checked out for
 //! one request and returned on drop, so the *next* request over the same
-//! solver reuses the workspaces (`workspace_generation()` stays at 1 — zero
-//! reallocations on the warm path) and inherits the settled weights.
+//! solver reuses the workspaces (`workspace_generation()` stays put — zero
+//! reallocations on the warm path; it counts every (re)allocation of the
+//! session's one workspace set, so only a request wider than any the session
+//! has served moves it) and inherits the settled weights.
 //!
 //! The pool holds at most `max_idle` parked sessions; returns beyond the
 //! high-water cap drop the session instead, so idle workspaces are reclaimed
@@ -98,8 +100,9 @@ impl SessionPool {
     }
 
     /// Total workspace bytes held by the parked sessions
-    /// ([`SolveSession::workspace_bytes`] summed) — what the high-water cap
-    /// is actually bounding.
+    /// ([`SolveSession::workspace_bytes`] summed: one workspace set per
+    /// session, as wide as the widest request it has served) — what the
+    /// high-water cap is actually bounding.
     #[must_use]
     pub fn idle_workspace_bytes(&self) -> u64 {
         self.idle

@@ -914,75 +914,6 @@ pub fn sum<T: Scalar>(x: &[T]) -> f64 {
     total
 }
 
-// ---------------------------------------------------------------------------
-// Panel (blocked multi-vector) kernels.
-//
-// The blocked Gram–Schmidt of the batched FGMRES path orthogonalizes k
-// independent Krylov recurrences at once.  The panel kernels below walk a
-// column-major panel (`xs[c*n .. (c+1)*n]` is column c) column by column
-// through the optimized single-vector kernels above — the columns are
-// *disjoint* vectors, so unlike the SpMM kernels there is no shared operand
-// whose traffic a deeper fusion could amortize; a fused k-wide sweep would
-// move exactly the same bytes.  Keeping the per-column kernels also keeps
-// every column bit-identical to the corresponding single-vector call, which
-// is what makes the batched solver's per-column parity testable.
-// ---------------------------------------------------------------------------
-
-/// Per-column dot products of two column-major panels:
-/// `out[c] = xs_cᵀ ys_c` for `c in 0..k`.
-///
-/// Each column runs the dispatched [`dot`] kernel, so the results are
-/// bitwise identical to k separate `dot` calls.
-///
-/// # Panics
-/// Panics if `xs.len() != ys.len()` or the length is not a multiple of `k`.
-#[must_use]
-pub fn dot_panel<T: Scalar>(xs: &[T], ys: &[T], k: usize) -> Vec<f64> {
-    assert_eq!(xs.len(), ys.len(), "dot_panel: length mismatch");
-    let n = panel_height(xs.len(), k, "dot_panel");
-    (0..k)
-        .map(|c| dot(&xs[c * n..(c + 1) * n], &ys[c * n..(c + 1) * n]))
-        .collect()
-}
-
-/// Per-column axpy on column-major panels: `ys_c += alphas[c] · xs_c` for
-/// each of the `alphas.len()` columns (bitwise identical to per-column
-/// [`axpy`] calls).
-///
-/// # Panics
-/// Panics if `xs.len() != ys.len()` or the length is not
-/// `alphas.len() · n` for a whole `n`.
-pub fn axpy_panel<T: Scalar>(alphas: &[f64], xs: &[T], ys: &mut [T]) {
-    assert_eq!(xs.len(), ys.len(), "axpy_panel: length mismatch");
-    let k = alphas.len();
-    let n = panel_height(xs.len(), k, "axpy_panel");
-    for (c, &alpha) in alphas.iter().enumerate() {
-        axpy(alpha, &xs[c * n..(c + 1) * n], &mut ys[c * n..(c + 1) * n]);
-    }
-}
-
-/// Per-column Euclidean norms of a column-major panel:
-/// `out[c] = ‖xs_c‖₂` (bitwise identical to per-column [`norm2`] calls).
-///
-/// # Panics
-/// Panics if the length is not a multiple of `k`.
-#[must_use]
-pub fn norm2_panel<T: Scalar>(xs: &[T], k: usize) -> Vec<f64> {
-    let n = panel_height(xs.len(), k, "norm2_panel");
-    (0..k).map(|c| norm2(&xs[c * n..(c + 1) * n])).collect()
-}
-
-/// Panel height `n` from a total length and column count, validating that
-/// the panel is rectangular (zero columns require zero length).
-fn panel_height(len: usize, k: usize, kernel: &str) -> usize {
-    if k == 0 {
-        assert_eq!(len, 0, "{kernel}: zero-column panel must be empty");
-        return 0;
-    }
-    assert_eq!(len % k, 0, "{kernel}: panel length not a multiple of k");
-    len / k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1358,44 +1289,5 @@ mod tests {
         for (a, b) in y1.iter().zip(y2.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn panel_kernels_match_per_column_calls() {
-        for &(n, k) in &[(1usize, 1usize), (7, 3), (33, 5), (100, 8), (4097, 2)] {
-            let xs: Vec<f64> = (0..n * k).map(|i| ((i as f64) * 0.37).sin()).collect();
-            let ys0: Vec<f64> = (0..n * k).map(|i| ((i as f64) * 0.11).cos()).collect();
-            let alphas: Vec<f64> = (0..k).map(|c| 0.5 - 0.25 * c as f64).collect();
-
-            let dots = dot_panel(&xs, &ys0, k);
-            let norms = norm2_panel(&xs, k);
-            let mut ys = ys0.clone();
-            axpy_panel(&alphas, &xs, &mut ys);
-            for c in 0..k {
-                let xc = &xs[c * n..(c + 1) * n];
-                let yc0 = &ys0[c * n..(c + 1) * n];
-                assert_eq!(dots[c], dot(xc, yc0), "n {n} k {k} dot col {c}");
-                assert_eq!(norms[c], norm2(xc), "n {n} k {k} norm col {c}");
-                let mut want = yc0.to_vec();
-                axpy(alphas[c], xc, &mut want);
-                assert_eq!(&ys[c * n..(c + 1) * n], &want[..], "n {n} k {k} axpy col {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn panel_kernels_accept_empty_panels() {
-        let e: Vec<f32> = vec![];
-        assert!(dot_panel(&e, &e, 0).is_empty());
-        assert!(norm2_panel(&e, 0).is_empty());
-        let mut y: Vec<f32> = vec![];
-        axpy_panel(&[], &e, &mut y);
-    }
-
-    #[test]
-    #[should_panic(expected = "dot_panel: panel length not a multiple of k")]
-    fn panel_length_mismatch_panics() {
-        let xs = vec![0.0f64; 7];
-        let _ = dot_panel(&xs, &xs, 2);
     }
 }

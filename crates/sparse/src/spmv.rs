@@ -177,6 +177,14 @@ pub fn spmv_residual<TA: Scalar, TV: Scalar>(
     }
 }
 
+/// Sum the per-task `(uᵀ y, yᵀ y)` partials of a fused dot sweep in task
+/// order.
+fn sum_dot2(partials: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+    partials
+        .into_iter()
+        .fold((0.0, 0.0), |(a0, a1), (b0, b1)| (a0 + b0, a1 + b1))
+}
+
 /// Fused SpMV + dual dot product: computes `y = A x` and returns
 /// `(uᵀ y, yᵀ y)` from the same sweep, with the dots accumulated in `f64`.
 ///
@@ -209,14 +217,13 @@ pub fn spmv_dot2<TA: Scalar, TV: Scalar>(
         }
         (uy, yy)
     };
-    let partials = if a.n_rows() >= PAR_ROW_THRESHOLD {
-        f3r_parallel::par_map_chunks_mut(y, MIN_ROWS_PER_TASK, body)
+    if a.n_rows() >= PAR_ROW_THRESHOLD {
+        sum_dot2(f3r_parallel::par_map_chunks_mut(y, MIN_ROWS_PER_TASK, body))
     } else {
-        vec![body(0, y)]
-    };
-    partials
-        .into_iter()
-        .fold((0.0, 0.0), |(a0, a1), (b0, b1)| (a0 + b0, a1 + b1))
+        // Inline: one partial, folded like the pool's (same bits), with no
+        // vector built to hold it.
+        sum_dot2([body(0, y)])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -330,14 +337,13 @@ pub fn spmv_scaled_dot2<TA: Scalar, TV: Scalar>(
         }
         (uy, yy)
     };
-    let partials = if a.n_rows() >= PAR_ROW_THRESHOLD {
-        f3r_parallel::par_map_chunks_mut(y, MIN_ROWS_PER_TASK, body)
+    if a.n_rows() >= PAR_ROW_THRESHOLD {
+        sum_dot2(f3r_parallel::par_map_chunks_mut(y, MIN_ROWS_PER_TASK, body))
     } else {
-        vec![body(0, y)]
-    };
-    partials
-        .into_iter()
-        .fold((0.0, 0.0), |(a0, a1), (b0, b1)| (a0 + b0, a1 + b1))
+        // Inline: one partial, folded like the pool's (same bits), with no
+        // vector built to hold it.
+        sum_dot2([body(0, y)])
+    }
 }
 
 /// Sequential scaled sliced-ELLPACK SpMV: `y = A x`.

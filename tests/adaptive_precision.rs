@@ -10,7 +10,11 @@
 //!   Scaled(Fp32) configuration),
 //! * after sustained progress at a wider rung the policy de-escalates and
 //!   actually re-engages the fp16 stream, still converging,
-//! * the escalated rung persists across solves of one session.
+//! * the escalated rung persists across solves of one session,
+//! * a batch adapts like a single solve: a stalled three-column batch
+//!   escalates (once per switch, for all its columns) and converges
+//!   hands-off, and a benign batch never escalates and is bitwise the
+//!   fixed-spec batch.
 
 use std::sync::Arc;
 
@@ -229,4 +233,65 @@ fn escalated_rung_persists_across_solves_of_a_session() {
         r2.counters.total_escalations(),
         first_escalations
     );
+}
+
+#[test]
+fn stalled_three_column_batch_escalates_and_converges_hands_off() {
+    let pm = Arc::new(ProblemMatrix::from_csr(wide_system(24, 4.0)));
+    let n = pm.dim();
+    let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 44 + s)).collect();
+    let build = |adaptive: bool| {
+        let builder = SolverBuilder::new(Arc::clone(&pm))
+            .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
+            .precond(PrecondKind::Jacobi)
+            .max_outer_cycles(10);
+        if adaptive { builder.adaptive_default() } else { builder }.build()
+    };
+
+    // The fixed Scaled(Fp16) batch stalls like the fixed single solve.
+    let mut xs = vec![Vec::new(); 3];
+    let fixed = build(false).session().solve_batch(&bs, &mut xs);
+    assert!(fixed.iter().all(|r| !r.converged));
+
+    let mut session = build(true).session();
+    let results = session.solve_batch(&bs, &mut xs);
+    for (c, r) in results.iter().enumerate() {
+        assert!(r.converged, "column {c}: {r}");
+        assert!(pm.true_relative_residual(&xs[c], &bs[c]) < 1e-8, "column {c}");
+    }
+    // The chain is shared: the batch climbed the ladder once for all its
+    // columns — no more switches than the ladder has rungs to climb — and
+    // the session stays on the rung it reached.
+    let escalations = results[0].counters.total_escalations();
+    let rung = session.adaptive_rung().unwrap();
+    assert!(escalations >= 1 && rung >= 1);
+    assert_eq!(escalations as usize, rung, "one switch per rung, not per column");
+    assert!(results[0].counters.switch_bytes > 0);
+}
+
+#[test]
+fn benign_batch_never_escalates_and_is_bitwise_the_fixed_spec_batch() {
+    let pm = Arc::new(ProblemMatrix::from_csr(jacobi_scale(&poisson2d_5pt(24, 24))));
+    let n = pm.dim();
+    let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 7 + s)).collect();
+    let builder = || {
+        SolverBuilder::new(Arc::clone(&pm))
+            .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
+            .precond(PrecondKind::Jacobi)
+    };
+    let mut xs_fixed = vec![Vec::new(); 3];
+    let fixed = builder().build().session().solve_batch(&bs, &mut xs_fixed);
+
+    let mut session = builder().adaptive_default().build().session();
+    let mut xs = vec![Vec::new(); 3];
+    let results = session.solve_batch(&bs, &mut xs);
+    assert_eq!(session.adaptive_rung(), Some(0));
+    assert_eq!(results[0].counters.total_escalations(), 0);
+    assert_eq!(results[0].counters.switch_bytes, 0);
+    for c in 0..3 {
+        assert!(results[c].converged, "column {c}: {}", results[c]);
+        assert_eq!(results[c].outer_iterations, fixed[c].outer_iterations, "column {c}");
+        assert_eq!(results[c].residual_history, fixed[c].residual_history, "column {c}");
+        assert_eq!(xs[c], xs_fixed[c], "column {c}");
+    }
 }

@@ -203,19 +203,19 @@ fn mixed_convergence_deflates_finished_columns() {
 }
 
 #[test]
-fn solve_many_and_solve_batch_share_the_mismatch_contract() {
-    // Both entry points document the same panic; pin the messages so they
-    // stay consistent.
+fn solve_batch_and_solve_batch_with_share_the_mismatch_contract() {
+    // Both batch entry points document the same panic; pin the message so
+    // they stay consistent.
     let prepared = laplacian_prepared(LevelSpec::fgmres(5, Precision::Fp64, Precision::Fp64), None);
     let bs = vec![vec![0.0; prepared.dim()]; 2];
-    for batch in [false, true] {
+    for with_options in [false, true] {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut xs = vec![Vec::new(); 3];
             let mut session = prepared.session();
-            if batch {
-                session.solve_batch(&bs, &mut xs)
+            if with_options {
+                session.solve_batch_with(&bs, &mut xs, &[SolveOptions::new(); 2])
             } else {
-                session.solve_many(&bs, &mut xs)
+                session.solve_batch(&bs, &mut xs)
             }
         }))
         .unwrap_err();

@@ -4,50 +4,20 @@
 //! the pool.  Scratch is per thread and outlives the call, so only the first
 //! applications of a thread pay.
 //!
-//! One test in a binary of its own: the counting allocator is global, and a
-//! second test running beside it would be counted too.
+//! One test in a binary of its own: the counting allocator (`tests/common`)
+//! is global, and a second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
 use std::sync::Barrier;
 
+use common::allocations;
 use f3r::core::precond_any::AnyPrecond;
 use f3r::precision::{KernelCounters, Precision, Scalar};
 use f3r::precond::PrecondKind;
 use f3r::sparse::gen::{hpcg_matrix, hpgmp_matrix};
 use f3r::sparse::scaling::jacobi_scale;
 use half::f16;
-
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards to `System` unchanged; the counter is a side
-// effect that touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: `GlobalAlloc::alloc`'s contract, handed to `System` as it came.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `GlobalAlloc::dealloc`'s contract, handed to `System` as it came.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `GlobalAlloc::realloc`'s contract, handed to `System` as it came.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed on.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 fn rhs<T: Scalar>(n: usize) -> Vec<T> {
     (0..n)
@@ -76,11 +46,11 @@ fn steady_state_allocations<T: Scalar>(m: &AnyPrecond, k: usize, rounds: usize) 
         }
     });
     let mut z = vec![T::zero(); r.len()];
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..rounds {
         m.apply_panel_to(&r, &mut z, k, &counters);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]

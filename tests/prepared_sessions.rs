@@ -95,12 +95,13 @@ fn two_interleaved_sessions_do_not_interfere() {
     assert!(prepared.matrix().true_relative_residual(&x2, &b2) < 1e-8);
 }
 
-/// `solve_many` steady-state reuse: after the first solve allocated the
-/// workspaces (generation 0 → 1), later solves must perform zero workspace
-/// (re)allocations — the generation counter stays put across an entire
-/// multi-rhs batch and further batches.
+/// Steady-state reuse: after the first call allocated the workspaces
+/// (generation 0 → 1), later calls no wider than it must perform zero
+/// workspace (re)allocations — the generation counter stays put across
+/// further batches and single solves; only a wider batch regrows the one
+/// workspace set, once.
 #[test]
-fn solve_many_steady_state_performs_zero_workspace_reallocations() {
+fn steady_state_batches_perform_zero_workspace_reallocations() {
     let prepared = prepared_f3r();
     let n = prepared.dim();
     let mut session = prepared.session();
@@ -108,7 +109,7 @@ fn solve_many_steady_state_performs_zero_workspace_reallocations() {
 
     let bs: Vec<Vec<f64>> = (0..4u64).map(|s| random_rhs(n, 50 + s)).collect();
     let mut xs = vec![Vec::new(); bs.len()];
-    let results = session.solve_many(&bs, &mut xs);
+    let results = session.solve_batch(&bs, &mut xs);
     assert!(results.iter().all(|r| r.converged));
     assert_eq!(
         session.workspace_generation(),
@@ -118,13 +119,25 @@ fn solve_many_steady_state_performs_zero_workspace_reallocations() {
 
     // Second batch: zero (re)allocations — the generation must not move.
     let gen_before = session.workspace_generation();
-    let results2 = session.solve_many(&bs, &mut xs);
+    let results2 = session.solve_batch(&bs, &mut xs);
     assert!(results2.iter().all(|r| r.converged));
     assert_eq!(
         session.workspace_generation(),
         gen_before,
-        "steady-state solve_many must not (re)allocate workspaces"
+        "a steady-state batch must not (re)allocate workspaces"
     );
+    // A single solve runs on the same workspace set …
+    assert!(session.solve(&bs[0], &mut xs[0]).converged);
+    assert_eq!(session.workspace_generation(), gen_before);
+    let bytes_before = session.workspace_bytes();
+    // … and a wider batch regrows it exactly once.
+    let wide: Vec<Vec<f64>> = (0..6u64).map(|s| random_rhs(n, 70 + s)).collect();
+    let mut wide_xs = vec![Vec::new(); wide.len()];
+    assert!(session.solve_batch(&wide, &mut wide_xs).iter().all(|r| r.converged));
+    assert_eq!(session.workspace_generation(), gen_before + 1);
+    assert!(session.workspace_bytes() > bytes_before);
+    assert!(session.solve_batch(&bs, &mut xs).iter().all(|r| r.converged));
+    assert_eq!(session.workspace_generation(), gen_before + 1);
 
     // Every solution is a real solve of its own right-hand side.
     for (b, x) in bs.iter().zip(xs.iter()) {

@@ -300,15 +300,30 @@ fn request_options_and_batch_contract() {
     assert_eq!(batch.results.len(), 3);
     assert!(batch.results.iter().all(|r| r.converged));
 
-    // Options on a multi-RHS batch are a contract violation, not a silent no-op.
-    let err = serve
-        .submit_batch(
-            &solver,
-            bs,
-            RequestOptions { tol: Some(1e-2), ..RequestOptions::default() },
-        )
-        .unwrap_err();
+    // Options on a multi-RHS batch reach every column: each served column is
+    // bitwise its own `solve_with`.
+    let loose_opts = RequestOptions { tol: Some(1e-2), max_outer_cycles: Some(2), ..RequestOptions::default() };
+    let loose_batch = serve.submit_batch(&solver, bs.clone(), loose_opts).unwrap().wait();
+    let direct_opts = SolveOptions::new().tol(1e-2).max_outer_cycles(2);
+    for (c, b) in bs.iter().enumerate() {
+        let mut x = vec![0.0; n];
+        let direct = solver.prepared().session().solve_with(b, &mut x, &direct_opts);
+        assert_eq!(loose_batch.xs[c], x, "column {c}");
+        assert_eq!(loose_batch.results[c].outer_iterations, direct.outer_iterations, "column {c}");
+        assert_eq!(loose_batch.results[c].residual_history, direct.residual_history, "column {c}");
+        assert!(loose_batch.results[c].outer_iterations < batch.results[c].outer_iterations);
+    }
+
+    // One warm start cannot stand for several columns, and an empty batch is
+    // no request: both are contract violations, not silent no-ops.
+    let warm = RequestOptions { x0: Some(vec![0.0; n]), ..RequestOptions::default() };
+    let err = serve.submit_batch(&solver, bs, warm.clone()).unwrap_err();
     assert!(matches!(err, SubmitError::Rejected { .. }));
+    let err = serve.submit_batch(&solver, Vec::new(), RequestOptions::default()).unwrap_err();
+    assert!(matches!(err, SubmitError::Rejected { .. }));
+    // On one column it is an ordinary warm start.
+    let single = serve.submit_batch(&solver, vec![b], warm).unwrap().wait();
+    assert!(single.results[0].converged);
     serve.shutdown();
 }
 

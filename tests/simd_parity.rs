@@ -734,55 +734,3 @@ fn scaled_spmm_columns_match_single_vector_scaled_spmv() {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Panel BLAS-1: per-column bitwise parity with the single-vector kernels
-// ---------------------------------------------------------------------------
-
-fn panel_blas1_parity<T: Scalar>(len: usize, k: usize, case: u64) {
-    let mut rng = rng_for("simd_panel", case * 71 + (len * 8 + k) as u64);
-    let xs: Vec<T> = (0..len * k).map(|_| T::from_f64(rng.gen_range(-1.0..1.0))).collect();
-    let ys: Vec<T> = (0..len * k).map(|_| T::from_f64(rng.gen_range(-1.0..1.0))).collect();
-    let alphas: Vec<f64> = (0..k).map(|_| [0.5, -1.25, 2.0, 0.375][rng.gen_range(0..4usize)]).collect();
-
-    // The panel kernels are documented per-column loops over the dispatched
-    // single-vector kernels (columns are disjoint streams — nothing to
-    // amortize), so every column must match bit for bit.
-    let dots = blas1::dot_panel(&xs, &ys, k);
-    let norms = blas1::norm2_panel(&xs, k);
-    let mut axpyed = ys.clone();
-    blas1::axpy_panel(&alphas, &xs, &mut axpyed);
-    assert_eq!(dots.len(), k);
-    assert_eq!(norms.len(), k);
-    for c in 0..k {
-        let xcol = &xs[c * len..(c + 1) * len];
-        let ycol = &ys[c * len..(c + 1) * len];
-        assert_eq!(dots[c], blas1::dot(xcol, ycol), "len {len} k {k} dot col {c} {}", T::name());
-        assert_eq!(norms[c], blas1::norm2(xcol), "len {len} k {k} norm2 col {c} {}", T::name());
-        let mut y_ref = ycol.to_vec();
-        blas1::axpy(alphas[c], xcol, &mut y_ref);
-        for i in 0..len {
-            assert_eq!(
-                axpyed[c * len + i].to_f64(),
-                y_ref[i].to_f64(),
-                "len {len} k {k} axpy col {c} [{i}] {}",
-                T::name()
-            );
-        }
-    }
-}
-
-#[test]
-fn panel_blas1_matches_per_column_kernels() {
-    // Odd lengths and tails (as in the single-vector sweep) crossed with odd
-    // panel widths, plus the degenerate empty panel.
-    for (case, &len) in [0usize, 1, 9, 31, 100, 4097].iter().enumerate() {
-        for &k in &[1usize, 2, 3, 5, 8] {
-            panel_blas1_parity::<f64>(len, k, case as u64);
-            panel_blas1_parity::<f32>(len, k, case as u64);
-            panel_blas1_parity::<f16>(len, k, case as u64);
-        }
-    }
-    assert!(blas1::dot_panel::<f64>(&[], &[], 0).is_empty());
-    assert!(blas1::norm2_panel::<f64>(&[], 0).is_empty());
-}
