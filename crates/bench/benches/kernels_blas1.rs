@@ -86,9 +86,6 @@ fn bench_blas1(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function(BenchmarkId::new("dot_with_sqnorm", "fp32"), |b| {
-        b.iter(|| black_box(blas1::dot_with_sqnorm(black_box(&x32), black_box(&y32))))
-    });
     let mut z32f = y32.clone();
     group.bench_function(BenchmarkId::new("axpy_norm2", "fp32"), |b| {
         b.iter(|| {

@@ -1,18 +1,19 @@
 //! Matrix-storage sweep: CSR vs SELL × fp64/fp32/fp16 × plain vs row-scaled
-//! SpMV, with the modeled byte counters attached as throughput, so the
+//! one-column inline product of the driver (`f3r_sparse::spmm::spmm`), with
+//! the modeled byte counters attached as throughput, so the
 //! recorded medians carry the bandwidth argument of the scaled matrix store
 //! (PR 5) even on machines where softfloat fp16 conversion dominates
 //! wall-clock.
 //!
-//! The scaled kernels stream the same narrowed values plus one `f64` scale
-//! per row and fold the scale into the accumulator once per row; on a
-//! hardware-fp16 machine they run at the plain kernel's bandwidth.
+//! Scaled storage streams the same narrowed values plus one `f64` scale per
+//! row and folds the scale into the accumulator once per row; on a
+//! hardware-fp16 machine it runs at plain storage's bandwidth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use f3r_bench::BenchProblem;
 use f3r_precision::traffic::TrafficModel;
 use f3r_precision::{f16, Precision, Scalar};
-use f3r_sparse::spmv::{spmv_scaled_seq, spmv_scaled_sell_seq, spmv_seq, spmv_sell_seq};
+use f3r_sparse::spmm::{spmm, Dispatch, PanelOp, Rows};
 use f3r_sparse::{CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
 use std::hint::black_box;
 
@@ -31,48 +32,23 @@ fn bench_storage<TA: Scalar>(
     let p = TA::PRECISION;
 
     let plain: CsrMatrix<TA> = a64.to_precision();
-    group.throughput(Throughput::Bytes(TrafficModel::spmv_bytes(
-        nnz,
-        n,
-        p,
-        Precision::Fp64,
-    )));
-    group.bench_function(BenchmarkId::new("csr", format!("{p}")), |b| {
-        b.iter(|| spmv_seq(black_box(&plain), black_box(x), black_box(y)))
-    });
-
     let scaled = ScaledCsr::<TA>::from_f64(a64);
-    group.throughput(Throughput::Bytes(TrafficModel::spmv_scaled_bytes(
-        nnz,
-        n,
-        p,
-        Precision::Fp64,
-    )));
-    group.bench_function(BenchmarkId::new("csr", format!("scaled-{p}")), |b| {
-        b.iter(|| spmv_scaled_seq(black_box(&scaled), black_box(x), black_box(y)))
-    });
-
     let sell = SellMatrix::from_csr(&plain, 32);
-    group.throughput(Throughput::Bytes(TrafficModel::spmv_bytes(
-        nnz,
-        n,
-        p,
-        Precision::Fp64,
-    )));
-    group.bench_function(BenchmarkId::new("sell32", format!("{p}")), |b| {
-        b.iter(|| spmv_sell_seq(black_box(&sell), black_box(x), black_box(y)))
-    });
-
     let scaled_sell = ScaledSell::<TA>::from_csr_f64(a64, 32);
-    group.throughput(Throughput::Bytes(TrafficModel::spmv_scaled_bytes(
-        nnz,
-        n,
-        p,
-        Precision::Fp64,
-    )));
-    group.bench_function(BenchmarkId::new("sell32", format!("scaled-{p}")), |b| {
-        b.iter(|| spmv_scaled_sell_seq(black_box(&scaled_sell), black_box(x), black_box(y)))
-    });
+    let plain_bytes = TrafficModel::spmv_bytes(nnz, n, p, Precision::Fp64);
+    let scaled_bytes = TrafficModel::spmv_scaled_bytes(nnz, n, p, Precision::Fp64);
+    let rows: [(&str, String, u64, Rows<'_, TA>); 4] = [
+        ("csr", format!("{p}"), plain_bytes, (&plain).into()),
+        ("csr", format!("scaled-{p}"), scaled_bytes, (&scaled).into()),
+        ("sell32", format!("{p}"), plain_bytes, (&sell).into()),
+        ("sell32", format!("scaled-{p}"), scaled_bytes, (&scaled_sell).into()),
+    ];
+    for (format, storage, bytes, a) in rows {
+        group.throughput(Throughput::Bytes(bytes));
+        group.bench_function(BenchmarkId::new(format, storage), |b| {
+            b.iter(|| spmm(black_box(a), black_box(x), PanelOp::Product, black_box(y), 1, Dispatch::Seq))
+        });
+    }
 }
 
 fn bench_matrix_storage(c: &mut Criterion) {

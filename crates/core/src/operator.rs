@@ -30,11 +30,7 @@ use std::sync::{Arc, OnceLock};
 use f3r_precision::{f16, KernelCounters, Precision, Scalar};
 use f3r_precision::traffic::TrafficModel;
 use f3r_sparse::blas1;
-use f3r_sparse::spmm::{csr_panel, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch, PanelOp};
-use f3r_sparse::spmv::{
-    spmv, spmv_dot2, spmv_residual, spmv_scaled, spmv_scaled_dot2, spmv_scaled_residual,
-    spmv_scaled_sell, spmv_sell,
-};
+use f3r_sparse::spmm::{spmm, Dispatch, PanelOp};
 use f3r_sparse::{CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
 
 /// Which sparse matrix–vector kernel the solvers use.
@@ -167,39 +163,31 @@ enum MatrixVariant {
     ScaledSell16(Arc<ScaledSell<f16>>),
 }
 
-/// Dispatch over the four kernel families of a [`MatrixVariant`]; each arm
-/// is written once, generically over the value precision.
+/// Run one expression on the matrix behind a [`MatrixVariant`], whichever
+/// of the twelve it is; the expression is written once, generically over the
+/// layout and the value precision.
 macro_rules! with_variant {
-    ($variant:expr,
-     |$c:ident| $csr:expr,
-     |$s:ident| $sell:expr,
-     |$sc:ident| $scaled_csr:expr,
-     |$ss:ident| $scaled_sell:expr $(,)?) => {
+    ($variant:expr, |$m:ident| $body:expr) => {
         match $variant {
-            MatrixVariant::Csr64($c) => $csr,
-            MatrixVariant::Csr32($c) => $csr,
-            MatrixVariant::Csr16($c) => $csr,
-            MatrixVariant::Sell64($s) => $sell,
-            MatrixVariant::Sell32($s) => $sell,
-            MatrixVariant::Sell16($s) => $sell,
-            MatrixVariant::ScaledCsr64($sc) => $scaled_csr,
-            MatrixVariant::ScaledCsr32($sc) => $scaled_csr,
-            MatrixVariant::ScaledCsr16($sc) => $scaled_csr,
-            MatrixVariant::ScaledSell64($ss) => $scaled_sell,
-            MatrixVariant::ScaledSell32($ss) => $scaled_sell,
-            MatrixVariant::ScaledSell16($ss) => $scaled_sell,
+            MatrixVariant::Csr64($m) => $body,
+            MatrixVariant::Csr32($m) => $body,
+            MatrixVariant::Csr16($m) => $body,
+            MatrixVariant::Sell64($m) => $body,
+            MatrixVariant::Sell32($m) => $body,
+            MatrixVariant::Sell16($m) => $body,
+            MatrixVariant::ScaledCsr64($m) => $body,
+            MatrixVariant::ScaledCsr32($m) => $body,
+            MatrixVariant::ScaledCsr16($m) => $body,
+            MatrixVariant::ScaledSell64($m) => $body,
+            MatrixVariant::ScaledSell32($m) => $body,
+            MatrixVariant::ScaledSell16($m) => $body,
         }
     };
 }
 
 impl MatrixVariant {
     fn bytes(&self) -> u64 {
-        with_variant!(self,
-            |c| c.storage_bytes(),
-            |s| s.storage_bytes(),
-            |sc| sc.storage_bytes(),
-            |ss| ss.storage_bytes(),
-        )
+        with_variant!(self, |m| m.storage_bytes())
     }
 }
 
@@ -428,56 +416,26 @@ impl ProblemMatrix {
         self.materialized_variants().iter().map(|v| v.bytes).sum()
     }
 
-    /// Record the SpMV traffic of one product against `storage` with vectors
-    /// in `v`, including the per-storage-precision matrix-stream attribution.
-    fn record_apply_traffic(&self, storage: MatrixStorage, v: Precision, counters: &KernelCounters) {
-        let p = storage.precision();
-        let (total, matrix_stream) = if storage.is_scaled() {
-            (
-                TrafficModel::spmv_scaled_bytes(self.nnz, self.n, p, v),
-                TrafficModel::scaled_matrix_stream_bytes(self.nnz, self.n, p),
-            )
-        } else {
-            (
-                TrafficModel::spmv_bytes(self.nnz, self.n, p, v),
-                TrafficModel::matrix_stream_bytes(self.nnz, self.n, p),
-            )
-        };
-        counters.record_spmv(p, total);
-        counters.record_matrix_traffic(p, matrix_stream);
-    }
-
-    /// Compute `y = A x` streaming the variant selected by `storage`, with
-    /// vectors in precision `TV`, recording the product in `counters`.
-    pub fn apply<TV: Scalar>(
+    /// The one sparse product of the store: `out = A X`, `B − A X` or `A X`
+    /// with its dots ([`PanelOp`]) on a column-major panel of `k` vectors,
+    /// streaming the variant selected by `storage` once through
+    /// [`f3r_sparse::spmm::spmm`], and recording the traffic in `counters`.
+    ///
+    /// One column is recorded as an SpMV, anything else as one SpMM on `k`
+    /// columns: the shared matrix stream once (that is the physical truth and
+    /// the whole point of batching) plus `k` vector sweeps.  The fused
+    /// epilogues add what they touch beyond the product, per column: the
+    /// residual reads `b` and writes `r`, the dots read `u`.
+    fn product<TV: Scalar>(
         &self,
         storage: MatrixStorage,
-        x: &[TV],
-        y: &mut [TV],
-        counters: &KernelCounters,
-    ) {
-        self.record_apply_traffic(storage, TV::PRECISION, counters);
-        with_variant!(self.variant(storage),
-            |c| spmv(c, x, y),
-            |s| spmv_sell(s, x, y),
-            |sc| spmv_scaled(sc, x, y),
-            |ss| spmv_scaled_sell(ss, x, y),
-        );
-    }
-
-    /// Record the traffic of one panel product against `storage` on `k`
-    /// vectors in `v` through [`KernelCounters::record_spmm`]: the shared
-    /// matrix stream once (that is the physical truth and the whole point
-    /// of batching) plus `k` vector sweeps, with the panel width tracked so
-    /// experiments can amortize the stream per batch column.
-    fn record_panel_traffic(
-        &self,
-        storage: MatrixStorage,
-        v: Precision,
+        xs: &[TV],
+        op: PanelOp<'_, TV>,
+        out: &mut [TV],
         k: usize,
         counters: &KernelCounters,
     ) {
-        let p = storage.precision();
+        let (p, v) = (storage.precision(), TV::PRECISION);
         let (total, matrix_stream) = if storage.is_scaled() {
             (
                 TrafficModel::spmm_scaled_bytes(self.nnz, self.n, p, v, k),
@@ -489,8 +447,35 @@ impl ProblemMatrix {
                 TrafficModel::matrix_stream_bytes(self.nnz, self.n, p),
             )
         };
-        counters.record_spmm(p, total, k as u64);
+        if k == 1 {
+            counters.record_spmv(p, total);
+        } else {
+            counters.record_spmm(p, total, k as u64);
+        }
         counters.record_matrix_traffic(p, matrix_stream);
+        let (reads, writes) = match op {
+            PanelOp::Product => (0, 0),
+            PanelOp::Residual(_) => (1, 1),
+            PanelOp::Dot2 { .. } => (1, 0),
+        };
+        if reads > 0 {
+            for _ in 0..k {
+                counters.record_blas1(v, TrafficModel::blas1_bytes(self.n, reads, writes, v));
+            }
+        }
+        with_variant!(self.variant(storage), |m| spmm(m.as_ref(), xs, op, out, k, Dispatch::Auto));
+    }
+
+    /// Compute `y = A x` streaming the variant selected by `storage`, with
+    /// vectors in precision `TV`, recording the product in `counters`.
+    pub fn apply<TV: Scalar>(
+        &self,
+        storage: MatrixStorage,
+        x: &[TV],
+        y: &mut [TV],
+        counters: &KernelCounters,
+    ) {
+        self.product(storage, x, PanelOp::Product, y, 1, counters);
     }
 
     /// Compute `Y = A X` on a column-major panel of `k` vectors, streaming
@@ -499,11 +484,9 @@ impl ProblemMatrix {
     /// Column `c` of the result is bitwise identical to
     /// [`apply`](Self::apply) on column `c` of `xs` — the batched solver's
     /// per-column parity rests on this (see [`f3r_sparse::spmm`] for how the
-    /// panel kernels keep it).  The traffic is recorded as one matrix stream
-    /// plus `k` vector sweeps.  A one-column panel *is* handed to
-    /// [`apply`](Self::apply): a single right-hand side runs the
-    /// single-vector kernel and is counted as an SpMV, whichever caller
-    /// brought it here.
+    /// driver keeps it).  The traffic is recorded as one matrix stream plus
+    /// `k` vector sweeps; a one-column panel *is* [`apply`](Self::apply) and
+    /// is counted as an SpMV, whichever caller brought it here.
     ///
     /// # Panics
     /// Panics if the panel lengths are not `k` times the matrix dimension.
@@ -515,28 +498,17 @@ impl ProblemMatrix {
         k: usize,
         counters: &KernelCounters,
     ) {
-        if k == 1 {
-            return self.apply(storage, xs, ys, counters);
-        }
-        self.record_panel_traffic(storage, TV::PRECISION, k, counters);
-        with_variant!(self.variant(storage),
-            |c| csr_panel(c.as_ref().into(), xs, PanelOp::Product, ys, k, Dispatch::Auto),
-            |s| spmv_sell_multi(s, xs, ys, k),
-            |sc| csr_panel(sc.as_ref().into(), xs, PanelOp::Product, ys, k, Dispatch::Auto),
-            |ss| spmv_scaled_sell_multi(ss, xs, ys, k),
-        );
+        self.product(storage, xs, PanelOp::Product, ys, k, counters);
     }
 
     /// Compute the residuals `R = B − A X` of a column-major panel of `k`
-    /// vectors in one pass over the variant selected by `storage`.
+    /// vectors in one pass over the variant selected by `storage`, the
+    /// subtraction in the accumulator before the one rounding.
     ///
     /// Column `c` of the result is bitwise identical to
-    /// [`residual`](Self::residual) on column `c` — with the CSR backend the
-    /// subtraction is the panel kernel's epilogue, the SELL backend
-    /// subtracts in a second pass per column, exactly as the single-vector
-    /// form does.  Recorded as one panel product plus the `b`/`r` sweeps; a
-    /// one-column panel is handed to [`residual`](Self::residual), like
-    /// [`apply_multi`](Self::apply_multi)'s.
+    /// [`residual`](Self::residual) on column `c`.  Recorded as one panel
+    /// product plus the `b`/`r` sweeps (an SpMV at one column, like
+    /// [`apply_multi`](Self::apply_multi)).
     ///
     /// # Panics
     /// Panics if the panel lengths are not `k` times the matrix dimension.
@@ -549,47 +521,13 @@ impl ProblemMatrix {
         k: usize,
         counters: &KernelCounters,
     ) {
-        if k == 1 {
-            return self.residual(storage, xs, bs, rs, counters);
-        }
-        assert_eq!(bs.len(), self.n * k, "residual_multi: bs panel length mismatch");
-        self.record_panel_traffic(storage, TV::PRECISION, k, counters);
-        let reads = match self.backend {
-            SpmvBackend::Csr => 1,
-            SpmvBackend::Sell { .. } => 2,
-        };
-        for _ in 0..k {
-            counters.record_blas1(
-                TV::PRECISION,
-                TrafficModel::blas1_bytes(self.n, reads, 1, TV::PRECISION),
-            );
-        }
-        let subtract = |rs: &mut [TV]| {
-            for (r, &b) in rs.iter_mut().zip(bs) {
-                *r = TV::narrow(b.widen() - r.widen());
-            }
-        };
-        with_variant!(self.variant(storage),
-            |c| csr_panel(c.as_ref().into(), xs, PanelOp::Residual(bs), rs, k, Dispatch::Auto),
-            |s| {
-                spmv_sell_multi(s, xs, rs, k);
-                subtract(rs);
-            },
-            |sc| csr_panel(sc.as_ref().into(), xs, PanelOp::Residual(bs), rs, k, Dispatch::Auto),
-            |ss| {
-                spmv_scaled_sell_multi(ss, xs, rs, k);
-                subtract(rs);
-            },
-        );
+        self.product(storage, xs, PanelOp::Residual(bs), rs, k, counters);
     }
 
     /// Compute `y = A x` and, in the same sweep, the two dot products
     /// `(uᵀ y, yᵀ y)` — the reduction pair behind CG's `(p, Ap)`, BiCGStab's
-    /// `(t, s)/(t, t)` and the adaptive Richardson weight.
-    ///
-    /// With the CSR backend the dots are fused into the SpMV kernel
-    /// ([`spmv_dot2`] / [`spmv_scaled_dot2`]); the SELL backend falls back to
-    /// the SpMV followed by the one-pass [`blas1::dot_with_sqnorm`].
+    /// `(t, s)/(t, t)` and the adaptive Richardson weight
+    /// ([`PanelOp::Dot2`]).
     pub fn apply_dot2<TV: Scalar>(
         &self,
         storage: MatrixStorage,
@@ -598,40 +536,14 @@ impl ProblemMatrix {
         y: &mut [TV],
         counters: &KernelCounters,
     ) -> (f64, f64) {
-        self.record_apply_traffic(storage, TV::PRECISION, counters);
-        match self.backend {
-            // The fused sweep reads `u` once on top of the SpMV traffic.
-            SpmvBackend::Csr => counters.record_blas1(
-                TV::PRECISION,
-                TrafficModel::blas1_bytes(self.n, 1, 0, TV::PRECISION),
-            ),
-            // The SELL fallback runs a second pass reading y and u.
-            SpmvBackend::Sell { .. } => counters.record_blas1(
-                TV::PRECISION,
-                TrafficModel::blas1_bytes(self.n, 2, 0, TV::PRECISION),
-            ),
-        }
-        with_variant!(self.variant(storage),
-            |c| spmv_dot2(c, x, u, y),
-            |s| {
-                spmv_sell(s, x, y);
-                blas1::dot_with_sqnorm(y, u)
-            },
-            |sc| spmv_scaled_dot2(sc, x, u, y),
-            |ss| {
-                spmv_scaled_sell(ss, x, y);
-                blas1::dot_with_sqnorm(y, u)
-            },
-        )
+        let mut dots = [(0.0, 0.0)];
+        self.product(storage, x, PanelOp::Dot2 { u, dots: &mut dots }, y, 1, counters);
+        dots[0]
     }
 
     /// Compute the residual `r = b - A x` with the matrix variant selected by
-    /// `storage` and vectors in `TV`.
-    ///
-    /// With the CSR backend this runs the fused [`spmv_residual`] /
-    /// [`spmv_scaled_residual`] kernel (subtraction in the accumulation
-    /// precision, one sweep); the SELL backend subtracts in a second widening
-    /// pass.
+    /// `storage` and vectors in `TV` ([`PanelOp::Residual`]: subtraction in
+    /// the accumulation precision, one sweep).
     pub fn residual<TV: Scalar>(
         &self,
         storage: MatrixStorage,
@@ -640,35 +552,7 @@ impl ProblemMatrix {
         r: &mut [TV],
         counters: &KernelCounters,
     ) {
-        self.record_apply_traffic(storage, TV::PRECISION, counters);
-        match self.backend {
-            // Fused kernel: reads b once, writes r once on top of the SpMV.
-            SpmvBackend::Csr => counters.record_blas1(
-                TV::PRECISION,
-                TrafficModel::blas1_bytes(self.n, 1, 1, TV::PRECISION),
-            ),
-            // SELL subtracts in a second pass: reads b and r, writes r.
-            SpmvBackend::Sell { .. } => counters.record_blas1(
-                TV::PRECISION,
-                TrafficModel::blas1_bytes(self.n, 2, 1, TV::PRECISION),
-            ),
-        }
-        with_variant!(self.variant(storage),
-            |c| spmv_residual(c, x, b, r),
-            |s| {
-                spmv_sell(s, x, r);
-                for i in 0..self.n {
-                    r[i] = TV::narrow(b[i].widen() - r[i].widen());
-                }
-            },
-            |sc| spmv_scaled_residual(sc, x, b, r),
-            |ss| {
-                spmv_scaled_sell(ss, x, r);
-                for i in 0..self.n {
-                    r[i] = TV::narrow(b[i].widen() - r[i].widen());
-                }
-            },
-        );
+        self.product(storage, x, PanelOp::Residual(b), r, 1, counters);
     }
 
     /// True relative residual `‖b − A x‖₂ / ‖b‖₂`, always evaluated in fp64
@@ -689,10 +573,7 @@ impl ProblemMatrix {
     #[must_use]
     pub fn true_relative_residual_with(&self, x: &[f64], b: &[f64], r: &mut [f64]) -> f64 {
         assert_eq!(r.len(), self.n, "residual scratch length mismatch");
-        spmv(&self.base, x, r);
-        for i in 0..self.n {
-            r[i] = b[i] - r[i];
-        }
+        spmm(self.base.as_ref(), x, PanelOp::Residual(b), r, 1, Dispatch::Auto);
         let bnorm = blas1::norm2(b);
         if bnorm == 0.0 {
             blas1::norm2(r)

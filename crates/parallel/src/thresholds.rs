@@ -1,10 +1,10 @@
 //! Shared problem-size thresholds above which the kernel layers dispatch to
 //! the worker pool.
 //!
-//! One definition instead of per-crate copies: `f3r_sparse::spmv`,
-//! `f3r_sparse::blas1` and `f3r_precond::block_jacobi` all re-export these
-//! constants, so the dispatch policy of the whole kernel layer is tuned in
-//! one place.
+//! One definition instead of per-crate copies: `f3r_sparse::spmm`,
+//! `f3r_sparse::blas1` and `f3r_precond::block_jacobi` all take these
+//! constants from here, so the dispatch policy of the whole kernel layer is
+//! tuned in one place.
 //!
 //! The values are the seed values of the repository: with the persistent
 //! worker pool a dispatch costs roughly a microsecond (two mutex
@@ -15,8 +15,8 @@
 //! mid-size problems (2^14–2^18 unknowns, most of the Figure 1/3/4 suite)
 //! entirely single-core.
 
-/// Matrix row count at or above which SpMV-shaped kernels go parallel
-/// (CSR / sliced-ELLPACK products, fused residual and SpMV+dot kernels).
+/// Matrix row count (times the panel width) at or above which the sparse
+/// product goes parallel (CSR / sliced-ELLPACK storage, every epilogue).
 ///
 /// An SpMV touches several memory streams per row (values, column indices,
 /// gathered `x`, streamed `y`), so per-row work is high enough to amortise a

@@ -144,7 +144,6 @@ mod tests {
     use super::*;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
     use f3r_sparse::scaling::jacobi_scale;
-    use f3r_sparse::spmv::spmv_seq;
 
     fn residual_reduction(order: usize) -> f64 {
         let a = jacobi_scale(&poisson2d_5pt(12, 12));
@@ -154,7 +153,7 @@ mod tests {
         let mut z = vec![0.0; n];
         p.apply(&r, &mut z);
         let mut az = vec![0.0; n];
-        spmv_seq(&a, &z, &mut az);
+        spmv(&a, &z, &mut az);
         let err: f64 = r.iter().zip(&az).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
         let rnorm: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         err / rnorm

@@ -165,7 +165,7 @@ mod tests {
     use f3r_sparse::gen::hpcg::hpcg_matrix;
     use f3r_sparse::gen::hpgmp_matrix;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
-    use f3r_sparse::spmv::spmv_seq;
+    use f3r_sparse::spmv::spmv;
 
     #[test]
     fn offsets_cover_all_rows() {
@@ -201,7 +201,7 @@ mod tests {
         let mut z = vec![0.0; n];
         bj.apply(&r, &mut z);
         let mut az = vec![0.0; n];
-        spmv_seq(&a, &z, &mut az);
+        spmv(&a, &z, &mut az);
         let err: f64 = r.iter().zip(&az).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
         let rnorm: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(err < rnorm, "block-Jacobi should reduce the residual");
@@ -219,7 +219,7 @@ mod tests {
             let mut z = vec![0.0; n];
             bj.apply(&r, &mut z);
             let mut az = vec![0.0; n];
-            spmv_seq(&a, &z, &mut az);
+            spmv(&a, &z, &mut az);
             r.iter().zip(&az).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
         };
         let e1 = residual_after(1);

@@ -196,7 +196,7 @@ mod tests {
     use f3r_sparse::gen::hpgmp_matrix;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
     use f3r_sparse::scaling::jacobi_scale;
-    use f3r_sparse::spmv::spmv_seq;
+    use f3r_sparse::spmv::spmv;
     use f3r_sparse::CooMatrix;
     use half::f16;
 
@@ -218,7 +218,7 @@ mod tests {
         let p = Ilu0Precond::<f64>::new(&a, 1.0);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut b = vec![0.0; n];
-        spmv_seq(&a, &x_true, &mut b);
+        spmv(&a, &x_true, &mut b);
         let mut z = vec![0.0; n];
         p.apply(&b, &mut z);
         for i in 0..n {
@@ -237,7 +237,7 @@ mod tests {
         let mut z = vec![0.0; n];
         p.apply(&r, &mut z);
         let mut az = vec![0.0; n];
-        spmv_seq(&a, &z, &mut az);
+        spmv(&a, &z, &mut az);
         let err: f64 = r
             .iter()
             .zip(az.iter())

@@ -13,7 +13,7 @@
 //! F16C converters (`vcvtph2ps`/`vcvtps2ph`) for fp16 lanes and AVX2/FMA
 //! lanes for fp32/fp64, behind a backend tag that is detected **once per
 //! process** and latched.  The crate exposes `try_*` entry points mirroring
-//! the hot `f3r_sparse::blas1`/`spmv` kernels; each returns `None`/`false`
+//! the hot `f3r_sparse::blas1`/`spmm` kernels; each returns `None`/`false`
 //! when the backend is scalar or the type combination is unsupported, and the
 //! caller falls back to its scalar loop.  The scalar kernels therefore remain
 //! the universal fallback and the semantic definition.
@@ -72,7 +72,7 @@ mod x86;
 mod x86_panel;
 
 pub use panel::{
-    panel_finish, try_panel_deinterleave, try_panel_interleave, try_spmm_panel, PanelSink, PANEL_LANES,
+    try_panel_deinterleave, try_panel_interleave, try_spmm_panel, PanelSink, PANEL_LANES,
 };
 
 /// Reduction kernels fold their accumulator into an `f64` running total every
@@ -622,7 +622,7 @@ pub fn try_norm_inf<T: Scalar>(x: &[T]) -> Option<f64> {
 }
 
 /// SIMD CSR row kernel: `Σ from_scalar(vals[i]) · widen(x[cols[i]])` in
-/// `TV::Accum`, the core of every `spmv*` variant.  `None` for fallback
+/// `TV::Accum`, the core of every sparse product's column loop.  `None` for fallback
 /// (scalar backend, row shorter than one vector, or `x` too long for 32-bit
 /// gather indices).
 ///

@@ -24,7 +24,9 @@ use f3r_precision::{SliceView as V, SliceViewMut as VM};
 pub const PANEL_LANES: usize = 8;
 
 /// Where a panel row kernel leaves the rows it computes, and how it finishes
-/// each accumulator on the way out ([`panel_finish`]).
+/// each accumulator on the way out: the plain store, the scaled row fold, the
+/// residual `b − a·x` and the scaled residual, each exactly as the epilogues
+/// of `f3r_sparse::spmm` finish a row.
 ///
 /// Column `c` of the lane group lives at `out + c * stride`; `rhs`, when
 /// present, is laid out the same way.
@@ -39,19 +41,6 @@ pub struct PanelSink<'a, TV> {
     pub scales: Option<&'a [f64]>,
     /// `B`, for the residual `B − A X`; starts at the group's first column.
     pub rhs: Option<&'a [TV]>,
-}
-
-/// Round one row accumulator into the vector precision: the plain store, the
-/// scaled row fold, the residual `b − a·x` and the scaled residual, each
-/// exactly as the single-vector kernels of `f3r_sparse::spmv` finish a row.
-#[inline(always)]
-pub fn panel_finish<TV: Scalar>(acc: TV::Accum, scale: Option<f64>, rhs: Option<TV>) -> TV {
-    match (scale, rhs) {
-        (None, None) => TV::narrow(acc),
-        (None, Some(b)) => TV::narrow(b.widen() - acc),
-        (Some(s), None) => TV::from_f64(acc.to_f64() * s),
-        (Some(s), Some(b)) => TV::from_f64(b.to_f64() - acc.to_f64() * s),
-    }
 }
 
 /// `sink` with its element type reified to `U`, when `TV` is `U`.

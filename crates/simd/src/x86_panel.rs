@@ -31,7 +31,7 @@ use core::ops::Range;
 use f3r_precision::Scalar;
 use half::f16;
 
-use crate::panel::{panel_finish, PanelSink, PANEL_LANES};
+use crate::panel::{PanelSink, PANEL_LANES};
 use crate::x86::{Lane8, Lane8Dst};
 
 /// One stored value widened to f32 and broadcast to all eight lanes, bit for
@@ -164,6 +164,19 @@ pub(crate) unsafe fn deinterleave_a<TV: Lane8Dst>(
         for (c, &lane) in row.iter().enumerate().take(cols) {
             out.add(c * stride + k).write(TV::from_f32(lane));
         }
+    }
+}
+
+/// Round one row accumulator into the vector precision: the plain store, the
+/// scaled row fold, the residual `b − a·x` and the scaled residual, each
+/// exactly as the epilogues of `f3r_sparse::spmm` finish a row.
+#[inline(always)]
+fn panel_finish<TV: Scalar>(acc: TV::Accum, scale: Option<f64>, rhs: Option<TV>) -> TV {
+    match (scale, rhs) {
+        (None, None) => TV::narrow(acc),
+        (None, Some(b)) => TV::narrow(b.widen() - acc),
+        (Some(s), None) => TV::from_f64(acc.to_f64() * s),
+        (Some(s), Some(b)) => TV::from_f64(b.to_f64() - acc.to_f64() * s),
     }
 }
 

@@ -14,12 +14,11 @@
 //!
 //! Reductions run eight independent accumulator chains so LLVM can
 //! vectorise; chunked parallel variants combine per-chunk partial sums in
-//! `f64`.  Fused kernels ([`dot2`], [`dot_with_sqnorm`], [`axpy_norm2`],
-//! [`scale_into`]) cover the two-reductions-one-pass and update-plus-norm
+//! `f64`.  Fused kernels ([`dot2`], [`axpy_norm2`], [`scale_into`]) cover the two-reductions-one-pass and update-plus-norm
 //! patterns of the CG / BiCGStab / FGMRES / Richardson iteration loops.
 //!
 //! Each kernel has a sequential and a thread-parallel variant plus a
-//! size-dispatching wrapper, mirroring the SpMV module.  Parallel variants
+//! size-dispatching wrapper.  Parallel variants
 //! dispatch chunk tasks to the persistent `f3r-parallel` worker pool; the
 //! dispatch threshold is the shared
 //! [`f3r_parallel::thresholds::PAR_LEN_THRESHOLD`].
@@ -166,55 +165,6 @@ pub fn dot2<T: Scalar>(x1: &[T], y1: &[T], x2: &[T], y2: &[T]) -> (f64, f64) {
         .fold((0.0, 0.0), |(s0, s1), (p0, p1)| (s0 + p0, s1 + p1))
     } else {
         body(x1, y1, x2, y2)
-    }
-}
-
-/// Fused `(xᵀ y, xᵀ x)` in one pass over `x` (reads `x` once instead of
-/// twice).  This is the BiCGStab `ω = (t, s)/(t, t)` and Richardson
-/// `ω′ = (r, AMr)/(AMr, AMr)` reduction shape.
-///
-/// Stays on the scalar path (no `f3r-simd` entry point yet): it is issued
-/// once per outer iteration on data the fused SpMV variants already cover,
-/// so it is far off the profile compared to `dot`/`dot2`.
-#[must_use]
-pub fn dot_with_sqnorm<T: Scalar>(x: &[T], y: &[T]) -> (f64, f64) {
-    assert_eq!(x.len(), y.len(), "dot_with_sqnorm: length mismatch");
-    let body = |x: &[T], y: &[T]| -> (f64, f64) {
-        let mut t1 = 0.0f64;
-        let mut t2 = 0.0f64;
-        for_cascade_blocks(x.len(), |start, end| {
-            let mut a = [<T::Accum as Scalar>::zero(); 4];
-            let mut b = [<T::Accum as Scalar>::zero(); 4];
-            let n4 = start + ((end - start) & !3);
-            let mut i = start;
-            while i < n4 {
-                for k in 0..4 {
-                    let xv = x[i + k].widen();
-                    a[k] += xv * y[i + k].widen();
-                    b[k] += xv * xv;
-                }
-                i += 4;
-            }
-            let mut ta = <T::Accum as Scalar>::zero();
-            let mut tb = <T::Accum as Scalar>::zero();
-            for j in n4..end {
-                let xv = x[j].widen();
-                ta += xv * y[j].widen();
-                tb += xv * xv;
-            }
-            t1 += (((a[0] + a[1]) + (a[2] + a[3])) + ta).to_f64();
-            t2 += (((b[0] + b[1]) + (b[2] + b[3])) + tb).to_f64();
-        });
-        (t1, t2)
-    };
-    if x.len() >= PAR_LEN_THRESHOLD {
-        f3r_parallel::par_map_ranges(x.len(), MIN_LEN_PER_TASK, |r| {
-            body(&x[r.clone()], &y[r])
-        })
-        .into_iter()
-        .fold((0.0, 0.0), |(s0, s1), (p0, p1)| (s0 + p0, s1 + p1))
-    } else {
-        body(x, y)
     }
 }
 
@@ -958,16 +908,6 @@ mod tests {
         let (d1, d2) = dot2(&x1, &y1, &x2, &y2);
         assert!((d1 - dot(&x1, &y1)).abs() < tol);
         assert!((d2 - dot(&x2, &y2)).abs() < tol);
-    }
-
-    #[test]
-    fn fused_dot_with_sqnorm_matches_two_dots() {
-        let n = 777;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 101) as f64 / 101.0 - 0.5).collect();
-        let y: Vec<f64> = (0..n).map(|i| ((i * 17) % 97) as f64 / 97.0 - 0.5).collect();
-        let (xy, xx) = dot_with_sqnorm(&x, &y);
-        assert!((xy - dot(&x, &y)).abs() < 1e-12);
-        assert!((xx - dot(&x, &x)).abs() < 1e-12);
     }
 
     #[test]

@@ -367,8 +367,8 @@ impl<T: Scalar> CsrMatrix<T> {
 /// the values are stored verbatim with unit scales: bit-lossless, no
 /// amplitude-reduction pass.
 ///
-/// The SpMV kernels ([`crate::spmv::spmv_scaled`] and friends) consume the
-/// stored form directly: each stored element is widened exactly once into
+/// The product driver ([`crate::spmm::spmm`], through
+/// [`Rows`](crate::spmm::Rows)) consumes the stored form directly: each stored element is widened exactly once into
 /// the row accumulator and the row scale is folded into the accumulated sum
 /// once per row, so scaled storage streams at the storage precision's memory
 /// bandwidth with one extra multiply per row.

@@ -83,7 +83,7 @@ pub fn elasticity_like_3d(nx: usize, ny: usize, nz: usize, regularization: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmv::spmv_seq;
+    use crate::spmv::spmv;
 
     #[test]
     fn dimension_and_density_match_audikw_character() {
@@ -114,7 +114,7 @@ mod tests {
                 })
                 .collect();
             let mut ax = vec![0.0; n];
-            spmv_seq(&a, &x, &mut ax);
+            spmv(&a, &x, &mut ax);
             let xtax: f64 = x.iter().zip(ax.iter()).map(|(a, b)| a * b).sum();
             assert!(xtax > 0.0, "seed {seed}: x^T A x = {xtax}");
         }

@@ -142,7 +142,7 @@ mod tests {
                 .map(|i| (((i as u64).wrapping_mul(seed * 2654435761) % 1000) as f64 / 1000.0) - 0.5)
                 .collect();
             let mut ax = vec![0.0; n];
-            crate::spmv::spmv_seq(&a, &x, &mut ax);
+            crate::spmv::spmv(&a, &x, &mut ax);
             let xtax: f64 = x.iter().zip(ax.iter()).map(|(a, b)| a * b).sum();
             assert!(xtax > 0.0);
         }

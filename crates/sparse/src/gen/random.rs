@@ -71,7 +71,7 @@ pub fn random_nonsymmetric(n: usize, nnz_per_row: usize, diag_boost: f64, seed: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmv::spmv_seq;
+    use crate::spmv::spmv;
 
     #[test]
     fn random_spd_is_symmetric_and_positive_definite() {
@@ -79,7 +79,7 @@ mod tests {
         assert!(a.is_symmetric(1e-12));
         let x: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64 / 50.0 - 1.0).collect();
         let mut ax = vec![0.0; 200];
-        spmv_seq(&a, &x, &mut ax);
+        spmv(&a, &x, &mut ax);
         let xtax: f64 = x.iter().zip(&ax).map(|(a, b)| a * b).sum();
         assert!(xtax > 0.0);
     }

@@ -1,13 +1,14 @@
 //! Sparse linear-algebra substrate for the F3R reproduction.
 //!
 //! The paper's solvers are built on a small set of memory-bound kernels:
-//! CSR / sliced-ELLPACK sparse matrix–vector products in several precisions,
+//! one sparse product over CSR / sliced-ELLPACK storage in several precisions
+//! ([`spmm::spmm`]: any number of vectors, three epilogues, one dispatch),
 //! dense vector (BLAS-1) operations, and problem generators for the HPCG /
 //! HPGMP benchmark matrices plus synthetic analogues of the SuiteSparse test
 //! set.  This crate provides all of them, generic over the working precision
-//! via [`f3r_precision::Scalar`], with sequential and thread-parallel
-//! implementations (chunk tasks on the persistent `f3r-parallel` worker
-//! pool, dispatched above the shared `f3r_parallel::thresholds`).
+//! via [`f3r_precision::Scalar`], run inline or as chunk tasks on the
+//! persistent `f3r-parallel` worker pool (above the shared
+//! `f3r_parallel::thresholds`).
 //!
 //! # The direct-widening convention
 //!
@@ -40,12 +41,11 @@
 //! their operands; the kernel layer fuses those pairs so the operand is
 //! never re-read from memory:
 //!
-//! * [`spmv::spmv_residual`] — `r = b − A x` with the subtraction in the
+//! * [`spmm::PanelOp::Residual`] — `r = b − A x` with the subtraction in the
 //!   accumulator,
-//! * [`spmv::spmv_dot2`] — `y = A x` plus `(uᵀy, yᵀy)` in one sweep (the
+//! * [`spmm::PanelOp::Dot2`] — `y = A x` plus `(uᵀy, yᵀy)` in one sweep (the
 //!   adaptive Richardson weight, CG's `(p, Ap)`, BiCGStab's `(t,s)/(t,t)`),
 //! * [`blas1::dot2`] — two dots in one pass (FGMRES Gram–Schmidt),
-//! * [`blas1::dot_with_sqnorm`] — `(xᵀy, xᵀx)` reading `x` once,
 //! * [`blas1::axpy_norm2`] — vector update plus the updated vector's norm²,
 //! * [`blas1::scale_into`] — fused copy + scale (basis normalisation).
 //!
@@ -71,10 +71,9 @@
 //! (`|stored| ≤ 1`) in a narrow precision plus one `f64` scale per row, so
 //! fp16 matrix storage survives any entry dynamic range — general Matrix
 //! Market inputs (see [`io::EntryRangeStats`]) would otherwise overflow an
-//! unscaled fp16 copy to ±∞.  The fused kernels [`spmv::spmv_scaled`],
-//! [`spmv::spmv_scaled_residual`], [`spmv::spmv_scaled_dot2`] and
-//! [`spmv::spmv_scaled_sell`] widen each stored element exactly once and
-//! fold the row scale into the accumulated sum once per row.
+//! unscaled fp16 copy to ±∞.  The product driver streams both through the
+//! same [`spmm::Rows`] view: each stored element is widened exactly once and
+//! the row scale is folded into the accumulated sum once per row.
 //!
 //! See `crates/bench/README.md` for how to benchmark the layer and the
 //! recorded per-PR baselines.
@@ -83,13 +82,21 @@
 //!
 //! ```
 //! use f3r_sparse::gen::hpcg::hpcg_matrix;
+//! use f3r_sparse::spmm::{spmm, Dispatch, PanelOp};
 //! use f3r_sparse::spmv::spmv;
 //!
 //! let a = hpcg_matrix(8, 8, 8);          // 27-point stencil, n = 512
 //! let x = vec![1.0_f64; a.n_cols()];
 //! let mut y = vec![0.0_f64; a.n_rows()];
-//! spmv(&a, &x, &mut y);
+//! spmv(&a, &x, &mut y);                  // the one-column plain product
 //! assert!(y.iter().all(|v| *v >= 0.0));  // weak diagonal dominance
+//!
+//! // The same product fused with the residual of `A x = 2 y`, fp16 storage:
+//! let a16 = a.to_precision::<half::f16>();
+//! let b: Vec<f64> = y.iter().map(|v| 2.0 * v).collect();
+//! let mut r = vec![0.0_f64; a.n_rows()];
+//! spmm(&a16, &x, PanelOp::Residual(&b), &mut r, 1, Dispatch::Auto);
+//! assert_eq!(r, y);                      // HPCG's entries are exact in fp16
 //! ```
 
 #![warn(missing_docs)]

@@ -148,7 +148,7 @@ pub fn jacobi_scale<T: Scalar>(a: &CsrMatrix<T>) -> CsrMatrix<T> {
 mod tests {
     use super::*;
     use crate::gen::laplacian::poisson2d_5pt;
-    use crate::spmv::spmv_seq;
+    use crate::spmv::spmv;
 
     #[test]
     fn scaled_matrix_has_unit_diagonal() {
@@ -168,7 +168,7 @@ mod tests {
         let n = a.n_rows();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut b = vec![0.0; n];
-        spmv_seq(&a, &x_true, &mut b);
+        spmv(&a, &x_true, &mut b);
 
         let s = ScaledSystem::new(&a);
         let b_hat = s.scale_rhs(&b);
@@ -179,7 +179,7 @@ mod tests {
             .map(|(&x, &d)| x / d)
             .collect();
         let mut ax_hat = vec![0.0; n];
-        spmv_seq(&s.matrix, &x_hat, &mut ax_hat);
+        spmv(&s.matrix, &x_hat, &mut ax_hat);
         for i in 0..n {
             assert!((ax_hat[i] - b_hat[i]).abs() < 1e-10);
         }
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn scaled_storage_survives_near_max_row_amplitudes() {
         use crate::csr::ScaledCsr;
-        use crate::spmv::{spmv_scaled_seq, spmv_seq};
+        use crate::spmv::spmv;
         let mut coo = crate::coo::CooMatrix::new(2, 2);
         coo.push(0, 0, 1.0e308);
         coo.push(0, 1, -0.5e308);
@@ -251,8 +251,8 @@ mod tests {
         let x = vec![0.5f64, 0.25];
         let mut y_ref = vec![0.0f64; 2];
         let mut y = vec![0.0f64; 2];
-        spmv_seq(&a, &x, &mut y_ref);
-        spmv_scaled_seq(&s, &x, &mut y);
+        spmv(&a, &x, &mut y_ref);
+        spmv(&s, &x, &mut y);
         for i in 0..2 {
             assert!(y[i].is_finite());
             assert!((y[i] - y_ref[i]).abs() <= 2.0f64.powi(-9) * s.row_scales()[i]);

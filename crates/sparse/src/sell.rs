@@ -5,9 +5,9 @@
 //! Rows are grouped into chunks; within a chunk every row is padded to the
 //! length of the longest row, and values are laid out column-major inside
 //! the chunk so that consecutive lanes access consecutive memory.  The same
-//! layout is reproduced here and consumed by
-//! [`crate::spmv::spmv_sell`]; it serves as the "GPU backend" of the
-//! experiment harness.
+//! layout is reproduced here and consumed by the product driver
+//! ([`crate::spmm::spmm`], eight rows of a chunk at a time where the kernel
+//! backend allows); it serves as the "GPU backend" of the experiment harness.
 
 use f3r_precision::{Precision, Scalar};
 

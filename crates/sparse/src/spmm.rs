@@ -1,12 +1,32 @@
-//! Multi-vector (SpMM) products: one matrix against a column-major panel of
-//! `k` vectors (column `c` of a panel is `xs[c * n .. (c + 1) * n]`).
+//! The sparse-product driver: one stored matrix against a column-major panel
+//! of `k` vectors (column `c` of a panel is `xs[c * n .. (c + 1) * n]`).
+//!
+//! The paper's hot kernel is one operation — a matrix in its *storage*
+//! precision streamed against vectors in the *working* precision — and
+//! [`spmm`] is its one spelling: a [`Rows`] view says how the matrix is stored
+//! (CSR or sliced ELLPACK, plain or under per-row amplitude scales), a
+//! [`PanelOp`] says what a finished row becomes (`A X`, the residual
+//! `B − A X`, or `A X` with the dots `(uᵀy, yᵀy)` taken in the same sweep), a
+//! [`Dispatch`] says where it runs, and `k` may be anything from zero up.  A
+//! single vector is the one-column panel ([`crate::spmv::spmv`]).
+//!
+//! The driver is three layers.  *Row bodies* turn one stored row into an
+//! accumulator in `TV::Accum` ([`crate::spmv`]'s CSR and SELL rows, the SELL
+//! group of eight, the interleaved panel row below).  The *epilogue* turns an
+//! accumulator into the stored result — scale fold, subtraction, the one
+//! rounding, the dots — and is resolved once per call, outside the row loop,
+//! so a product pays for exactly the epilogue it asked for.  *Dispatch* deals
+//! row ranges to the pool or runs them inline.
 //!
 //! # The panel contract
 //!
 //! Batching may change how work is grouped, never what a column computes:
-//! **column `c` of every product here is bitwise the single-vector kernel of
-//! [`crate::spmv`] applied to column `c` alone**, on whatever kernel backend
-//! the process latched, sequentially or on the pool.
+//! **column `c` of every product here is bitwise the one-column product of
+//! column `c` alone**, on whatever kernel backend the process latched, inline
+//! or on the pool.  (The dots of [`PanelOp::Dot2`] are sums of per-task
+//! partials folded in task order, so they are bitwise reproducible for a
+//! fixed pool size and partition, like every reduction of this crate; the
+//! stored columns never depend on either.)
 //!
 //! CSR panels of fp16 or fp32 vectors take the *panel kernel*.  The columns
 //! are processed in lane groups of [`PANEL_LANES`]; a group is interleaved
@@ -15,26 +35,27 @@
 //! per nonzero), then the matrix is walked once for the group: a stored
 //! `a_ij` costs one widening shared by the eight columns and one multiply–add
 //! on the contiguous lanes `xt[j]`, with no gather.  The kernel keeps, per
-//! lane, the partial sums of the single-vector kernel in the same order —
+//! lane, the partial sums of the single-vector row body in the same order —
 //! under the SIMD backend the sixteen lane sums, trailing block, scalar tail
 //! and horizontal reduction of the gather kernel for rows of eight entries
 //! or more (`f3r-simd`, `x86_panel.rs`), and everywhere else the four-chain
-//! tree of the scalar row kernel (`panel_row_tree`) — which is what makes
-//! the columns bitwise equal.  Epilogues cover the plain store, the scaled
-//! row fold and the residual `B − A X` ([`PanelOp`]).
+//! tree of the scalar row body (`panel_row_tree`) — which is what makes the
+//! columns bitwise equal.
 //!
 //! What keeps the *column loop* (each row fetched once, the single-vector row
-//! kernel run once per column): fp64-vector panels, SELL panels, and a lane
-//! group of fewer than [`PANEL_MIN_COLUMNS`] columns.  Of the ~150 panel
-//! products of an fp16-F3R solve these are the two or three on the outermost
-//! fp64 level.
+//! body run once per column): fp64-vector panels, SELL panels (the lane
+//! window of a row group fetched once per group), a lane group of fewer than
+//! [`PANEL_MIN_COLUMNS`] columns — a single vector among them — and
+//! [`PanelOp::Dot2`], whose dots ride on the row loop.  Of the ~150 panel
+//! products of a batched fp16-F3R solve these are the two or three on the
+//! outermost fp64 level.
 
 use std::ops::Range;
 
 use f3r_parallel::thresholds::{MIN_ROWS_PER_TASK, PANEL_MIN_COLUMNS, PAR_ROW_THRESHOLD};
 use f3r_parallel::SyncPtr;
 use f3r_precision::{FromScalar, Precision, Scalar};
-use f3r_simd::{panel_finish, PanelSink};
+use f3r_simd::PanelSink;
 
 pub use f3r_simd::PANEL_LANES;
 
@@ -42,7 +63,7 @@ use crate::csr::{CsrMatrix, ScaledCsr};
 use crate::sell::{ScaledSell, SellMatrix};
 use crate::spmv::{row_acc, sell_row};
 
-/// How a panel product is run.  The result never depends on it.
+/// How a product is run.  The result never depends on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
     /// On the pool when the total work `n_rows · k` reaches
@@ -65,130 +86,522 @@ impl Dispatch {
     }
 }
 
-/// What a panel product leaves in its output panel.
-#[derive(Debug, Clone, Copy)]
+/// What a product leaves in its output panel.
+#[derive(Debug)]
 pub enum PanelOp<'a, TV> {
     /// `Y = A X`.
     Product,
-    /// `R = B − A X` for the given panel `B`, subtracted before the single
-    /// rounding like [`spmv_residual`](crate::spmv::spmv_residual).
+    /// `R = B − A X` for the given panel `B`, subtracted in the accumulator
+    /// before the single rounding: one rounding more accurate, and one sweep
+    /// cheaper, than the product followed by a subtraction.
     Residual(&'a [TV]),
+    /// `Y = A X` and, from the same sweep, `dots[c] = (u_cᵀ y_c, y_cᵀ y_c)`
+    /// for every column of the panel `U` — the pair behind CG's `(p, Ap)`,
+    /// BiCGStab's `(t, s)/(t, t)` and the adaptive Richardson weight.  The
+    /// dots accumulate in `f64` on the *stored* `y`, so they are the dots one
+    /// would take after the product, without re-reading it.
+    Dot2 {
+        /// The panel `U`, laid out like the output.
+        u: &'a [TV],
+        /// One `(uᵀy, yᵀy)` per column; overwritten.
+        dots: &'a mut [(f64, f64)],
+    },
 }
 
-/// A CSR matrix as the panel driver streams it: plain storage, or row-scaled
-/// storage with its per-row power-of-two amplitude scales.
 #[derive(Debug, Clone, Copy)]
-pub struct CsrRows<'a, TA: Scalar> {
-    matrix: &'a CsrMatrix<TA>,
+enum Layout<'a, TA> {
+    Csr(&'a CsrMatrix<TA>),
+    Sell(&'a SellMatrix<TA>),
+}
+
+/// A stored matrix as the driver streams it: CSR or sliced ELLPACK, plain or
+/// row-scaled with its per-row power-of-two amplitude scales.  Made from a
+/// reference to any of the four storage types.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a, TA: Scalar> {
+    layout: Layout<'a, TA>,
     scales: Option<&'a [f64]>,
 }
 
-impl<'a, TA: Scalar> From<&'a CsrMatrix<TA>> for CsrRows<'a, TA> {
-    fn from(matrix: &'a CsrMatrix<TA>) -> Self {
-        Self { matrix, scales: None }
+impl<'a, TA: Scalar> From<&'a CsrMatrix<TA>> for Rows<'a, TA> {
+    fn from(a: &'a CsrMatrix<TA>) -> Self {
+        Self { layout: Layout::Csr(a), scales: None }
     }
 }
 
-impl<'a, TA: Scalar> From<&'a ScaledCsr<TA>> for CsrRows<'a, TA> {
+impl<'a, TA: Scalar> From<&'a ScaledCsr<TA>> for Rows<'a, TA> {
     fn from(a: &'a ScaledCsr<TA>) -> Self {
-        Self {
-            matrix: a.matrix(),
-            scales: Some(a.row_scales()),
-        }
+        Self { layout: Layout::Csr(a.matrix()), scales: Some(a.row_scales()) }
     }
 }
 
-/// Rows per pool task for the panel kernels: [`MIN_ROWS_PER_TASK`] scaled
-/// down by the panel width (each row moves ~k columns of vector traffic, so
-/// a k-wide task hits the single-vector task's byte budget k× sooner),
-/// floored so tasks stay well above the pool's dispatch cost.  Grain only
-/// affects the partition, never per-row values, so it is free to depend on k.
-fn panel_grain(k: usize) -> usize {
-    (MIN_ROWS_PER_TASK / k.max(1)).max(512)
-}
-
-/// Run `f` over `0..len`: as pool tasks on disjoint ranges, or inline.
-fn for_row_ranges(len: usize, grain: usize, parallel: bool, f: impl Fn(Range<usize>) + Sync) {
-    if parallel {
-        f3r_parallel::par_ranges(len, grain, f);
-    } else {
-        f(0..len);
+impl<'a, TA: Scalar> From<&'a SellMatrix<TA>> for Rows<'a, TA> {
+    fn from(a: &'a SellMatrix<TA>) -> Self {
+        Self { layout: Layout::Sell(a), scales: None }
     }
 }
 
-/// CSR panel product on `k` column-major vectors: `out = A X` or
-/// `out = B − A X` ([`PanelOp`]), with `A` in plain or row-scaled storage
-/// ([`CsrRows`]).  Column `c` of the result is bitwise the matching
-/// single-vector kernel ([`spmv`](crate::spmv::spmv),
-/// [`spmv_scaled`](crate::spmv::spmv_scaled),
-/// [`spmv_residual`](crate::spmv::spmv_residual),
-/// [`spmv_scaled_residual`](crate::spmv::spmv_scaled_residual)) applied to
-/// column `c`, whatever the dispatch — see the [module docs](self).
+impl<'a, TA: Scalar> From<&'a ScaledSell<TA>> for Rows<'a, TA> {
+    fn from(a: &'a ScaledSell<TA>) -> Self {
+        Self { layout: Layout::Sell(a.matrix()), scales: Some(a.row_scales()) }
+    }
+}
+
+/// Where a row accumulator is finished: plain storage works in the
+/// accumulation precision and rounds with [`Scalar::narrow`]; scaled storage
+/// folds the row's power-of-two scale in `f64` (exact, once per row) and
+/// rounds from there.  Everything an epilogue does between the accumulator
+/// and the one rounding happens in `W`.
+trait Fold<TV: Scalar>: Copy + Sync {
+    type W: Scalar;
+    fn lift(self, acc: TV::Accum, row: usize) -> Self::W;
+    fn widen(v: TV) -> Self::W;
+    fn round(w: Self::W) -> TV;
+}
+
+#[derive(Clone, Copy)]
+struct Plain;
+
+#[derive(Clone, Copy)]
+struct Scaled<'a>(&'a [f64]);
+
+impl<TV: Scalar> Fold<TV> for Plain {
+    type W = TV::Accum;
+    #[inline(always)]
+    fn lift(self, acc: TV::Accum, _row: usize) -> TV::Accum {
+        acc
+    }
+    #[inline(always)]
+    fn widen(v: TV) -> TV::Accum {
+        v.widen()
+    }
+    #[inline(always)]
+    fn round(w: TV::Accum) -> TV {
+        TV::narrow(w)
+    }
+}
+
+impl<TV: Scalar> Fold<TV> for Scaled<'_> {
+    type W = f64;
+    #[inline(always)]
+    fn lift(self, acc: TV::Accum, row: usize) -> f64 {
+        acc.to_f64() * self.0[row]
+    }
+    #[inline(always)]
+    fn widen(v: TV) -> f64 {
+        v.to_f64()
+    }
+    #[inline(always)]
+    fn round(w: f64) -> TV {
+        TV::from_f64(w)
+    }
+}
+
+/// The sparse product on `k` column-major vectors: `out = A X`,
+/// `out = B − A X` or `out = A X` with its dots ([`PanelOp`]), for `A` in any
+/// storage the driver streams ([`Rows`]).  Column `c` of the result is
+/// bitwise the one-column product of column `c`, whatever the dispatch — see
+/// the [module docs](self).
 ///
 /// # Panics
-/// Panics if a panel's length is not `k` times the matching matrix dimension.
-pub fn csr_panel<TA: Scalar, TV: Scalar>(
-    a: CsrRows<'_, TA>,
+/// Panics if a panel's length is not `k` times the matching matrix
+/// dimension, or [`PanelOp::Dot2`]'s `dots` does not hold `k` pairs.
+pub fn spmm<'a, TA: Scalar, TV: Scalar>(
+    a: impl Into<Rows<'a, TA>>,
     xs: &[TV],
     op: PanelOp<'_, TV>,
     out: &mut [TV],
     k: usize,
     dispatch: Dispatch,
 ) {
-    let (nr, nc) = (a.matrix.n_rows(), a.matrix.n_cols());
-    assert_eq!(xs.len(), nc * k, "csr_panel: input panel length mismatch");
-    assert_eq!(out.len(), nr * k, "csr_panel: output panel length mismatch");
-    let rhs = match op {
-        PanelOp::Product => None,
-        PanelOp::Residual(b) => {
-            assert_eq!(b.len(), nr * k, "csr_panel: right-hand-side panel length mismatch");
-            Some(b)
-        }
+    // One body per (TA, TV), whichever storage type the caller holds.
+    spmm_rows(a.into(), xs, op, out, k, dispatch);
+}
+
+fn spmm_rows<TA: Scalar, TV: Scalar>(
+    Rows { layout, scales }: Rows<'_, TA>,
+    xs: &[TV],
+    op: PanelOp<'_, TV>,
+    out: &mut [TV],
+    k: usize,
+    dispatch: Dispatch,
+) {
+    let (nr, nc) = match layout {
+        Layout::Csr(m) => (m.n_rows(), m.n_cols()),
+        Layout::Sell(s) => (s.n_rows(), s.n_cols()),
     };
-    let parallel = dispatch.parallel(nr, k);
-    // SAFETY: every task below writes the rows of its own range, in the
-    // columns of one lane group, and each batch completes inside this call.
-    let out = unsafe { SyncPtr::new(out.as_mut_ptr()) };
-    for c0 in (0..k).step_by(PANEL_LANES) {
-        let g = (k - c0).min(PANEL_LANES);
-        let xs = &xs[c0 * nc..(c0 + g) * nc];
-        // SAFETY: as `out`, of which these are the group's columns.
-        let group_out = unsafe { SyncPtr::new(out.get().wrapping_add(c0 * nr)) };
-        let sink = || PanelSink {
-            out: group_out.get(),
-            stride: nr,
-            cols: g,
-            scales: a.scales,
-            rhs: rhs.map(|b| &b[c0 * nr..(c0 + g) * nr]),
-        };
-        if TV::PRECISION == Precision::Fp64 || g < PANEL_MIN_COLUMNS {
-            for_row_ranges(nr, panel_grain(g), parallel, |rows| {
-                // SAFETY: this task owns `rows` of the group's columns (the
-                // ranges are disjoint and `out` outlives the batch).
-                unsafe { column_loop_rows(a.matrix, xs, rows, &sink()) };
-            });
-            continue;
-        }
-        // The scratch rows are 32 bytes: start them on a 32-byte boundary so
-        // no row load straddles a cache line.
-        <TV::Accum as Scalar>::with_scratch((nc + 1) * PANEL_LANES, |flat| {
-            let skip = flat.as_ptr().align_offset(32).min(PANEL_LANES);
-            let xt = &mut flat[skip..skip + nc * PANEL_LANES];
-            let (xt, _) = xt.as_chunks_mut::<PANEL_LANES>();
-            if parallel {
-                f3r_parallel::par_chunks_mut(xt, panel_grain(g), |row0, chunk| {
-                    interleave_rows(xs, nc, g, row0, chunk);
-                });
-            } else {
-                interleave_rows(xs, nc, g, 0, xt);
+    assert_eq!(xs.len(), nc * k, "spmm: input panel length mismatch");
+    assert_eq!(out.len(), nr * k, "spmm: output panel length mismatch");
+    let panel = Panel {
+        layout,
+        scales,
+        xs,
+        // SAFETY: every task of `Panel::run` writes the rows of its own range
+        // in the columns of one lane group, the groups run one after another,
+        // and each batch completes inside this call's borrow of `out`.
+        out: unsafe { SyncPtr::new(out.as_mut_ptr()) },
+        nr,
+        nc,
+        k,
+        parallel: dispatch.parallel(nr, k),
+    };
+    match scales {
+        None => panel.finish_with(Plain, op),
+        Some(s) => panel.finish_with(Scaled(s), op),
+    }
+}
+
+/// One product's operands, as the row loops see them.
+struct Panel<'a, TA, TV> {
+    layout: Layout<'a, TA>,
+    scales: Option<&'a [f64]>,
+    xs: &'a [TV],
+    out: SyncPtr<TV>,
+    nr: usize,
+    nc: usize,
+    k: usize,
+    parallel: bool,
+}
+
+impl<TA: Scalar, TV: Scalar> Panel<'_, TA, TV> {
+    /// Resolve the epilogue — `fold` × `op` — into one monomorphic row
+    /// finisher and run the product with it.
+    fn finish_with<F: Fold<TV>>(&self, fold: F, op: PanelOp<'_, TV>) {
+        let len = self.nr * self.k;
+        match op {
+            PanelOp::Product => self.run(
+                None,
+                |acc, row, _, (): &mut ()| F::round(fold.lift(acc, row)),
+                |_, ()| {},
+            ),
+            PanelOp::Residual(b) => {
+                assert_eq!(b.len(), len, "spmm: right-hand-side panel length mismatch");
+                self.run(
+                    Some(b),
+                    |acc, row, at, (): &mut ()| F::round(F::widen(b[at]) - fold.lift(acc, row)),
+                    |_, ()| {},
+                );
             }
-            let xt = &*xt;
-            for_row_ranges(nr, panel_grain(g), parallel, |rows| {
-                // SAFETY: as above; the matrix arrays are those of a
-                // validated `CsrMatrix` with `nc == xt.len()` columns.
-                unsafe { panel_rows(a.matrix, xt, rows, &sink()) };
+            PanelOp::Dot2 { u, dots } => {
+                assert_eq!(u.len(), len, "spmm: dot panel length mismatch");
+                assert_eq!(dots.len(), self.k, "spmm: one dot pair per column");
+                dots.fill((0.0, 0.0));
+                self.run(
+                    None,
+                    |acc, row, at, (uy, yy): &mut (f64, f64)| {
+                        // Round once, then take the dots on the *stored*
+                        // value: bitwise the dots run after the product.
+                        let y = F::round(fold.lift(acc, row));
+                        let w = F::widen(y);
+                        *uy += (F::widen(u[at]) * w).to_f64();
+                        *yy += (w * w).to_f64();
+                        y
+                    },
+                    |c, (uy, yy)| {
+                        dots[c].0 += uy;
+                        dots[c].1 += yy;
+                    },
+                );
+            }
+        }
+    }
+
+    /// The row loops.  `fin(acc, row, at, sums)` finishes the accumulator of
+    /// row `row` for panel slot `at = column · n_rows + row`, with `sums` the
+    /// running reduction of that column in the current task; `merge(column,
+    /// sums)` receives every task's reductions in task order.  `rhs` is the
+    /// residual's `B` again, as data, for the SIMD panel kernel, which
+    /// finishes its own rows ([`PanelSink`]).
+    fn run<S: Copy + Default + Send>(
+        &self,
+        rhs: Option<&[TV]>,
+        fin: impl Fn(TV::Accum, usize, usize, &mut S) -> TV + Sync,
+        mut merge: impl FnMut(usize, S),
+    ) {
+        let Self { layout, nr, nc, k, parallel, .. } = *self;
+        for c0 in (0..k).step_by(PANEL_LANES) {
+            let g = (k - c0).min(PANEL_LANES);
+            let grain = panel_grain(g);
+            let each = |sums: [S; PANEL_LANES]| {
+                for (c, s) in sums.into_iter().take(g).enumerate() {
+                    merge(c0 + c, s);
+                }
+            };
+            // The panel kernel finishes its own rows, so a reduction (a
+            // non-empty `S`) keeps the column loop, where it rides on `fin`.
+            let paneled = matches!(layout, Layout::Csr(_))
+                && TV::PRECISION != Precision::Fp64
+                && g >= PANEL_MIN_COLUMNS
+                && size_of::<S>() == 0;
+            if !paneled {
+                for_row_ranges(nr, grain, parallel, |rows| self.group_rows(c0, g, rhs, &fin, rows, None), each);
+                continue;
+            }
+            let xs = &self.xs[c0 * nc..(c0 + g) * nc];
+            // The scratch rows are 32 bytes: start them on a 32-byte boundary
+            // so no row load straddles a cache line.
+            <TV::Accum as Scalar>::with_scratch((nc + 1) * PANEL_LANES, |flat| {
+                let skip = flat.as_ptr().align_offset(32).min(PANEL_LANES);
+                let xt = &mut flat[skip..skip + nc * PANEL_LANES];
+                let (xt, _) = xt.as_chunks_mut::<PANEL_LANES>();
+                if parallel {
+                    f3r_parallel::par_chunks_mut(xt, grain, |row0, chunk| {
+                        interleave_rows(xs, nc, g, row0, chunk);
+                    });
+                } else {
+                    interleave_rows(xs, nc, g, 0, xt);
+                }
+                let xt = &*xt;
+                for_row_ranges(nr, grain, parallel, |rows| self.group_rows(c0, g, rhs, &fin, rows, Some(xt)), each);
             });
+        }
+    }
+
+    /// Rows `rows` of the lane group of `g` columns from column `c0`: through
+    /// the panel kernel on the interleaved group `xt`, through the column
+    /// loop without one.  Returns the group's reductions over `rows`.  One
+    /// task, or the whole inline sweep — entered once per row range, so it is
+    /// kept out of line: one copy of the row loops per epilogue, not one per
+    /// call site.
+    #[inline(never)]
+    fn group_rows<S: Copy + Default>(
+        &self,
+        c0: usize,
+        g: usize,
+        rhs: Option<&[TV]>,
+        fin: &impl Fn(TV::Accum, usize, usize, &mut S) -> TV,
+        rows: Range<usize>,
+        xt: Option<&[[TV::Accum; PANEL_LANES]]>,
+    ) -> [S; PANEL_LANES] {
+        let (nr, nc) = (self.nr, self.nc);
+        let xs = &self.xs[c0 * nc..(c0 + g) * nc];
+        let mut sums = [S::default(); PANEL_LANES];
+        // Captured by value: the row loops then keep the pointer and the
+        // strides in registers across the raw stores.
+        let (out, acc_sums) = (self.out.get(), &mut sums);
+        let emit = move |row: usize, c: usize, acc: TV::Accum| {
+            let at = (c0 + c) * nr + row;
+            let y = fin(acc, row, at, &mut acc_sums[c]);
+            // SAFETY: row `row` of column `c0 + c`, which this task owns
+            // (`spmm`'s note on `out`); SELL boundary-group rows outside
+            // `rows` are computed but never emitted.
+            unsafe { out.add(at).write(y) };
+        };
+        match (self.layout, xt) {
+            (Layout::Csr(m), Some(xt)) => {
+                let sink = PanelSink {
+                    out: out.wrapping_add(c0 * nr),
+                    stride: nr,
+                    cols: g,
+                    scales: self.scales,
+                    rhs: rhs.map(|b| &b[c0 * nr..(c0 + g) * nr]),
+                };
+                // SAFETY: as `emit`; the matrix arrays are those of a
+                // validated `CsrMatrix` with `nc == xt.len()` columns.
+                unsafe { panel_rows(m, xt, rows, &sink, emit) }
+            }
+            (Layout::Csr(m), None) => csr_rows(m, xs, g, rows, emit),
+            (Layout::Sell(s), _) => sell_rows(s, xs, g, rows, emit),
+        }
+        sums
+    }
+}
+
+/// Rows per pool task: [`MIN_ROWS_PER_TASK`] scaled down by the panel width
+/// (each row moves ~k columns of vector traffic, so a k-wide task hits the
+/// single-vector task's byte budget k× sooner), floored so tasks stay well
+/// above the pool's dispatch cost.  Grain only affects the partition, never
+/// per-row values, so it is free to depend on k.
+fn panel_grain(k: usize) -> usize {
+    (MIN_ROWS_PER_TASK / k.max(1)).max(512)
+}
+
+/// Run `task` over `0..len` — inline, or as pool tasks on disjoint ranges —
+/// and hand each range's result to `each` in range order.  Results without
+/// content are not collected, so such a product allocates nothing.
+fn for_row_ranges<R: Send>(
+    len: usize,
+    grain: usize,
+    parallel: bool,
+    task: impl Fn(Range<usize>) -> R + Sync,
+    mut each: impl FnMut(R),
+) {
+    if !parallel {
+        each(task(0..len));
+    } else if size_of::<R>() == 0 {
+        f3r_parallel::par_ranges(len, grain, |rows| {
+            task(rows);
         });
+    } else {
+        f3r_parallel::par_map_ranges(len, grain, task).into_iter().for_each(each);
+    }
+}
+
+/// Rows `rows` of one lane group through the column loop: each row's entries
+/// fetched once, the single-vector row body run on every column.
+#[inline(always)]
+fn csr_rows<TA: Scalar, TV: Scalar>(
+    m: &CsrMatrix<TA>,
+    xs: &[TV],
+    cols: usize,
+    rows: Range<usize>,
+    mut emit: impl FnMut(usize, usize, TV::Accum),
+) {
+    let nc = m.n_cols();
+    // Everything the row loop reads, in locals: the stores behind `emit` go
+    // through a raw pointer, which the compiler must otherwise assume may
+    // change the matrix's own array headers between rows.
+    let (ptr, idx, vals) = (m.row_ptr(), m.col_idx(), m.values());
+    let entries = |row: usize| {
+        let (start, end) = (ptr[row], ptr[row + 1]);
+        (&idx[start..end], &vals[start..end])
+    };
+    if cols == 1 {
+        // Every single-vector product: worth a loop with no column in it
+        // (measured 7–17 % on an L2-resident HPCG 16³).
+        let x = &xs[..nc];
+        for row in rows {
+            let (idx, vals) = entries(row);
+            emit(row, 0, row_acc(idx, vals, x));
+        }
+        return;
+    }
+    let x: [&[TV]; PANEL_LANES] = std::array::from_fn(|c| if c < cols { &xs[c * nc..(c + 1) * nc] } else { &[] });
+    for row in rows {
+        let (idx, vals) = entries(row);
+        for (c, x) in x.iter().enumerate().take(cols) {
+            emit(row, c, row_acc(idx, vals, x));
+        }
+    }
+}
+
+/// Rows `rows` of one lane group through the panel kernel: the SIMD backend's
+/// when it accepts the group (it then finishes its rows into `sink`), the
+/// scalar [`panel_row_tree`] with `emit` otherwise.  Like the single-vector
+/// `row_acc`, acceptance depends only on global properties (backend, vector
+/// length), so every task makes the same choice.
+///
+/// # Safety
+/// `sink` must hold rows `rows` of its columns, with no other thread touching
+/// those rows during the call.
+unsafe fn panel_rows<TA: Scalar, TV: Scalar>(
+    m: &CsrMatrix<TA>,
+    xt: &[[TV::Accum; PANEL_LANES]],
+    rows: Range<usize>,
+    sink: &PanelSink<'_, TV>,
+    mut emit: impl FnMut(usize, usize, TV::Accum),
+) {
+    // SAFETY: the arrays are those of a `CsrMatrix`, whose constructor bounds
+    // every column index by `n_cols == xt.len()`; the sink is the caller's
+    // contract.
+    if unsafe { f3r_simd::try_spmm_panel(m.row_ptr(), m.col_idx(), m.values(), xt, rows.clone(), sink) } {
+        return;
+    }
+    for row in rows {
+        let (idx, vals) = m.row_entries(row);
+        let acc = panel_row_tree(idx, vals, xt);
+        for (c, &lane) in acc.iter().enumerate().take(sink.cols) {
+            emit(row, c, lane);
+        }
+    }
+}
+
+/// One CSR row against an interleaved lane group: per lane, the four-chain
+/// summation tree of the scalar single-vector row kernel (`spmv_row`) —
+/// blocks of four entries into four partial sums, the remainder into the
+/// first, `(acc0 + acc1) + (acc2 + acc3)`, multiply and add never fused.
+#[inline(always)]
+fn panel_row_tree<TA: Scalar, A: FromScalar>(
+    cols: &[u32],
+    vals: &[TA],
+    xt: &[[A; PANEL_LANES]],
+) -> [A; PANEL_LANES] {
+    let mut acc = [[A::zero(); PANEL_LANES]; 4];
+    let mut c4 = cols.chunks_exact(4);
+    let mut v4 = vals.chunks_exact(4);
+    for (c, v) in (&mut c4).zip(&mut v4) {
+        for q in 0..4 {
+            let (a, x) = (A::from_scalar(v[q]), &xt[c[q] as usize]);
+            for (s, &xl) in acc[q].iter_mut().zip(x) {
+                *s += a * xl;
+            }
+        }
+    }
+    for (&c, &v) in c4.remainder().iter().zip(v4.remainder()) {
+        let (a, x) = (A::from_scalar(v), &xt[c as usize]);
+        for (s, &xl) in acc[0].iter_mut().zip(x) {
+            *s += a * xl;
+        }
+    }
+    std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]))
+}
+
+/// SELL rows `rows` against the `k` columns of one lane group, each
+/// accumulator handed to `emit(row, column, acc)`.
+///
+/// When the SIMD backend is active and the chunk height is a multiple of
+/// eight, rows are processed in *globally aligned* groups of eight (rows
+/// `[8g, 8g + 8)`, all inside one chunk by the alignment): the column lanes
+/// of the whole group load as one vector per lane position, so the
+/// column-major SELL layout streams contiguously instead of gathering, and
+/// the group's lane window is fetched **once** and swept against every column
+/// before moving on.  A task whose boundary cuts through a group computes the
+/// **full** group and emits only its own rows — the few boundary rows are
+/// computed twice (cheap, read-only) so every row's accumulator is identical
+/// no matter which task computes it.  The trailing partial group (when
+/// `n_rows % 8 != 0`) and every row of a declined group fall back to the
+/// scalar [`sell_row`].  Acceptance (`try_sell_group8` returning `Some`)
+/// depends only on the latched backend and the column length — both identical
+/// across tasks and across a panel's columns — so the choice is per-row
+/// deterministic.
+#[inline(always)]
+fn sell_rows<TA: Scalar, TV: Scalar>(
+    a: &SellMatrix<TA>,
+    xs: &[TV],
+    k: usize,
+    rows: Range<usize>,
+    mut emit: impl FnMut(usize, usize, TV::Accum),
+) {
+    let nc = a.n_cols();
+    let end = rows.end;
+    let grouped = a.chunk_size().is_multiple_of(8)
+        && nc <= f3r_simd::MAX_GATHER_LEN
+        && f3r_simd::kernel_backend().is_simd();
+    let mut row = rows.start;
+    while row < end {
+        let g0 = row & !7;
+        if grouped && g0 + 8 <= a.n_rows() {
+            let (cols, vals, stride, width) = a.row_lanes(g0);
+            let group = |c: usize| {
+                let x = &xs[c * nc..(c + 1) * nc];
+                // SAFETY: column indices are bounded by n_cols (SellMatrix
+                // construction; padding lanes store the row's own index) and
+                // `x` has n_cols elements.  The lane window is in bounds:
+                // row_lanes(g0) slices run to the end of the chunk, whose
+                // height is a multiple of 8 and whose lane offset g0 % chunk
+                // is too, so `(width - 1) * stride + 8 <= slice length`.
+                unsafe { f3r_simd::try_sell_group8(cols, vals, stride, width, x) }
+            };
+            if let Some(first) = group(0) {
+                let hi = end.min(g0 + 8);
+                for c in 0..k {
+                    let accs = if c == 0 {
+                        first
+                    } else {
+                        group(c).expect("SELL group acceptance is uniform across panel columns")
+                    };
+                    for r in row..hi {
+                        emit(r, c, accs[r - g0]);
+                    }
+                }
+                row = hi;
+                continue;
+            }
+        }
+        for c in 0..k {
+            emit(row, c, sell_row(a, row, &xs[c * nc..(c + 1) * nc]));
+        }
+        row += 1;
     }
 }
 
@@ -241,225 +654,11 @@ pub unsafe fn deinterleave_rows<TV: Scalar>(
     }
 }
 
-/// Rows `rows` of one lane group through the panel kernel: the SIMD backend's
-/// when it accepts the group, the scalar [`panel_row_tree`] otherwise.  Like
-/// the single-vector `row_acc`, acceptance depends only on global properties
-/// (backend, vector length), so every task makes the same choice.
-///
-/// # Safety
-/// `sink` must hold rows `rows` of its columns, with no other thread touching
-/// those rows during the call.
-unsafe fn panel_rows<TA: Scalar, TV: Scalar>(
-    m: &CsrMatrix<TA>,
-    xt: &[[TV::Accum; PANEL_LANES]],
-    rows: Range<usize>,
-    sink: &PanelSink<'_, TV>,
-) {
-    // SAFETY: the arrays are those of a `CsrMatrix`, whose constructor bounds
-    // every column index by `n_cols == xt.len()`; the sink is the caller's
-    // contract.
-    if unsafe { f3r_simd::try_spmm_panel(m.row_ptr(), m.col_idx(), m.values(), xt, rows.clone(), sink) } {
-        return;
-    }
-    for row in rows {
-        let (cols, vals) = m.row_entries(row);
-        let acc = panel_row_tree(cols, vals, xt);
-        let scale = sink.scales.map(|s| s[row]);
-        for (c, &lane) in acc.iter().enumerate().take(sink.cols) {
-            let at = c * sink.stride + row;
-            let done = panel_finish::<TV>(lane, scale, sink.rhs.map(|b| b[at]));
-            // SAFETY: slot `at` is row `row` of column `c` of the sink.
-            unsafe { sink.out.add(at).write(done) };
-        }
-    }
-}
-
-/// One CSR row against an interleaved lane group: per lane, the four-chain
-/// summation tree of the scalar single-vector row kernel (`spmv_row`) —
-/// blocks of four entries into four partial sums, the remainder into the
-/// first, `(acc0 + acc1) + (acc2 + acc3)`, multiply and add never fused.
-#[inline(always)]
-fn panel_row_tree<TA: Scalar, A: FromScalar>(
-    cols: &[u32],
-    vals: &[TA],
-    xt: &[[A; PANEL_LANES]],
-) -> [A; PANEL_LANES] {
-    let mut acc = [[A::zero(); PANEL_LANES]; 4];
-    let mut c4 = cols.chunks_exact(4);
-    let mut v4 = vals.chunks_exact(4);
-    for (c, v) in (&mut c4).zip(&mut v4) {
-        for q in 0..4 {
-            let (a, x) = (A::from_scalar(v[q]), &xt[c[q] as usize]);
-            for (s, &xl) in acc[q].iter_mut().zip(x) {
-                *s += a * xl;
-            }
-        }
-    }
-    for (&c, &v) in c4.remainder().iter().zip(v4.remainder()) {
-        let (a, x) = (A::from_scalar(v), &xt[c as usize]);
-        for (s, &xl) in acc[0].iter_mut().zip(x) {
-            *s += a * xl;
-        }
-    }
-    std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]))
-}
-
-/// Rows `rows` of one lane group through the column loop: each row's entries
-/// fetched once, the single-vector row kernel run on every column.
-///
-/// # Safety
-/// As [`panel_rows`].
-unsafe fn column_loop_rows<TA: Scalar, TV: Scalar>(
-    m: &CsrMatrix<TA>,
-    xs: &[TV],
-    rows: Range<usize>,
-    sink: &PanelSink<'_, TV>,
-) {
-    let nc = m.n_cols();
-    for row in rows {
-        let (cols, vals) = m.row_entries(row);
-        let scale = sink.scales.map(|s| s[row]);
-        for c in 0..sink.cols {
-            let acc = row_acc(cols, vals, &xs[c * nc..(c + 1) * nc]);
-            let at = c * sink.stride + row;
-            let done = panel_finish::<TV>(acc, scale, sink.rhs.map(|b| b[at]));
-            // SAFETY: slot `at` is row `row` of column `c` of the sink.
-            unsafe { sink.out.add(at).write(done) };
-        }
-    }
-}
-
-/// Sliced-ELLPACK panel product `Y = A X` on `k` column-major vectors, with
-/// `scales` the per-row amplitude scales of scaled storage.  SELL panels keep
-/// the column loop: each row group's lane window is fetched once and swept
-/// against every column with the single-vector group kernel, so column `c` is
-/// bitwise [`spmv_sell`](crate::spmv::spmv_sell) /
-/// [`spmv_scaled_sell`](crate::spmv::spmv_scaled_sell) on column `c`.
-fn sell_panel<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    scales: Option<&[f64]>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-    dispatch: Dispatch,
-) {
-    assert_eq!(xs.len(), a.n_cols() * k, "sell spmm: xs length mismatch");
-    assert_eq!(ys.len(), a.n_rows() * k, "sell spmm: ys length mismatch");
-    let nr = a.n_rows();
-    // SAFETY: a task writes rows of its own range only (see `emit` below),
-    // and the batch completes inside this borrow of `ys`.
-    let out = unsafe { SyncPtr::new(ys.as_mut_ptr()) };
-    for_row_ranges(nr, panel_grain(k), dispatch.parallel(nr, k), |rows| {
-        sell_sweep_multi(a, xs, k, rows.start, rows.len(), |row, c, acc| {
-            let done = panel_finish::<TV>(acc, scales.map(|s| s[row]), None);
-            // SAFETY: this task owns `row`, so slot `c * nr + row` is written
-            // by exactly one task; boundary group rows outside `rows` are
-            // computed but never emitted; `ys` outlives the batch.
-            unsafe { out.get().add(c * nr + row).write(done) };
-        });
-    });
-}
-
-/// Sliced-ELLPACK SpMM dispatching on the total work `n_rows · k`.
-///
-/// # Panics
-/// Panics if the panel lengths do not match the matrix dimensions.
-pub fn spmv_sell_multi<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    sell_panel(a, None, xs, ys, k, Dispatch::Auto);
-}
-
-/// Scaled sliced-ELLPACK SpMM dispatching on the total work `n_rows · k`.
-///
-/// # Panics
-/// Panics if the panel lengths do not match the matrix dimensions.
-pub fn spmv_scaled_sell_multi<TA: Scalar, TV: Scalar>(
-    a: &ScaledSell<TA>,
-    xs: &[TV],
-    ys: &mut [TV],
-    k: usize,
-) {
-    sell_panel(a.matrix(), Some(a.row_scales()), xs, ys, k, Dispatch::Auto);
-}
-
-/// Compute SELL rows `base .. base + count` against all `k` panel columns,
-/// handing each accumulator to `emit(row, column, acc)`.
-///
-/// The multi-column twin of the single-vector `sell_sweep`: each row group's
-/// lane window is fetched **once** and swept against every column before
-/// moving on, so the padded SELL layout streams through the cache a single
-/// time per call.  The group kernel's acceptance (`try_sell_group8` returning
-/// `Some`) depends only on the latched backend and the column length — both
-/// identical across a panel's columns — so either every column of a group
-/// takes the SIMD path or none does, and each column's accumulators match the
-/// single-vector sweep bit for bit.  A parallel task whose boundary cuts a
-/// group computes the full group and emits only its own rows.
-#[inline(always)]
-fn sell_sweep_multi<TA: Scalar, TV: Scalar>(
-    a: &SellMatrix<TA>,
-    xs: &[TV],
-    k: usize,
-    base: usize,
-    count: usize,
-    mut emit: impl FnMut(usize, usize, TV::Accum),
-) {
-    if k == 0 {
-        return;
-    }
-    let nc = a.n_cols();
-    let end = base + count;
-    let grouped = a.chunk_size().is_multiple_of(8)
-        && nc <= f3r_simd::MAX_GATHER_LEN
-        && f3r_simd::kernel_backend().is_simd();
-    let mut row = base;
-    while row < end {
-        let g0 = row & !7;
-        if grouped && g0 + 8 <= a.n_rows() {
-            let (cols, vals, stride, width) = a.row_lanes(g0);
-            // SAFETY: same contract as `sell_sweep` — the SellMatrix
-            // constructor bounds all column indices by n_cols, the callers
-            // assert each panel column has n_cols elements, and the lane
-            // window is in bounds because the chunk height and lane offset
-            // are multiples of 8.
-            let accs = unsafe { f3r_simd::try_sell_group8(cols, vals, stride, width, &xs[..nc]) };
-            if let Some(accs) = accs {
-                let hi = end.min(g0 + 8);
-                for r in row..hi {
-                    emit(r, 0, accs[r - g0]);
-                }
-                for c in 1..k {
-                    let x = &xs[c * nc..(c + 1) * nc];
-                    // SAFETY: as above; acceptance is uniform across columns
-                    // (backend and x.len() are the only gates).
-                    let accs = unsafe { f3r_simd::try_sell_group8(cols, vals, stride, width, x) }
-                        .expect("SELL group acceptance is uniform across panel columns");
-                    for r in row..hi {
-                        emit(r, c, accs[r - g0]);
-                    }
-                }
-                row = hi;
-                continue;
-            }
-        }
-        for c in 0..k {
-            let x = &xs[c * nc..(c + 1) * nc];
-            emit(row, c, sell_row(a, row, x));
-        }
-        row += 1;
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::spmv::{
-        spmv_residual, spmv_scaled_residual, spmv_scaled_sell_seq, spmv_scaled_seq, spmv_sell_seq, spmv_seq,
-    };
     use half::f16;
 
     fn tridiag(n: usize) -> CsrMatrix<f64> {
@@ -476,11 +675,12 @@ mod tests {
         coo.to_csr()
     }
 
-    /// Tridiagonal matrix whose row amplitudes sweep `1e-12 .. 1e12`.
-    fn wide_range_tridiag(n: usize) -> CsrMatrix<f64> {
+    /// Tridiagonal matrix whose row amplitudes sweep `1e-2 .. 1e2`: scales
+    /// that matter, values every storage precision holds.
+    fn ranged_tridiag(n: usize) -> CsrMatrix<f64> {
         let a = tridiag(n);
         let d: Vec<f64> = (0..n)
-            .map(|i| 10f64.powf(-12.0 + 24.0 * i as f64 / (n - 1) as f64))
+            .map(|i| 10f64.powf(-2.0 + 4.0 * i as f64 / (n - 1) as f64))
             .collect();
         a.scale_rows_cols(&d, &vec![1.0; n])
     }
@@ -492,36 +692,119 @@ mod tests {
             .collect()
     }
 
-    fn product<TA: Scalar, TV: Scalar>(a: &CsrMatrix<TA>, xs: &[TV], k: usize, d: Dispatch) -> Vec<TV> {
-        let mut ys = vec![TV::zero(); a.n_rows() * k];
-        csr_panel(a.into(), xs, PanelOp::Product, &mut ys, k, d);
-        ys
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Product,
+        Residual,
+        Dot2,
+    }
+    const OPS: [Op; 3] = [Op::Product, Op::Residual, Op::Dot2];
+
+    /// One product through the driver; the dots are empty unless `op` is
+    /// [`Op::Dot2`], whose `u` is `bs`.
+    fn run<TA: Scalar, TV: Scalar>(
+        a: Rows<'_, TA>,
+        op: Op,
+        xs: &[TV],
+        bs: &[TV],
+        k: usize,
+        d: Dispatch,
+    ) -> (Vec<TV>, Vec<(f64, f64)>) {
+        let mut out = vec![TV::zero(); bs.len()];
+        let mut dots = vec![(0.0, 0.0); if matches!(op, Op::Dot2) { k } else { 0 }];
+        let op = match op {
+            Op::Product => PanelOp::Product,
+            Op::Residual => PanelOp::Residual(bs),
+            Op::Dot2 => PanelOp::Dot2 { u: bs, dots: &mut dots },
+        };
+        spmm(a, xs, op, &mut out, k, d);
+        (out, dots)
+    }
+
+    /// `(uᵀy, yᵀy)` taken after the fact, in `f64`.
+    fn dots_after<TV: Scalar>(u: &[TV], y: &[TV]) -> (f64, f64) {
+        let dot = |a: &[TV], b: &[TV]| a.iter().zip(b).map(|(p, q)| p.to_f64() * q.to_f64()).sum::<f64>();
+        (dot(u, y), dot(y, y))
+    }
+
+    fn close(got: (f64, f64), want: (f64, f64), rel: f64) -> bool {
+        let tol = rel * want.1.max(1.0);
+        (got.0 - want.0).abs() <= tol && (got.1 - want.1).abs() <= tol
+    }
+
+    /// The four storages of `a` with values in `TA` (SELL chunk `chunk`).
+    fn with_storages<TA: Scalar>(a: &CsrMatrix<f64>, chunk: usize, mut f: impl FnMut(&str, Rows<'_, TA>)) {
+        let csr: CsrMatrix<TA> = a.to_precision();
+        f("csr", (&csr).into());
+        f("scaled csr", (&ScaledCsr::<TA>::from_f64(a)).into());
+        f("sell", (&SellMatrix::from_csr(&csr, chunk)).into());
+        f("scaled sell", (&ScaledSell::<TA>::from_csr_f64(a, chunk)).into());
     }
 
     #[test]
-    fn spmm_columns_are_bitwise_equal_to_spmv() {
-        fn check<TV: Scalar>() {
-            for &n in &[1usize, 7, 33, 100] {
-                let a = tridiag(n);
-                for &k in &[1usize, 2, 3, 5, 8, 9, 16] {
-                    let xs = panel::<TV>(n, k, 0.3);
-                    let ys = product(&a, &xs, k, Dispatch::Seq);
-                    assert_eq!(ys, product(&a, &xs, k, Dispatch::Par), "n {n} k {k} seq/par");
-                    for c in 0..k {
-                        let mut y1 = vec![TV::zero(); n];
-                        spmv_seq(&a, &xs[c * n..(c + 1) * n], &mut y1);
-                        assert_eq!(&ys[c * n..(c + 1) * n], &y1[..], "n {n} k {k} col {c}");
+    fn columns_are_bitwise_the_one_column_products() {
+        // Every storage × epilogue × width, inline and on the pool; chunk 8
+        // engages the SELL group of eight where the backend allows, chunk 4
+        // the scalar row, and n = 70 leaves a partial trailing group.
+        fn check<TA: Scalar, TV: Scalar>() {
+            for (n, chunk) in [(1usize, 8usize), (33, 4), (70, 8)] {
+                with_storages::<TA>(&tridiag(n), chunk, |storage, a| {
+                    for op in OPS {
+                        for k in [0usize, 1, 3, 8, 9] {
+                            let label = format!("{storage} n {n} {op:?} k {k}");
+                            let (xs, bs) = (panel::<TV>(n, k, 0.3), panel::<TV>(n, k, 2.9));
+                            let (ys, dots) = run(a, op, &xs, &bs, k, Dispatch::Seq);
+                            let (yp, dots_par) = run(a, op, &xs, &bs, k, Dispatch::Par);
+                            assert_eq!(ys, yp, "{label} seq/par");
+                            for c in 0..k {
+                                let col = c * n..(c + 1) * n;
+                                let (y1, d1) = run(a, op, &xs[col.clone()], &bs[col.clone()], 1, Dispatch::Seq);
+                                assert_eq!(&ys[col], &y1[..], "{label} col {c}");
+                                if let Some(&d1) = d1.first() {
+                                    assert_eq!(dots[c], d1, "{label} col {c} dots");
+                                    assert!(close(dots_par[c], d1, 1e-12), "{label} col {c} pool dots");
+                                }
+                            }
+                        }
                     }
-                }
+                });
             }
         }
-        check::<f64>();
-        check::<f32>();
-        check::<f16>();
+        check::<f64, f64>();
+        check::<f32, f32>();
+        check::<f16, f32>();
+        check::<f16, f16>();
     }
 
     #[test]
-    fn spmm_handles_empty_rows_and_mixed_precision() {
+    fn fused_epilogues_match_the_product_and_separate_ops() {
+        // Residual and dots against the plain product followed by the
+        // subtraction / the dots — CSR and SELL rows, plain and scaled.
+        fn check<TA: Scalar, TV: Scalar>(rel: f64) {
+            let n = 300;
+            with_storages::<TA>(&ranged_tridiag(n), 32, |storage, a| {
+                let (x, b) = (panel::<TV>(n, 1, 0.4), panel::<TV>(n, 1, 1.7));
+                let (y, _) = run(a, Op::Product, &x, &b, 1, Dispatch::Auto);
+                let (r, _) = run(a, Op::Residual, &x, &b, 1, Dispatch::Auto);
+                for i in 0..n {
+                    let want = b[i].to_f64() - y[i].to_f64();
+                    // The fused form rounds once where the separate ops round twice.
+                    let tol = 2.0 * TV::epsilon() * (b[i].to_f64().abs() + y[i].to_f64().abs());
+                    assert!((r[i].to_f64() - want).abs() <= tol, "{storage} residual row {i}");
+                }
+                let (y2, dots) = run(a, Op::Dot2, &x, &b, 1, Dispatch::Auto);
+                assert_eq!(y, y2, "{storage}: the dots leave the product alone");
+                assert!(close(dots[0], dots_after(&b, &y), rel), "{storage} dots {:?}", dots[0]);
+            });
+        }
+        check::<f64, f64>(1e-12);
+        check::<f32, f32>(1e-5);
+        check::<f16, f32>(1e-5);
+        check::<f16, f16>(1e-5);
+    }
+
+    #[test]
+    fn empty_rows_and_mixed_precision() {
         // Rows alternating empty / 1-entry / dense, fp16 storage, f32 panel.
         let n = 24;
         let mut coo = CooMatrix::new(n, n);
@@ -539,10 +822,10 @@ mod tests {
         let a: CsrMatrix<f16> = coo.to_csr().to_precision();
         let k = 3;
         let xs: Vec<f32> = (0..n * k).map(|i| ((i % 11) as f32 - 5.0) / 11.0).collect();
-        let ys = product(&a, &xs, k, Dispatch::Auto);
+        let (ys, _) = run((&a).into(), Op::Product, &xs, &xs, k, Dispatch::Auto);
         for c in 0..k {
-            let mut y1 = vec![0.0f32; n];
-            spmv_seq(&a, &xs[c * n..(c + 1) * n], &mut y1);
+            let col = c * n..(c + 1) * n;
+            let (y1, _) = run((&a).into(), Op::Product, &xs[col.clone()], &xs[col], 1, Dispatch::Seq);
             for row in 0..n {
                 assert_eq!(ys[c * n + row], y1[row], "col {c} row {row}");
                 if row % 3 == 0 {
@@ -553,134 +836,64 @@ mod tests {
     }
 
     #[test]
-    fn scaled_spmm_columns_match_scaled_spmv() {
-        fn check<TV: Scalar>() {
-            let n = 200;
-            let a = wide_range_tridiag(n);
-            let s = ScaledCsr::<f16>::from_f64(&a);
-            for &k in &[2usize, 5, 8] {
-                let xs = panel::<TV>(n, k, 1.7);
-                let mut ys = vec![TV::zero(); n * k];
-                let mut yp = vec![TV::zero(); n * k];
-                csr_panel((&s).into(), &xs, PanelOp::Product, &mut ys, k, Dispatch::Seq);
-                csr_panel((&s).into(), &xs, PanelOp::Product, &mut yp, k, Dispatch::Par);
-                assert_eq!(ys, yp, "k {k} seq/par");
-                for c in 0..k {
-                    let mut y1 = vec![TV::zero(); n];
-                    spmv_scaled_seq(&s, &xs[c * n..(c + 1) * n], &mut y1);
-                    assert_eq!(&ys[c * n..(c + 1) * n], &y1[..], "k {k} col {c}");
+    fn pool_matches_inline_above_the_threshold() {
+        // One column long enough for `Auto` to deal rows to the pool, and a
+        // panel whose rows alone are not (n · k crosses the work threshold).
+        for (n, k) in [(PAR_ROW_THRESHOLD + 123, 1), (PAR_ROW_THRESHOLD / 2 + 77, 3)] {
+            with_storages::<f32>(&tridiag(n), 32, |storage, a| {
+                let (xs, bs) = (panel::<f32>(n, k, 0.1), panel::<f32>(n, k, 0.7));
+                for op in OPS {
+                    let (seq, dots) = run(a, op, &xs, &bs, k, Dispatch::Seq);
+                    for d in [Dispatch::Auto, Dispatch::Par] {
+                        let (got, got_dots) = run(a, op, &xs, &bs, k, d);
+                        assert_eq!(got, seq, "{storage} {op:?} k {k} {d:?}");
+                        for (g, w) in got_dots.iter().zip(&dots) {
+                            assert!(close(*g, *w, 1e-12), "{storage} k {k} {d:?} dots {g:?} vs {w:?}");
+                        }
+                    }
                 }
-            }
-        }
-        check::<f64>();
-        check::<f32>();
-        check::<f16>();
-    }
-
-    #[test]
-    fn residual_panels_match_the_single_vector_residuals() {
-        fn check<TV: Scalar>() {
-            let n = 150;
-            let a: CsrMatrix<f32> = tridiag(n).to_precision();
-            let s = ScaledCsr::<f16>::from_f64(&wide_range_tridiag(n));
-            for &k in &[1usize, 3, 8, 11] {
-                let xs = panel::<TV>(n, k, 0.4);
-                let bs = panel::<TV>(n, k, 2.9);
-                let mut rs = vec![TV::zero(); n * k];
-                let mut rs_scaled = vec![TV::zero(); n * k];
-                csr_panel((&a).into(), &xs, PanelOp::Residual(&bs), &mut rs, k, Dispatch::Auto);
-                csr_panel((&s).into(), &xs, PanelOp::Residual(&bs), &mut rs_scaled, k, Dispatch::Auto);
-                for c in 0..k {
-                    let col = c * n..(c + 1) * n;
-                    let mut r1 = vec![TV::zero(); n];
-                    spmv_residual(&a, &xs[col.clone()], &bs[col.clone()], &mut r1);
-                    assert_eq!(&rs[col.clone()], &r1[..], "k {k} col {c}");
-                    spmv_scaled_residual(&s, &xs[col.clone()], &bs[col.clone()], &mut r1);
-                    assert_eq!(&rs_scaled[col], &r1[..], "scaled, k {k} col {c}");
-                }
-            }
-        }
-        check::<f64>();
-        check::<f32>();
-        check::<f16>();
-    }
-
-    #[test]
-    fn sell_spmm_columns_match_sell_spmv() {
-        // Chunk 8 engages the 8-row group kernel where the backend allows;
-        // chunk 4 forces the scalar per-row path; n = 70 leaves a partial
-        // trailing group either way.
-        let n = 70;
-        let a = tridiag(n);
-        for &chunk in &[4usize, 8] {
-            let sell = SellMatrix::from_csr(&a, chunk);
-            for &k in &[1usize, 3, 8] {
-                let xs = panel::<f64>(n, k, 0.9);
-                let mut ys = vec![0.0f64; n * k];
-                let mut yp = vec![0.0f64; n * k];
-                sell_panel(&sell, None, &xs, &mut ys, k, Dispatch::Seq);
-                sell_panel(&sell, None, &xs, &mut yp, k, Dispatch::Par);
-                assert_eq!(ys, yp, "chunk {chunk} k {k} seq/par");
-                for c in 0..k {
-                    let mut y1 = vec![0.0f64; n];
-                    spmv_sell_seq(&sell, &xs[c * n..(c + 1) * n], &mut y1);
-                    assert_eq!(
-                        &ys[c * n..(c + 1) * n],
-                        &y1[..],
-                        "chunk {chunk} k {k} col {c}"
-                    );
-                }
-            }
+            });
         }
     }
 
     #[test]
-    fn scaled_sell_spmm_columns_match_scaled_sell_spmv() {
-        let n = 120;
-        let a = wide_range_tridiag(n);
-        let sell = ScaledSell::<f16>::from_csr_f64(&a, 8);
-        let k = 4;
-        let xs = panel::<f64>(n, k, 2.3);
-        let mut ys = vec![0.0f64; n * k];
-        let mut yp = vec![0.0f64; n * k];
-        sell_panel(sell.matrix(), Some(sell.row_scales()), &xs, &mut ys, k, Dispatch::Seq);
-        sell_panel(sell.matrix(), Some(sell.row_scales()), &xs, &mut yp, k, Dispatch::Par);
-        assert_eq!(ys, yp, "seq/par");
-        for c in 0..k {
-            let mut y1 = vec![0.0f64; n];
-            spmv_scaled_sell_seq(&sell, &xs[c * n..(c + 1) * n], &mut y1);
-            assert_eq!(&ys[c * n..(c + 1) * n], &y1[..], "col {c}");
-        }
-    }
-
-    #[test]
-    fn spmm_parallel_dispatch_above_threshold() {
-        let n = PAR_ROW_THRESHOLD / 2 + 77;
-        let a = tridiag(n);
-        let k = 3; // n * k crosses the work threshold even though n alone doesn't
-        let xs = panel::<f32>(n, k, 0.1);
-        assert_eq!(
-            product(&a, &xs, k, Dispatch::Seq),
-            product(&a, &xs, k, Dispatch::Auto)
-        );
-    }
-
-    #[test]
-    fn spmm_empty_panel_is_a_no_op() {
-        let a = tridiag(10);
-        let xs: Vec<f64> = vec![];
-        let mut ys: Vec<f64> = vec![];
-        csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys, 0, Dispatch::Auto);
-        let sell = SellMatrix::from_csr(&a, 8);
-        spmv_sell_multi(&sell, &xs, &mut ys, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "csr_panel: input panel length mismatch")]
-    fn spmm_dimension_mismatch_panics() {
+    #[should_panic(expected = "spmm: input panel length mismatch")]
+    fn input_length_mismatch_panics() {
         let a = tridiag(4);
         let xs = vec![0.0f64; 7]; // not 4 * k for k = 2
         let mut ys = vec![0.0f64; 8];
-        csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys, 2, Dispatch::Auto);
+        spmm(&a, &xs, PanelOp::Product, &mut ys, 2, Dispatch::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "spmm: output panel length mismatch")]
+    fn output_length_mismatch_panics() {
+        let sell = SellMatrix::from_csr(&tridiag(4), 8);
+        let mut ys = vec![0.0f64; 3];
+        spmm(&sell, &[0.0f64; 4], PanelOp::Product, &mut ys, 1, Dispatch::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "spmm: right-hand-side panel length mismatch")]
+    fn residual_length_mismatch_panics() {
+        let a = tridiag(4);
+        let mut rs = vec![0.0f64; 8];
+        spmm(&a, &[0.0f64; 8], PanelOp::Residual(&[0.0; 4]), &mut rs, 2, Dispatch::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "spmm: dot panel length mismatch")]
+    fn dot_panel_length_mismatch_panics() {
+        let a = ScaledCsr::<f32>::from_f64(&tridiag(4));
+        let (mut ys, mut dots) = (vec![0.0f64; 4], [(0.0, 0.0)]);
+        spmm(&a, &[0.0f64; 4], PanelOp::Dot2 { u: &[0.0; 3], dots: &mut dots }, &mut ys, 1, Dispatch::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "spmm: one dot pair per column")]
+    fn dot_count_mismatch_panics() {
+        let a = tridiag(4);
+        let (mut ys, mut dots) = (vec![0.0f64; 8], [(0.0, 0.0)]);
+        spmm(&a, &[0.0f64; 8], PanelOp::Dot2 { u: &[0.0; 8], dots: &mut dots }, &mut ys, 2, Dispatch::Auto);
     }
 }

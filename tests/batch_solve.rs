@@ -175,7 +175,7 @@ fn mixed_convergence_deflates_finished_columns() {
     let mut e = vec![0.0; n];
     e[n / 2] = 1.0;
     let mut easy = vec![0.0; n];
-    f3r::sparse::spmv::spmv_seq(&a, &e, &mut easy);
+    f3r::sparse::spmv::spmv(&a, &e, &mut easy);
     let prepared = SolverBuilder::new(Arc::new(ProblemMatrix::from_csr(a)))
         .levels(vec![
             LevelSpec::fgmres(5, Precision::Fp64, Precision::Fp64),

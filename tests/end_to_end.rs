@@ -7,7 +7,7 @@ use f3r::sparse::gen::{
     convection_diffusion_3d, elasticity_like_3d, hpcg_matrix, hpgmp_matrix, random_rhs,
 };
 use f3r::sparse::scaling::jacobi_scale;
-use f3r::sparse::spmv::spmv_seq;
+use f3r::sparse::spmv::spmv;
 use f3r::sparse::CsrMatrix;
 
 fn solve_with_scheme(a: &CsrMatrix<f64>, symmetric: bool, scheme: F3rScheme) -> (SolveResult, Vec<f64>, Vec<f64>) {
@@ -37,7 +37,7 @@ fn all_three_f3r_schemes_converge_on_hpcg() {
         assert!(r.converged, "{scheme:?} failed: {}", r.final_relative_residual);
         // verify the returned solution against the matrix directly
         let mut ax = vec![0.0; x.len()];
-        spmv_seq(&a, &x, &mut ax);
+        spmv(&a, &x, &mut ax);
         let num: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
         let den: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(num / den < 1e-8, "{scheme:?} true residual {}", num / den);

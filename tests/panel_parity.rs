@@ -6,11 +6,11 @@
 //! shape the process latched, that every column is **bitwise** what the
 //! single-vector form gives for that column alone:
 //!
-//! * the CSR panel product × {plain store, scaled row fold, residual, scaled
-//!   residual} × fp16/fp32 storage × fp16/fp32 vectors × k ∈ {1, 2, 7, 8, 9,
-//!   16}, on rows of 0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 27 and 33 entries
-//!   (both summation trees, every tail length) and a last row that touches
-//!   column n − 1; inline == pool;
+//! * the sparse product `spmm` × {CSR, scaled CSR, SELL, scaled SELL} ×
+//!   {product, residual, product with dots} × the nine storage/vector
+//!   precision pairs × k ∈ {0, 1, 3, 8, 9, 16}, on rows of 0, 1, 3, 4, 7, 8,
+//!   9, 15, 16, 17, 24, 27 and 33 entries (both summation trees, every tail
+//!   length) and a last row that touches column n − 1; inline == pool;
 //! * the panel application of IC(0), ILU(0) and their block-Jacobi wrappers
 //!   in fp16/fp32/fp64 on HPCG, HPGMP and a ragged banded pattern, through
 //!   the trait and through both branches of `AnyPrecond::apply_panel_to`;
@@ -33,12 +33,14 @@ use f3r::precond::{build_preconditioner, PrecondKind};
 use f3r::prelude::{MatrixStorage, ProblemMatrix};
 use f3r::sparse::gen::{hpcg_matrix, hpgmp_matrix};
 use f3r::sparse::scaling::jacobi_scale;
-use f3r::sparse::spmm::{csr_panel, CsrRows, Dispatch, PanelOp};
-use f3r::sparse::spmv::{spmv_residual, spmv_scaled_residual, spmv_scaled_seq, spmv_seq};
-use f3r::sparse::{CooMatrix, CsrMatrix, ScaledCsr};
+use f3r::sparse::spmm::{spmm, Dispatch, PanelOp, Rows};
+use f3r::sparse::{CooMatrix, CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
 use half::f16;
 
 const WIDTHS: [usize; 6] = [1, 2, 7, 8, 9, 16];
+/// Panel widths of the sparse-product table: none, one, a short group, a
+/// full group, a full group and a single, two full groups.
+const SPMM_WIDTHS: [usize; 6] = [0, 1, 3, 8, 9, 16];
 
 fn bits<T: Scalar>(z: &[T]) -> Vec<u64> {
     z.iter().map(|v| v.to_f64().to_bits()).collect()
@@ -71,53 +73,84 @@ fn ragged_rows() -> CsrMatrix<f64> {
     coo.to_csr()
 }
 
-fn run_panel<TA: Scalar, TV: Scalar>(
-    a: CsrRows<'_, TA>,
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Product,
+    Residual,
+    Dot2,
+}
+
+/// One product through the driver: the output panel's bits and, for
+/// [`Op::Dot2`], the dots.
+fn run_spmm<TA: Scalar, TV: Scalar>(
+    a: Rows<'_, TA>,
+    op: Op,
     xs: &[TV],
-    op: PanelOp<'_, TV>,
+    bs: &[TV],
     n: usize,
     k: usize,
     dispatch: Dispatch,
-) -> Vec<u64> {
+) -> (Vec<u64>, Vec<(f64, f64)>) {
     let mut out = vec![TV::zero(); n * k];
-    csr_panel(a, xs, op, &mut out, k, dispatch);
-    bits(&out)
+    let mut dots = vec![(0.0, 0.0); if matches!(op, Op::Dot2) { k } else { 0 }];
+    let op = match op {
+        Op::Product => PanelOp::Product,
+        Op::Residual => PanelOp::Residual(bs),
+        Op::Dot2 => PanelOp::Dot2 { u: bs, dots: &mut dots },
+    };
+    spmm(a, xs, op, &mut out, k, dispatch);
+    (bits(&out), dots)
 }
 
-fn spmm_case<TA: Scalar, TV: Scalar>(a64: &CsrMatrix<f64>) {
+/// Column `c` of every product is bitwise the one-column inline product of
+/// column `c`, for every storage, epilogue, width and dispatch; the dots are
+/// bitwise too when inline, and equal up to the order of the per-task
+/// partials on the pool.
+fn spmm_case<TA: Scalar, TV: Scalar>(a64: &CsrMatrix<f64>, chunk: usize) {
     let n = a64.n_rows();
-    let plain: CsrMatrix<TA> = a64.to_precision();
+    let csr: CsrMatrix<TA> = a64.to_precision();
     let scaled = ScaledCsr::<TA>::from_f64(a64);
-    let label = format!("A {} x {}", TA::name(), TV::name());
-    for k in WIDTHS {
-        let xs = panel::<TV>(n, k, 3);
-        let bs = panel::<TV>(n, k, 11);
-        // Column by column through the single-vector kernels.
-        let mut want = [vec![], vec![], vec![], vec![]];
-        for c in 0..k {
-            let (x, b) = (&xs[c * n..(c + 1) * n], &bs[c * n..(c + 1) * n]);
-            let mut y = vec![TV::zero(); n];
-            spmv_seq(&plain, x, &mut y);
-            want[0].extend(bits(&y));
-            spmv_scaled_seq(&scaled, x, &mut y);
-            want[1].extend(bits(&y));
-            spmv_residual(&plain, x, b, &mut y);
-            want[2].extend(bits(&y));
-            spmv_scaled_residual(&scaled, x, b, &mut y);
-            want[3].extend(bits(&y));
-        }
-        for dispatch in [Dispatch::Seq, Dispatch::Par, Dispatch::Auto] {
-            let got = [
-                run_panel((&plain).into(), &xs, PanelOp::Product, n, k, dispatch),
-                run_panel((&scaled).into(), &xs, PanelOp::Product, n, k, dispatch),
-                run_panel((&plain).into(), &xs, PanelOp::Residual(&bs), n, k, dispatch),
-                run_panel((&scaled).into(), &xs, PanelOp::Residual(&bs), n, k, dispatch),
-            ];
-            for (op, (got, want)) in ["plain", "scaled", "residual", "scaled residual"]
-                .iter()
-                .zip(got.iter().zip(&want))
-            {
-                assert_eq!(got, want, "{label}, {op}, k = {k}, {dispatch:?}");
+    let sell = SellMatrix::from_csr(&csr, chunk);
+    let scaled_sell = ScaledSell::<TA>::from_csr_f64(a64, chunk);
+    let storages: [(&str, Rows<'_, TA>); 4] = [
+        ("csr", (&csr).into()),
+        ("scaled csr", (&scaled).into()),
+        ("sell", (&sell).into()),
+        ("scaled sell", (&scaled_sell).into()),
+    ];
+    for (storage, a) in storages {
+        for op in [Op::Product, Op::Residual, Op::Dot2] {
+            for k in SPMM_WIDTHS {
+                let label = format!("{storage} {} x {}, {op:?}, k = {k}", TA::name(), TV::name());
+                let xs = panel::<TV>(n, k, 3);
+                let bs = panel::<TV>(n, k, 11);
+                let (mut want, mut want_dots) = (vec![], vec![]);
+                for c in 0..k {
+                    let col = c * n..(c + 1) * n;
+                    let (y, d) = run_spmm(a, op, &xs[col.clone()], &bs[col], n, 1, Dispatch::Seq);
+                    want.extend(y);
+                    want_dots.extend(d);
+                }
+                for dispatch in [Dispatch::Seq, Dispatch::Par, Dispatch::Auto] {
+                    let (got, dots) = run_spmm(a, op, &xs, &bs, n, k, dispatch);
+                    assert_eq!(got, want, "{label}, {dispatch:?}");
+                    assert_eq!(dots.len(), want_dots.len(), "{label}, {dispatch:?}");
+                    for (c, (got, want)) in dots.iter().zip(&want_dots).enumerate() {
+                        if dispatch == Dispatch::Seq {
+                            assert_eq!(
+                                (got.0.to_bits(), got.1.to_bits()),
+                                (want.0.to_bits(), want.1.to_bits()),
+                                "{label}, inline dots of column {c}"
+                            );
+                        }
+                        // `yy` bounds both sums' terms: |u| < 1/2 entrywise.
+                        let tol = 1e-12 * want.1.max(1.0) * n as f64;
+                        assert!(
+                            (got.0 - want.0).abs() <= tol && (got.1 - want.1).abs() <= tol,
+                            "{label}, {dispatch:?} dots of column {c}: {got:?} vs {want:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -125,14 +158,26 @@ fn spmm_case<TA: Scalar, TV: Scalar>(a64: &CsrMatrix<f64>) {
 
 #[test]
 fn panel_spmm_is_bitwise_the_single_vector_kernels() {
-    // The ragged pattern, and HPCG 12³: 1 728 rows, so panels from k = 10 up
-    // cross the work threshold and `Auto` deals rows to the pool.
-    for a in [ragged_rows(), jacobi_scale(&hpcg_matrix(12, 12, 12))] {
-        spmm_case::<f16, f16>(&a);
-        spmm_case::<f16, f32>(&a);
-        spmm_case::<f32, f16>(&a);
-        spmm_case::<f32, f32>(&a);
-    }
+    // The ragged pattern (SELL chunk 8: the group-of-eight kernel, and a
+    // partial trailing group) on all nine precision pairs …
+    let ragged = ragged_rows();
+    spmm_case::<f16, f16>(&ragged, 8);
+    spmm_case::<f16, f32>(&ragged, 8);
+    spmm_case::<f16, f64>(&ragged, 8);
+    spmm_case::<f32, f16>(&ragged, 8);
+    spmm_case::<f32, f32>(&ragged, 8);
+    spmm_case::<f32, f64>(&ragged, 8);
+    spmm_case::<f64, f16>(&ragged, 8);
+    spmm_case::<f64, f32>(&ragged, 8);
+    spmm_case::<f64, f64>(&ragged, 8);
+    // … and HPCG 12³: 1 728 rows, so panels from k = 10 up cross the work
+    // threshold (`Auto` deals rows to the pool) and a full lane group splits
+    // into several tasks under `Par`.
+    let hpcg = jacobi_scale(&hpcg_matrix(12, 12, 12));
+    spmm_case::<f16, f16>(&hpcg, 32);
+    spmm_case::<f16, f32>(&hpcg, 32);
+    spmm_case::<f32, f32>(&hpcg, 32);
+    spmm_case::<f64, f64>(&hpcg, 32);
 }
 
 /// A diagonally dominant banded matrix whose rows cycle through 0 … 600

@@ -9,7 +9,7 @@
 //!
 //! # Kernel equivalence tolerances
 //!
-//! The unrolled kernels in `f3r_sparse::{spmv, blas1}` must match the naive
+//! The unrolled kernels in `f3r_sparse::{spmm, blas1}` must match the naive
 //! reference kernels in `f3r_sparse::reference` for every `(TA, TV)`
 //! precision pair the solvers use:
 //!
@@ -34,7 +34,8 @@ use f3r::prelude::*;
 use f3r::sparse::gen::{random_rhs, random_spd};
 use f3r::sparse::reference;
 use f3r::sparse::scaling::jacobi_scale;
-use f3r::sparse::spmv::{spmv_dot2, spmv_par, spmv_residual, spmv_seq};
+use f3r::sparse::spmm::{spmm, Dispatch, PanelOp};
+use f3r::sparse::spmv::spmv;
 use f3r::sparse::{blas1, CooMatrix, CsrMatrix, SellMatrix};
 use half::f16;
 use rand::rngs::StdRng;
@@ -112,9 +113,9 @@ fn spmv_kernels_agree() {
         let mut y1 = vec![0.0; 16];
         let mut y2 = vec![0.0; 16];
         let mut y3 = vec![0.0; 16];
-        spmv_seq(&a, &x, &mut y1);
-        spmv_par(&a, &x, &mut y2);
-        f3r::sparse::spmv::spmv_sell_seq(&sell, &x, &mut y3);
+        spmm(&a, &x, PanelOp::Product, &mut y1, 1, Dispatch::Seq);
+        spmm(&a, &x, PanelOp::Product, &mut y2, 1, Dispatch::Par);
+        spmv(&sell, &x, &mut y3);
         for i in 0..16 {
             assert!((y1[i] - y2[i]).abs() < 1e-10, "case {case} row {i}");
             assert!((y1[i] - y3[i]).abs() < 1e-10, "case {case} row {i}");
@@ -229,7 +230,7 @@ fn spmv_matches_reference<TA: Scalar, TV: Scalar>(case: u64) {
 
     let mut y_new = vec![TV::zero(); n];
     let mut y_ref = vec![TV::zero(); n];
-    spmv_seq(&a, &x, &mut y_new);
+    spmv(&a, &x, &mut y_new);
     reference::spmv_seq_naive(&a, &x, &mut y_ref);
     for row in 0..n {
         // Summation error bound: both kernels accumulate the same terms in
@@ -256,7 +257,7 @@ fn spmv_matches_reference<TA: Scalar, TV: Scalar>(case: u64) {
     // Fused residual against the reference residual, same bound.
     let mut r_new = vec![TV::zero(); n];
     let mut r_ref = vec![TV::zero(); n];
-    spmv_residual(&a, &x, &b, &mut r_new);
+    spmm(&a, &x, PanelOp::Residual(&b), &mut r_new, 1, Dispatch::Auto);
     reference::spmv_residual_naive(&a, &x, &b, &mut r_ref);
     for row in 0..n {
         let (cols, vals) = a.row_entries(row);
@@ -283,7 +284,9 @@ fn spmv_matches_reference<TA: Scalar, TV: Scalar>(case: u64) {
     // Fused SpMV + dual dot: the stored vector must equal the plain SpMV
     // bit-for-bit, and the dots must match f64 reference dots on that vector.
     let mut y_fused = vec![TV::zero(); n];
-    let (uy, yy) = spmv_dot2(&a, &x, &b, &mut y_fused);
+    let mut dots = [(0.0, 0.0)];
+    spmm(&a, &x, PanelOp::Dot2 { u: &b, dots: &mut dots }, &mut y_fused, 1, Dispatch::Auto);
+    let [(uy, yy)] = dots;
     for row in 0..n {
         assert_eq!(
             y_fused[row].to_f64(),
@@ -333,13 +336,6 @@ fn blas1_matches_reference<T: Scalar>(case: u64) {
     let (d2a, d2b) = blas1::dot2(&x, &y, &y, &x);
     assert!((d2a - d_new).abs() <= tol, "case {case} dot2.0 {}", T::name());
     assert!((d2b - d_new).abs() <= tol, "case {case} dot2.1 {}", T::name());
-    let (xy, xx) = blas1::dot_with_sqnorm(&x, &y);
-    assert!((xy - d_new).abs() <= tol, "case {case} dot_with_sqnorm.xy {}", T::name());
-    assert!(
-        (xx - blas1::dot(&x, &x)).abs() <= tol,
-        "case {case} dot_with_sqnorm.xx {}",
-        T::name()
-    );
 
     // Element-wise kernels: scalars exactly representable in fp16, so the
     // only legal divergence from the reference is the final rounding of
@@ -436,7 +432,7 @@ fn f3r_converges_on_random_spd_systems() {
         assert!(r.converged, "seed {seed} residual {}", r.final_relative_residual);
 
         let mut ax = vec![0.0; n];
-        spmv_seq(&a, &x, &mut ax);
+        spmv(&a, &x, &mut ax);
         let num: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
         let den: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!((num / den - r.final_relative_residual).abs() < 1e-10, "seed {seed}");

@@ -217,14 +217,14 @@ fn property_scaled_spmv_tracks_f64_reference_within_storage_eps() {
         let a = coo.to_csr();
         let x: Vec<f64> = (0..n).map(|_| (next() % 1000) as f64 / 1000.0 - 0.5).collect();
         let mut y_ref = vec![0.0f64; n];
-        f3r::sparse::spmv::spmv_seq(&a, &x, &mut y_ref);
+        f3r::sparse::spmv::spmv(&a, &x, &mut y_ref);
 
         let s16 = ScaledCsr::<f3r::precision::f16>::from_f64(&a);
         let s32 = ScaledCsr::<f32>::from_f64(&a);
         let mut y16 = vec![0.0f64; n];
         let mut y32 = vec![0.0f64; n];
-        f3r::sparse::spmv::spmv_scaled(&s16, &x, &mut y16);
-        f3r::sparse::spmv::spmv_scaled(&s32, &x, &mut y32);
+        f3r::sparse::spmv::spmv(&s16, &x, &mut y16);
+        f3r::sparse::spmv::spmv(&s32, &x, &mut y32);
         for i in 0..n {
             // ≤ 6 entries/row, |x| ≤ 1/2 → error ≤ 3·eps_storage·scale.
             let tol16 = 3.0 * 2.0f64.powi(-11) * s16.row_scales()[i];

@@ -1,6 +1,6 @@
 //! SIMD/scalar parity sweep for the runtime-dispatched kernel backend.
 //!
-//! The `f3r-simd` crate intercepts the hot kernels in `f3r_sparse::{spmv,
+//! The `f3r-simd` crate intercepts the hot kernels in `f3r_sparse::{spmm,
 //! blas1}` when the CPU supports F16C/AVX2/FMA.  This suite drives the
 //! *dispatched* kernels (whatever backend the process latched — `auto` on
 //! CI's main legs, `scalar` on the forced leg) against the naive
@@ -38,11 +38,7 @@
 
 use f3r::precision::{Precision, Scalar};
 use f3r::sparse::reference;
-use f3r::sparse::spmm::{csr_panel, spmv_scaled_sell_multi, spmv_sell_multi, Dispatch, PanelOp};
-use f3r::sparse::spmv::{
-    spmv_dot2, spmv_par, spmv_residual, spmv_scaled_seq, spmv_scaled_sell_seq, spmv_seq,
-    spmv_sell_par, spmv_sell_seq,
-};
+use f3r::sparse::spmm::{spmm, Dispatch, PanelOp, Rows};
 use f3r::sparse::{blas1, CooMatrix, CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
 use half::f16;
 use rand::rngs::StdRng;
@@ -61,6 +57,73 @@ fn rng_for(test: &str, case: u64) -> StdRng {
 
 /// One ulp of `v` in a precision with the given epsilon (floored so
 /// zero-adjacent comparisons stay meaningful).
+/// `A X` on `k` columns through the driver.
+fn product<'a, TA: Scalar, TV: Scalar>(a: impl Into<Rows<'a, TA>>, xs: &[TV], k: usize, d: Dispatch) -> Vec<TV> {
+    let mut ys = vec![TV::zero(); xs.len()];
+    spmm(a, xs, PanelOp::Product, &mut ys, k, d);
+    ys
+}
+
+/// `b − A x` through the driver's fused epilogue.
+fn residual<'a, TA: Scalar, TV: Scalar>(a: impl Into<Rows<'a, TA>>, x: &[TV], b: &[TV]) -> Vec<TV> {
+    let mut r = vec![TV::zero(); b.len()];
+    spmm(a, x, PanelOp::Residual(b), &mut r, 1, Dispatch::Seq);
+    r
+}
+
+/// `A x` with `(uᵀy, yᵀy)` from the same sweep.
+fn product_dot2<'a, TA: Scalar, TV: Scalar>(
+    a: impl Into<Rows<'a, TA>>,
+    x: &[TV],
+    u: &[TV],
+) -> (Vec<TV>, (f64, f64)) {
+    let mut y = vec![TV::zero(); u.len()];
+    let mut dots = [(0.0, 0.0)];
+    spmm(a, x, PanelOp::Dot2 { u, dots: &mut dots }, &mut y, 1, Dispatch::Seq);
+    (y, dots[0])
+}
+
+/// The fused residual against the reference (which rounds `A x` into `TV`
+/// before subtracting), and the fused dots against dots taken afterwards on
+/// `y`, the plain product of the same storage.
+fn check_fused<'a, TA: Scalar, TV: Scalar>(
+    label: &str,
+    a: impl Into<Rows<'a, TA>>,
+    csr: &CsrMatrix<TA>,
+    x: &[TV],
+    b: &[TV],
+    y: &[TV],
+    per_row: usize,
+) {
+    let (a, n) = (a.into(), y.len());
+    let eps_accum = <TV::Accum as Scalar>::epsilon();
+    let r_new = residual(a, x, b);
+    let mut r_ref = vec![TV::zero(); n];
+    reference::spmv_residual_naive(csr, x, b, &mut r_ref);
+    for row in 0..n {
+        let abs_sum = row_abs_sum(csr, x, row) + b[row].to_f64().abs();
+        let tol = 4.0 * (per_row as f64) * eps_accum * abs_sum
+            + 2.0 * TV::epsilon() * abs_sum
+            + 2.0 * ulp(r_ref[row].to_f64(), TV::epsilon());
+        assert!(
+            (r_new[row].to_f64() - r_ref[row].to_f64()).abs() <= tol,
+            "{label} residual {}x{} row {row}",
+            TA::name(),
+            TV::name(),
+        );
+    }
+    // Stored vector bit-identical to the plain product.
+    let (y_fused, (uy, yy)) = product_dot2(a, x, b);
+    for row in 0..n {
+        assert_eq!(y_fused[row].to_f64(), y[row].to_f64(), "{label} fused product row {row}");
+    }
+    let uy_ref: f64 = b.iter().zip(y).map(|(u, y)| u.to_f64() * y.to_f64()).sum();
+    let yy_ref: f64 = y.iter().map(|y| y.to_f64() * y.to_f64()).sum();
+    let dot_tol = 8.0 * (n as f64) * eps_accum * (1.0 + uy_ref.abs().max(yy_ref));
+    assert!((uy - uy_ref).abs() <= dot_tol, "{label} fused uy");
+    assert!((yy - yy_ref).abs() <= dot_tol, "{label} fused yy");
+}
+
 fn ulp(v: f64, eps: f64) -> f64 {
     v.abs().max(1e-30) * eps
 }
@@ -107,11 +170,9 @@ fn spmv_dense_rows_parity<TA: Scalar, TV: Scalar>(case: u64) {
     let b: Vec<TV> = (0..n).map(|_| TV::from_f64(rng.gen_range(-1.0..1.0))).collect();
     let eps_accum = <TV::Accum as Scalar>::epsilon();
 
-    let mut y_new = vec![TV::zero(); n];
-    let mut y_par = vec![TV::zero(); n];
+    let y_new = product(&a, &x, 1, Dispatch::Seq);
+    let y_par = product(&a, &x, 1, Dispatch::Par);
     let mut y_ref = vec![TV::zero(); n];
-    spmv_seq(&a, &x, &mut y_new);
-    spmv_par(&a, &x, &mut y_par);
     reference::spmv_seq_naive(&a, &x, &mut y_ref);
     for row in 0..n {
         // seq and par must agree bit-for-bit: path choice depends only on
@@ -137,40 +198,7 @@ fn spmv_dense_rows_parity<TA: Scalar, TV: Scalar>(case: u64) {
         );
     }
 
-    // Fused residual: same row sums, minus b, same bound structure as the
-    // reference (which rounds A·x into TV before subtracting).
-    let mut r_new = vec![TV::zero(); n];
-    let mut r_ref = vec![TV::zero(); n];
-    spmv_residual(&a, &x, &b, &mut r_new);
-    reference::spmv_residual_naive(&a, &x, &b, &mut r_ref);
-    for row in 0..n {
-        let abs_sum = row_abs_sum(&a, &x, row) + b[row].to_f64().abs();
-        let tol = 4.0 * (per_row as f64) * eps_accum * abs_sum
-            + 2.0 * TV::epsilon() * abs_sum
-            + 2.0 * ulp(r_ref[row].to_f64(), TV::epsilon());
-        assert!(
-            (r_new[row].to_f64() - r_ref[row].to_f64()).abs() <= tol,
-            "case {case} residual {}x{} row {row}",
-            TA::name(),
-            TV::name(),
-        );
-    }
-
-    // Fused SpMV + dual dot: stored vector bit-identical to the plain SpMV.
-    let mut y_fused = vec![TV::zero(); n];
-    let (uy, yy) = spmv_dot2(&a, &x, &b, &mut y_fused);
-    for row in 0..n {
-        assert_eq!(
-            y_fused[row].to_f64(),
-            y_new[row].to_f64(),
-            "case {case} fused spmv row {row}"
-        );
-    }
-    let uy_ref: f64 = b.iter().zip(&y_new).map(|(u, y)| u.to_f64() * y.to_f64()).sum();
-    let yy_ref: f64 = y_new.iter().map(|y| y.to_f64() * y.to_f64()).sum();
-    let dot_tol = 8.0 * (n as f64) * eps_accum * (1.0 + uy_ref.abs().max(yy_ref));
-    assert!((uy - uy_ref).abs() <= dot_tol, "case {case} fused uy");
-    assert!((yy - yy_ref).abs() <= dot_tol, "case {case} fused yy");
+    check_fused(&format!("case {case}"), &a, &a, &x, &b, &y_new, per_row);
 }
 
 #[test]
@@ -211,7 +239,7 @@ fn spmv_handles_empty_and_short_rows() {
     let x: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
     let mut y_new = vec![0.0f32; n];
     let mut y_ref = vec![0.0f32; n];
-    spmv_seq(&a16, &x, &mut y_new);
+    spmm(&a16, &x, PanelOp::Product, &mut y_new, 1, Dispatch::Seq);
     reference::spmv_seq_naive(&a16, &x, &mut y_ref);
     for row in 0..n {
         if row % 3 == 0 {
@@ -237,14 +265,12 @@ fn sell_parity<TA: Scalar, TV: Scalar>(case: u64, chunk: usize) {
     let a: CsrMatrix<TA> = a64.to_precision();
     let sell: SellMatrix<TA> = SellMatrix::from_csr(&a, chunk);
     let x: Vec<TV> = (0..n).map(|_| TV::from_f64(rng.gen_range(-1.0..1.0))).collect();
+    let b: Vec<TV> = (0..n).map(|_| TV::from_f64(rng.gen_range(-1.0..1.0))).collect();
     let eps_accum = <TV::Accum as Scalar>::epsilon();
 
-    let mut y_csr = vec![TV::zero(); n];
-    let mut y_seq = vec![TV::zero(); n];
-    let mut y_par = vec![TV::zero(); n];
-    spmv_seq(&a, &x, &mut y_csr);
-    spmv_sell_seq(&sell, &x, &mut y_seq);
-    spmv_sell_par(&sell, &x, &mut y_par);
+    let y_csr = product(&a, &x, 1, Dispatch::Seq);
+    let y_seq = product(&sell, &x, 1, Dispatch::Seq);
+    let y_par = product(&sell, &x, 1, Dispatch::Par);
     for row in 0..n {
         // seq == par bit-for-bit: a task whose boundary cuts a group of 8
         // computes the full group and emits only its own rows.
@@ -269,6 +295,8 @@ fn sell_parity<TA: Scalar, TV: Scalar>(case: u64, chunk: usize) {
             y_csr[row],
         );
     }
+    // The fused epilogues on SELL rows, as on CSR rows.
+    check_fused(&format!("case {case} chunk {chunk} sell"), &sell, &a, &x, &b, &y_seq, per_row);
 }
 
 #[test]
@@ -296,10 +324,8 @@ fn scaled_spmv_matches_unscaled_reference() {
         let ssell: ScaledSell<f16> = ScaledSell::from_csr_f64(&a64, 8);
         let x: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
 
-        let mut y_scaled = vec![0.0f32; n];
-        let mut y_sell = vec![0.0f32; n];
-        spmv_scaled_seq(&scaled, &x, &mut y_scaled);
-        spmv_scaled_sell_seq(&ssell, &x, &mut y_sell);
+        let y_scaled = product(&scaled, &x, 1, Dispatch::Seq);
+        let y_sell = product(&ssell, &x, 1, Dispatch::Seq);
 
         // Reference: row sums of the *stored* fp16 matrix accumulated in
         // f64, then the exact per-row f64 scale applied.
@@ -639,22 +665,16 @@ fn spmm_parity<TA: Scalar, TV: Scalar>(case: u64, k: usize) {
     let sell: SellMatrix<TA> = SellMatrix::from_csr(&a, 8);
     let xs: Vec<TV> = (0..n * k).map(|_| TV::from_f64(rng.gen_range(-1.0..1.0))).collect();
 
-    let mut ys = vec![TV::zero(); n * k];
-    let mut ys_seq = vec![TV::zero(); n * k];
-    let mut ys_par = vec![TV::zero(); n * k];
-    csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys, k, Dispatch::Auto);
-    csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys_seq, k, Dispatch::Seq);
-    csr_panel((&a).into(), &xs, PanelOp::Product, &mut ys_par, k, Dispatch::Par);
-    let mut ys_sell = vec![TV::zero(); n * k];
-    spmv_sell_multi(&sell, &xs, &mut ys_sell, k);
+    let ys = product(&a, &xs, k, Dispatch::Auto);
+    let ys_seq = product(&a, &xs, k, Dispatch::Seq);
+    let ys_par = product(&a, &xs, k, Dispatch::Par);
+    let ys_sell = product(&sell, &xs, k, Dispatch::Auto);
     for c in 0..k {
         let xcol = &xs[c * n..(c + 1) * n];
-        let mut y_csr = vec![TV::zero(); n];
-        let mut y_sell = vec![TV::zero(); n];
-        spmv_seq(&a, xcol, &mut y_csr);
-        spmv_sell_seq(&sell, xcol, &mut y_sell);
+        let y_csr = product(&a, xcol, 1, Dispatch::Seq);
+        let y_sell = product(&sell, xcol, 1, Dispatch::Seq);
         for row in 0..n {
-            // Column c of the SpMM is the single-vector SpMV of column c,
+            // Column c of the panel is the one-column product of column c,
             // bit for bit: the SIMD row/group gate depends only on the row.
             assert_eq!(
                 ys[c * n + row].to_f64(),
@@ -710,16 +730,12 @@ fn scaled_spmm_columns_match_single_vector_scaled_spmv() {
             let scaled: ScaledCsr<f16> = ScaledCsr::from_f64(&a64);
             let ssell: ScaledSell<f16> = ScaledSell::from_csr_f64(&a64, 8);
             let xs: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
-            let mut ys = vec![0.0f32; n * k];
-            let mut ys_sell = vec![0.0f32; n * k];
-            csr_panel((&scaled).into(), &xs, PanelOp::Product, &mut ys, k, Dispatch::Auto);
-            spmv_scaled_sell_multi(&ssell, &xs, &mut ys_sell, k);
+            let ys = product(&scaled, &xs, k, Dispatch::Auto);
+            let ys_sell = product(&ssell, &xs, k, Dispatch::Auto);
             for c in 0..k {
                 let xcol = &xs[c * n..(c + 1) * n];
-                let mut y_csr = vec![0.0f32; n];
-                let mut y_sell = vec![0.0f32; n];
-                spmv_scaled_seq(&scaled, xcol, &mut y_csr);
-                spmv_scaled_sell_seq(&ssell, xcol, &mut y_sell);
+                let y_csr = product(&scaled, xcol, 1, Dispatch::Seq);
+                let y_sell = product(&ssell, xcol, 1, Dispatch::Seq);
                 for row in 0..n {
                     assert_eq!(
                         ys[c * n + row], y_csr[row],
