@@ -157,12 +157,14 @@ impl<T: Scalar> InnerSolver<T> for RichardsonLevel<T> {
 
         z.fill(T::zero());
         for sweep in 0..self.m {
-            // r = v - A z; for the first sweep this is just v (z = 0).
-            if sweep == 0 {
-                r.copy_from_slice(v);
+            // r = v - A z; for the first sweep this is just v (z = 0), read
+            // where it lies.
+            let r: &[T] = if sweep == 0 {
+                v
             } else {
                 self.matrix.residual_multi(self.mat_storage, z, v, r, k, &self.counters);
-            }
+                r
+            };
             // M r
             self.precond.apply_panel_to(r, mr, k, &self.counters);
 

@@ -546,6 +546,16 @@ impl SolverBuilder {
         for level in &spec.levels {
             matrix.materialize(level.matrix_storage());
         }
+        // A product on fp16 vectors reads them through a widened copy in the
+        // calling thread's scratch (`f3r_sparse::spmm`).  Reserve it here,
+        // before any session exists: a buffer of this size first grown in the
+        // middle of a solve lands above the session's workspaces on the heap
+        // and keeps the allocator from handing their pages back, so every
+        // later session would zero recycled memory instead of taking fresh
+        // pages lazily — and the first solve would pay for the growth.
+        if spec.levels.iter().any(|l| l.vector_precision() == Precision::Fp16) {
+            <<f16 as Scalar>::Accum as Scalar>::with_scratch(matrix.dim(), |_| ());
+        }
         let precond = Arc::new(AnyPrecond::for_matrix(
             &matrix,
             &spec.precond,

@@ -143,7 +143,11 @@ fn float_cast_rule_scope_and_tests() {
         let out = check_file(path, body);
         assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 1, "{path}");
     }
-    // Out of scope entirely (the conversion helpers' own crate).
+    // The window the sweeps and the product read fp16 values through lives
+    // beside the bulk converters, and is a kernel like its two callers.
+    let out = check_file("crates/precision/src/convert.rs", body);
+    assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 1);
+    // Out of scope: the `Scalar` impls, where the casts are defined.
     let out = check_file("crates/precision/src/scalar.rs", body);
     assert_eq!(count(&out, rules::RULE_FLOAT_CAST), 0);
 }
@@ -176,8 +180,10 @@ fn mul_add_rule() {
                }\n";
     let out = check_file("crates/sparse/src/blas1.rs", src);
     assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{:?}", out.violations);
-    let out = check_file("crates/precond/src/trisolve.rs", src);
-    assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{:?}", out.violations);
+    for path in ["crates/precond/src/trisolve.rs", "crates/precision/src/convert.rs"] {
+        let out = check_file(path, src);
+        assert_eq!(count(&out, rules::RULE_MUL_ADD), 1, "{path}: {:?}", out.violations);
+    }
     // A fused multiply-add in a panel kernel would break the per-column
     // parity with the single-vector kernels' separate multiply and add.
     for path in [

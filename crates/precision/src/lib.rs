@@ -26,7 +26,7 @@ pub mod counters;
 pub mod scalar;
 pub mod traffic;
 
-pub use convert::{convert_slice, convert_vec, copy_into, round_trip_error};
+pub use convert::{convert_slice, convert_vec, copy_into, round_trip_error, Widened};
 pub use counters::{CounterSnapshot, KernelCounters};
 pub use scalar::{FromScalar, Precision, Scalar, SliceView, SliceViewMut};
 

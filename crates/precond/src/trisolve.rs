@@ -12,8 +12,9 @@
 //! no partial result is ever rounded to fp16 — an intermediate beyond 65504 no
 //! longer turns into ±inf, and the result is closer to the fp64 one — and each
 //! stored factor value is widened once per sweep, a [`WINDOW`] of consecutive
-//! values at a time through the bulk converter
-//! ([`f3r_precision::convert_slice`], F16C/AVX-512 where the CPU has them).
+//! values at a time through the bulk converter ([`Widened`] over
+//! [`f3r_precision::convert_slice`], F16C/AVX-512 where the CPU has them; the
+//! sparse product reads its short rows through the same window).
 //!
 //! The loops below are the semantic definition on every kernel backend: one
 //! multiply and one subtract per stored value (never a fused multiply-add),
@@ -41,7 +42,7 @@ use std::mem::size_of_val;
 use std::ops::Range;
 
 use f3r_parallel::thresholds::PANEL_MIN_COLUMNS;
-use f3r_precision::{convert_slice, Scalar};
+use f3r_precision::{convert_slice, Scalar, Widened};
 use f3r_sparse::spmm::{deinterleave_rows, interleave_rows, PANEL_LANES};
 
 /// Stored values widened per bulk conversion (fp16 factors only): long enough
@@ -62,57 +63,6 @@ pub struct Factor<T: Scalar> {
     /// Length of the widening window: [`WINDOW`], or the longest row if that
     /// is longer, so a row's entries always fit in one window.
     window: usize,
-}
-
-/// The stored values of a factor as the sweeps read them: in accumulation
-/// precision, a row segment at a time.
-struct Widened<'a, T: Scalar> {
-    values: &'a [T],
-    /// `values[span]` widened (fp16); unused for fp32/fp64.
-    window: &'a mut [T::Accum],
-    span: Range<usize>,
-}
-
-impl<'a, T: Scalar> Widened<'a, T> {
-    fn new(values: &'a [T], window: &'a mut [T::Accum]) -> Self {
-        Self {
-            values,
-            window,
-            span: 0..0,
-        }
-    }
-
-    /// `values[seg]` in accumulation precision.  fp32/fp64: the stored values
-    /// themselves.  fp16: a slice of the window, which is moved — one bulk
-    /// conversion — whenever `seg` is not inside it.
-    #[inline(always)]
-    fn get(&mut self, seg: Range<usize>) -> &[T::Accum] {
-        if let Some(values) = T::as_accum(self.values) {
-            return &values[seg];
-        }
-        if seg.start < self.span.start || seg.end > self.span.end {
-            self.move_to(&seg);
-        }
-        &self.window[seg.start - self.span.start..seg.end - self.span.start]
-    }
-
-    /// Move the window over `seg`, the way the sweep is going: a segment past
-    /// the window's end starts the new window, one before its start ends it.
-    #[cold]
-    #[inline(never)]
-    fn move_to(&mut self, seg: &Range<usize>) {
-        let len = self.window.len();
-        debug_assert!(seg.len() <= len, "a row longer than the widening window");
-        self.span = if seg.end > self.span.end {
-            seg.start..(seg.start + len).min(self.values.len())
-        } else {
-            seg.end.saturating_sub(len)..seg.end
-        };
-        convert_slice(
-            &self.values[self.span.clone()],
-            &mut self.window[..self.span.len()],
-        );
-    }
 }
 
 impl<T: Scalar> Factor<T> {

@@ -18,6 +18,12 @@
 //! caller falls back to its scalar loop.  The scalar kernels therefore remain
 //! the universal fallback and the semantic definition.
 //!
+//! The sparse row kernels ([`try_spmv_row`], [`try_sell_group8`]) take their
+//! vector in the accumulation precision — fp32 or fp64; the product driver
+//! widens an fp16 vector once per product, in bulk — and widen the matrix
+//! values they load in hardware, so nothing they touch goes through a
+//! software conversion.
+//!
 //! # Numerical contract
 //!
 //! * **Elementwise kernels** (`try_axpy_stored`, `try_waxpby_norm2`'s vector
@@ -621,41 +627,38 @@ pub fn try_norm_inf<T: Scalar>(x: &[T]) -> Option<f64> {
     None
 }
 
-/// SIMD CSR row kernel: `Σ from_scalar(vals[i]) · widen(x[cols[i]])` in
-/// `TV::Accum`, the core of every sparse product's column loop.  `None` for fallback
-/// (scalar backend, row shorter than one vector, or `x` too long for 32-bit
-/// gather indices).
+/// SIMD CSR row kernel: `Σ from_scalar(vals[i]) · x[cols[i]]` in the
+/// accumulation precision `A`, the core of every sparse product's column
+/// loop.  The driver hands every vector over in its accumulation precision
+/// (an fp16 vector widened once per product), so `x` is fp32 or fp64.  `None`
+/// for fallback (scalar backend, row shorter than one vector, or `x` too long
+/// for 32-bit gather indices).
 ///
 /// # Safety
 /// Every entry of `cols` must be a valid index into `x` (the `CsrMatrix`
 /// constructor invariant); the gathers do no bounds checking.
 #[must_use]
-pub unsafe fn try_spmv_row<TA: Scalar, TV: Scalar>(
-    cols: &[u32],
-    vals: &[TA],
-    x: &[TV],
-) -> Option<TV::Accum> {
+pub unsafe fn try_spmv_row<TA: Scalar, A: FromScalar>(cols: &[u32], vals: &[TA], x: &[A]) -> Option<A> {
     debug_assert_eq!(cols.len(), vals.len());
     #[cfg(target_arch = "x86_64")]
     if cols.len() >= 8 && x.len() <= MAX_GATHER_LEN && simd_active() {
         // SAFETY: feature set per the module note above the dispatchers;
         // index validity is this function's own safety contract.
         let acc: f64 = unsafe {
-            match (TA::view(vals), TV::view(x)) {
-                (V::F16(a), V::F16(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
-                (V::F32(a), V::F16(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
-                (V::F64(a), V::F16(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
+            match (TA::view(vals), A::view(x)) {
                 (V::F16(a), V::F32(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
                 (V::F32(a), V::F32(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
                 (V::F64(a), V::F32(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
                 (V::F16(a), V::F64(v)) => x86::spmv_row_b(cols, a, v),
                 (V::F32(a), V::F64(v)) => x86::spmv_row_b(cols, a, v),
                 (V::F64(a), V::F64(v)) => x86::spmv_row_b(cols, a, v),
+                // No accumulator is fp16.
+                (_, V::F16(_)) => return None,
             }
         };
-        // Exact: `acc` is exactly representable in TV::Accum (it *is* the
-        // f32/f64 accumulator value, widened at most once).
-        return Some(<TV::Accum as Scalar>::from_f64(acc));
+        // Exact: `acc` *is* the f32/f64 accumulator value, widened at most
+        // once.
+        return Some(A::from_f64(acc));
     }
     let _ = (cols, vals, x);
     None
@@ -667,7 +670,8 @@ pub unsafe fn try_spmv_row<TA: Scalar, TV: Scalar>(
 /// non-meta position (`SellMatrix::row_lanes(base_row)` slices), `stride` is
 /// the chunk height and `width` the chunk's padded row width.  Padding lanes
 /// (column = own row, value = 0) are included, exactly like the scalar
-/// `sell_row`.  `None` for fallback.
+/// `sell_row`.  `x` is in its accumulation precision, as for
+/// [`try_spmv_row`].  `None` for fallback.
 ///
 /// # Safety
 /// Every column entry in the `width × 8` lane window must be a valid index
@@ -675,33 +679,32 @@ pub unsafe fn try_spmv_row<TA: Scalar, TV: Scalar>(
 /// `(width - 1) · stride + 8` elements (guaranteed by the `SellMatrix`
 /// layout when `stride % 8 == 0` and the group lies inside one chunk).
 #[must_use]
-pub unsafe fn try_sell_group8<TA: Scalar, TV: Scalar>(
+pub unsafe fn try_sell_group8<TA: Scalar, A: FromScalar>(
     cols: &[u32],
     vals: &[TA],
     stride: usize,
     width: usize,
-    x: &[TV],
-) -> Option<[TV::Accum; 8]> {
+    x: &[A],
+) -> Option<[A; 8]> {
     #[cfg(target_arch = "x86_64")]
     if x.len() <= MAX_GATHER_LEN && simd_active() {
         debug_assert!(width == 0 || (width - 1) * stride + 8 <= cols.len().min(vals.len()));
         // SAFETY: feature set per the module note above the dispatchers;
         // index validity and window bounds are this function's contract.
         let acc: [f64; 8] = unsafe {
-            match (TA::view(vals), TV::view(x)) {
-                (V::F16(a), V::F16(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
-                (V::F32(a), V::F16(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
-                (V::F64(a), V::F16(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
+            match (TA::view(vals), A::view(x)) {
                 (V::F16(a), V::F32(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
                 (V::F32(a), V::F32(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
                 (V::F64(a), V::F32(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
                 (V::F16(a), V::F64(v)) => x86::sell_group8_b(cols, a, stride, width, v),
                 (V::F32(a), V::F64(v)) => x86::sell_group8_b(cols, a, stride, width, v),
                 (V::F64(a), V::F64(v)) => x86::sell_group8_b(cols, a, stride, width, v),
+                // No accumulator is fp16.
+                (_, V::F16(_)) => return None,
             }
         };
         // Exact per lane, as in `try_spmv_row`.
-        return Some(acc.map(<TV::Accum as Scalar>::from_f64));
+        return Some(acc.map(A::from_f64));
     }
     let _ = (cols, vals, stride, width, x);
     None

@@ -44,6 +44,18 @@ pub(crate) trait Lane8: Scalar {
     /// 8 elements must be readable at `p`; caller must be in an
     /// AVX2+F16C-enabled context.
     unsafe fn ld8(p: *const Self) -> __m256;
+
+    /// One element, widened like a lane of [`Lane8::ld8`]: what the scalar
+    /// tail of a row kernel reads.
+    ///
+    /// # Safety
+    /// 1 element must be readable at `p`; AVX2+F16C context.
+    // SAFETY: one readable element at `p` by the contract above; the
+    // conversion itself is the safe `Scalar::to_f32`.
+    #[inline(always)]
+    unsafe fn ld1(p: *const Self) -> f32 {
+        (*p).to_f32()
+    }
 }
 
 /// [`Lane8`] types that can also absorb f32 lanes with one
@@ -53,14 +65,6 @@ pub(crate) trait Lane8Dst: Lane8 {
     /// # Safety
     /// 8 elements must be writable at `p`; AVX2+F16C context.
     unsafe fn st8(p: *mut Self, v: __m256);
-}
-
-/// [`Lane8`] vector types supporting an 8-lane gather (f16, f32).
-pub(crate) trait Gather8: Lane8 {
-    /// # Safety
-    /// Every lane of `idx` must be a valid non-negative index into the slice
-    /// behind `x`; AVX2+F16C context.
-    unsafe fn gat8(x: *const Self, idx: __m256i) -> __m256;
 }
 
 impl Lane8 for f16 {
@@ -73,6 +77,13 @@ impl Lane8 for f16 {
         // widening (exhaustively verified in tests/f16c_agreement.rs).
         _mm256_cvtph_ps(_mm_loadu_si128(p.cast::<__m128i>()))
     }
+
+    // SAFETY: per the Lane8 contract — one readable f16 at `p`, F16C on.
+    #[inline(always)]
+    unsafe fn ld1(p: *const Self) -> f32 {
+        // In hardware, like `ld8`; the software `to_f32` costs ~10 operations.
+        _mm_cvtss_f32(_mm_cvtph_ps(_mm_cvtsi32_si128(i32::from((*p).to_bits()))))
+    }
 }
 
 impl Lane8Dst for f16 {
@@ -81,23 +92,6 @@ impl Lane8Dst for f16 {
     unsafe fn st8(p: *mut Self, v: __m256) {
         // vcvtps2ph with round-to-nearest-even == f16::from_f32 on non-NaN.
         _mm_storeu_si128(p.cast::<__m128i>(), _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
-    }
-}
-
-impl Gather8 for f16 {
-    // SAFETY: per the Gather8 contract — every idx lane indexes into the
-    // slice behind `x`; AVX2+F16C context.
-    #[inline(always)]
-    unsafe fn gat8(x: *const Self, idx: __m256i) -> __m256 {
-        // No 16-bit SIMD gather exists: pull the 8 half words through scalar
-        // loads into a stack buffer, then convert with one vcvtph2ps.
-        let mut ix = [0i32; 8];
-        _mm256_storeu_si256(ix.as_mut_ptr().cast::<__m256i>(), idx);
-        let mut h = [0u16; 8];
-        for (slot, &i) in h.iter_mut().zip(ix.iter()) {
-            *slot = (*x.add(i as usize)).to_bits();
-        }
-        _mm256_cvtph_ps(_mm_loadu_si128(h.as_ptr().cast::<__m128i>()))
     }
 }
 
@@ -114,15 +108,6 @@ impl Lane8Dst for f32 {
     #[inline(always)]
     unsafe fn st8(p: *mut Self, v: __m256) {
         _mm256_storeu_ps(p, v);
-    }
-}
-
-impl Gather8 for f32 {
-    // SAFETY: per the Gather8 contract — every idx lane indexes into the
-    // slice behind `x`; AVX2 gather is in-bounds by that guarantee.
-    #[inline(always)]
-    unsafe fn gat8(x: *const Self, idx: __m256i) -> __m256 {
-        _mm256_i32gather_ps::<4>(x, idx)
     }
 }
 
@@ -220,7 +205,8 @@ unsafe fn hsum_pd(v: __m256d) -> f64 {
 // SpMV row kernels.
 // ---------------------------------------------------------------------------
 
-/// World-A CSR row: `Σ from_scalar(vals[i]) · widen(x[cols[i]])` in f32.
+/// World-A CSR row: `Σ from_scalar(vals[i]) · x[cols[i]]` in f32.  (The
+/// driver hands fp16 vectors over widened, so `x` is always f32 here.)
 ///
 /// Bounds: the vector loops stop at `cols.len()`/`vals.len()`; gather
 /// indices are valid by the caller's contract (`try_spmv_row`'s safety doc).
@@ -228,11 +214,7 @@ unsafe fn hsum_pd(v: __m256d) -> f64 {
 // and guarantee every `cols[i] < x.len()` (try_spmv_row's contract); all
 // loads stop at cols.len().min(vals.len()).
 #[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn spmv_row_a<TA: Lane8, TV: Gather8>(
-    cols: &[u32],
-    vals: &[TA],
-    x: &[TV],
-) -> f32 {
+pub(crate) unsafe fn spmv_row_a<TA: Lane8>(cols: &[u32], vals: &[TA], x: &[f32]) -> f32 {
     let n = cols.len().min(vals.len());
     let cp = cols.as_ptr();
     let vp = vals.as_ptr();
@@ -243,19 +225,19 @@ pub(crate) unsafe fn spmv_row_a<TA: Lane8, TV: Gather8>(
     while i + 16 <= n {
         let idx0 = _mm256_loadu_si256(cp.add(i).cast::<__m256i>());
         let idx1 = _mm256_loadu_si256(cp.add(i + 8).cast::<__m256i>());
-        acc0 = _mm256_fmadd_ps(TA::ld8(vp.add(i)), TV::gat8(xp, idx0), acc0);
-        acc1 = _mm256_fmadd_ps(TA::ld8(vp.add(i + 8)), TV::gat8(xp, idx1), acc1);
+        acc0 = _mm256_fmadd_ps(TA::ld8(vp.add(i)), _mm256_i32gather_ps::<4>(xp, idx0), acc0);
+        acc1 = _mm256_fmadd_ps(TA::ld8(vp.add(i + 8)), _mm256_i32gather_ps::<4>(xp, idx1), acc1);
         i += 16;
     }
     while i + 8 <= n {
         let idx = _mm256_loadu_si256(cp.add(i).cast::<__m256i>());
-        acc0 = _mm256_fmadd_ps(TA::ld8(vp.add(i)), TV::gat8(xp, idx), acc0);
+        acc0 = _mm256_fmadd_ps(TA::ld8(vp.add(i)), _mm256_i32gather_ps::<4>(xp, idx), acc0);
         i += 8;
     }
     let mut tail = 0.0f32;
     while i < n {
         let c = *cp.add(i) as usize;
-        tail += (*vp.add(i)).to_f32() * (*xp.add(c)).to_f32();
+        tail += TA::ld1(vp.add(i)) * *xp.add(c);
         i += 1;
     }
     hsum_ps(_mm256_add_ps(acc0, acc1)) + tail
@@ -308,12 +290,12 @@ pub(crate) unsafe fn spmv_row_b<TA: Lane4>(cols: &[u32], vals: &[TA], x: &[f64])
 // `(width-1)*stride + 8` elements in cols/vals and in-bounds column
 // indices (try_sell_group8's contract).
 #[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn sell_group8_a<TA: Lane8, TV: Gather8>(
+pub(crate) unsafe fn sell_group8_a<TA: Lane8>(
     cols: &[u32],
     vals: &[TA],
     stride: usize,
     width: usize,
-    x: &[TV],
+    x: &[f32],
 ) -> [f32; 8] {
     let cp = cols.as_ptr();
     let vp = vals.as_ptr();
@@ -322,7 +304,7 @@ pub(crate) unsafe fn sell_group8_a<TA: Lane8, TV: Gather8>(
     for k in 0..width {
         let off = k * stride;
         let idx = _mm256_loadu_si256(cp.add(off).cast::<__m256i>());
-        acc = _mm256_fmadd_ps(TA::ld8(vp.add(off)), TV::gat8(xp, idx), acc);
+        acc = _mm256_fmadd_ps(TA::ld8(vp.add(off)), _mm256_i32gather_ps::<4>(xp, idx), acc);
     }
     let mut out = [0.0f32; 8];
     _mm256_storeu_ps(out.as_mut_ptr(), acc);

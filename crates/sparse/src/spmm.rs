@@ -49,12 +49,43 @@
 //! [`PanelOp::Dot2`], whose dots ride on the row loop.  Of the ~150 panel
 //! products of a batched fp16-F3R solve these are the two or three on the
 //! outermost fp64 level.
+//!
+//! # fp16 operands cross in bulk
+//!
+//! The column loop's row bodies see vectors only in `TV::Accum`, and the
+//! only conversions made one element at a time are hardware ones.  fp32 and
+//! fp64 columns are read where they lie and, on an fp32 or fp64 matrix, each
+//! row is finished and stored as it comes.  An fp16 operand would cost a
+//! software conversion per use (the vendored `half` is ~10 operations a
+//! value), so it crosses the product's boundary in bulk, through
+//! [`convert_slice`] (F16C/AVX-512 where the CPU has them):
+//!
+//! * an fp16 `x` is widened **once per product** into this thread's scratch
+//!   ([`Scalar::with_scratch`]; in parallel chunks when the product is
+//!   parallel) — `SolverBuilder::build` reserves that copy on the building
+//!   thread, so it is not first grown in the middle of a solve;
+//! * fp16 matrix values go to the scalar row body through a [`Widened`]
+//!   window on the task's stack: a block of 256 rows (`ROW_BLOCK`) whose entries
+//!   the window holds — every block of rows the SIMD row kernel declines for
+//!   being shorter than eight — in one conversion, any other declined row on
+//!   its own; rows the SIMD kernel takes are widened by the kernel, and a
+//!   block of nothing else converts nothing;
+//! * fp16 results are finished a block of rows at a time
+//!   (`Panel::block_rows`): the row bodies leave their accumulators in a
+//!   buffer on the task's stack, the epilogue runs there on slices (`b` or
+//!   `u` widened in bulk), and the block is narrowed into the output in
+//!   bulk; [`PanelOp::Dot2`] takes its dots on the narrowed block widened
+//!   again, rows in order, in `f64`.
+//!
+//! Widening is exact, the one rounding is the same rounding, and no
+//! summation tree changes: every result is bitwise what one conversion per
+//! use would give (`tests/panel_parity.rs` holds that loop as a reference).
 
 use std::ops::Range;
 
-use f3r_parallel::thresholds::{MIN_ROWS_PER_TASK, PANEL_MIN_COLUMNS, PAR_ROW_THRESHOLD};
+use f3r_parallel::thresholds::{MIN_LEN_PER_TASK, MIN_ROWS_PER_TASK, PANEL_MIN_COLUMNS, PAR_ROW_THRESHOLD};
 use f3r_parallel::SyncPtr;
-use f3r_precision::{FromScalar, Precision, Scalar};
+use f3r_precision::{convert_slice, FromScalar, Precision, Scalar, Widened};
 use f3r_simd::PanelSink;
 
 pub use f3r_simd::PANEL_LANES;
@@ -251,6 +282,11 @@ fn spmm_rows<TA: Scalar, TV: Scalar>(
     }
 }
 
+/// A block epilogue, `fin_block(w, operand, at, y, sums)` of [`Panel::run`]:
+/// finish one column's rows `at .. at + w.len()` from their lifted
+/// accumulators `w` into the stored `y`.
+type FinBlock<'a, W, TV, S> = dyn Fn(&mut [W], &mut [W], usize, &mut [TV], &mut S) + Sync + 'a;
+
 /// One product's operands, as the row loops see them.
 struct Panel<'a, TA, TV> {
     layout: Layout<'a, TA>,
@@ -265,20 +301,33 @@ struct Panel<'a, TA, TV> {
 
 impl<TA: Scalar, TV: Scalar> Panel<'_, TA, TV> {
     /// Resolve the epilogue — `fold` × `op` — into one monomorphic row
-    /// finisher and run the product with it.
+    /// finisher and run the product with it.  Each epilogue comes twice: for
+    /// one row, and for a block of one column's rows lifted into `F::W`
+    /// (fp16 vectors, [`Self::block_rows`]), where the same operations run on
+    /// slices and every conversion is a bulk one.
     fn finish_with<F: Fold<TV>>(&self, fold: F, op: PanelOp<'_, TV>) {
         let len = self.nr * self.k;
         match op {
             PanelOp::Product => self.run(
+                fold,
                 None,
                 |acc, row, _, (): &mut ()| F::round(fold.lift(acc, row)),
+                |w, _, _, y, (): &mut ()| convert_slice(w, y),
                 |_, ()| {},
             ),
             PanelOp::Residual(b) => {
                 assert_eq!(b.len(), len, "spmm: right-hand-side panel length mismatch");
                 self.run(
+                    fold,
                     Some(b),
                     |acc, row, at, (): &mut ()| F::round(F::widen(b[at]) - fold.lift(acc, row)),
+                    |w, bw, at, y, (): &mut ()| {
+                        convert_slice(&b[at..at + w.len()], bw);
+                        for (w, &b) in w.iter_mut().zip(&*bw) {
+                            *w = b - *w;
+                        }
+                        convert_slice(w, y);
+                    },
                     |_, ()| {},
                 );
             }
@@ -287,6 +336,7 @@ impl<TA: Scalar, TV: Scalar> Panel<'_, TA, TV> {
                 assert_eq!(dots.len(), self.k, "spmm: one dot pair per column");
                 dots.fill((0.0, 0.0));
                 self.run(
+                    fold,
                     None,
                     |acc, row, at, (uy, yy): &mut (f64, f64)| {
                         // Round once, then take the dots on the *stored*
@@ -296,6 +346,18 @@ impl<TA: Scalar, TV: Scalar> Panel<'_, TA, TV> {
                         *uy += (F::widen(u[at]) * w).to_f64();
                         *yy += (w * w).to_f64();
                         y
+                    },
+                    |w, uw, at, y, (uy, yy): &mut (f64, f64)| {
+                        // The same, a block at a time: `w` becomes the stored
+                        // values widened again, and the dots take the rows
+                        // in order.
+                        convert_slice(w, y);
+                        convert_slice(y, w);
+                        convert_slice(&u[at..at + w.len()], uw);
+                        for (&u, &w) in uw.iter().zip(&*w) {
+                            *uy += (u * w).to_f64();
+                            *yy += (w * w).to_f64();
+                        }
                     },
                     |c, (uy, yy)| {
                         dots[c].0 += uy;
@@ -308,17 +370,23 @@ impl<TA: Scalar, TV: Scalar> Panel<'_, TA, TV> {
 
     /// The row loops.  `fin(acc, row, at, sums)` finishes the accumulator of
     /// row `row` for panel slot `at = column · n_rows + row`, with `sums` the
-    /// running reduction of that column in the current task; `merge(column,
-    /// sums)` receives every task's reductions in task order.  `rhs` is the
-    /// residual's `B` again, as data, for the SIMD panel kernel, which
-    /// finishes its own rows ([`PanelSink`]).
-    fn run<S: Copy + Default + Send>(
+    /// running reduction of that column in the current task;
+    /// `fin_block(w, operand, at, y, sums)` finishes the rows `at ..
+    /// at + w.len()` of one column at once, from their lifted accumulators
+    /// `w` into the stored `y`, with `operand` as scratch of the same length;
+    /// `merge(column, sums)` receives every task's reductions in task order.
+    /// `rhs` is the residual's `B` again, as data, for the SIMD panel kernel,
+    /// which finishes its own rows ([`PanelSink`]).
+    fn run<F: Fold<TV>, S: Copy + Default + Send>(
         &self,
+        fold: F,
         rhs: Option<&[TV]>,
         fin: impl Fn(TV::Accum, usize, usize, &mut S) -> TV + Sync,
+        fin_block: impl Fn(&mut [F::W], &mut [F::W], usize, &mut [TV], &mut S) + Sync,
         mut merge: impl FnMut(usize, S),
     ) {
         let Self { layout, nr, nc, k, parallel, .. } = *self;
+        let bulk = TA::PRECISION == Precision::Fp16 || TV::PRECISION == Precision::Fp16;
         for c0 in (0..k).step_by(PANEL_LANES) {
             let g = (k - c0).min(PANEL_LANES);
             let grain = panel_grain(g);
@@ -327,85 +395,199 @@ impl<TA: Scalar, TV: Scalar> Panel<'_, TA, TV> {
                     merge(c0 + c, s);
                 }
             };
-            // The panel kernel finishes its own rows, so a reduction (a
-            // non-empty `S`) keeps the column loop, where it rides on `fin`.
-            let paneled = matches!(layout, Layout::Csr(_))
-                && TV::PRECISION != Precision::Fp64
-                && g >= PANEL_MIN_COLUMNS
-                && size_of::<S>() == 0;
-            if !paneled {
-                for_row_ranges(nr, grain, parallel, |rows| self.group_rows(c0, g, rhs, &fin, rows, None), each);
-                continue;
-            }
             let xs = &self.xs[c0 * nc..(c0 + g) * nc];
-            // The scratch rows are 32 bytes: start them on a 32-byte boundary
-            // so no row load straddles a cache line.
-            <TV::Accum as Scalar>::with_scratch((nc + 1) * PANEL_LANES, |flat| {
-                let skip = flat.as_ptr().align_offset(32).min(PANEL_LANES);
-                let xt = &mut flat[skip..skip + nc * PANEL_LANES];
-                let (xt, _) = xt.as_chunks_mut::<PANEL_LANES>();
-                if parallel {
-                    f3r_parallel::par_chunks_mut(xt, grain, |row0, chunk| {
-                        interleave_rows(xs, nc, g, row0, chunk);
+            match layout {
+                // The panel kernel finishes its own rows, so a reduction (a
+                // non-empty `S`) keeps the column loop, where it rides on
+                // `fin`.
+                Layout::Csr(m) if TV::PRECISION != Precision::Fp64 && g >= PANEL_MIN_COLUMNS && size_of::<S>() == 0 => {
+                    // The scratch rows are 32 bytes: start them on a 32-byte
+                    // boundary so no row load straddles a cache line.
+                    <TV::Accum as Scalar>::with_scratch((nc + 1) * PANEL_LANES, |flat| {
+                        let skip = flat.as_ptr().align_offset(32).min(PANEL_LANES);
+                        let xt = &mut flat[skip..skip + nc * PANEL_LANES];
+                        let (xt, _) = xt.as_chunks_mut::<PANEL_LANES>();
+                        if parallel {
+                            f3r_parallel::par_chunks_mut(xt, grain, |row0, chunk| {
+                                interleave_rows(xs, nc, g, row0, chunk);
+                            });
+                        } else {
+                            interleave_rows(xs, nc, g, 0, xt);
+                        }
+                        let xt = &*xt;
+                        let task = |rows| self.panel_group_rows(m, c0, g, rhs, &fin, rows, xt);
+                        for_row_ranges(nr, grain, parallel, task, each);
                     });
-                } else {
-                    interleave_rows(xs, nc, g, 0, xt);
                 }
-                let xt = &*xt;
-                for_row_ranges(nr, grain, parallel, |rows| self.group_rows(c0, g, rhs, &fin, rows, Some(xt)), each);
-            });
+                // The column loop reads its vectors in the accumulation
+                // precision, fp32 and fp64 columns where they lie.  With no
+                // fp16 operand every conversion left is a hardware one, and a
+                // row is finished as it comes …
+                _ => match TV::as_accum(xs) {
+                    Some(x) if !bulk => {
+                        let task = |rows| self.group_rows(c0, g, &fin, rows, x);
+                        for_row_ranges(nr, grain, parallel, task, each);
+                    }
+                    // … fp16 operands cross in bulk: matrix values a block of
+                    // rows at a time, results finished and narrowed likewise,
+                    // fp16 columns widened once per product.
+                    Some(x) => {
+                        let task = |rows| self.block_rows(c0, g, fold, &fin_block, rows, x);
+                        for_row_ranges(nr, grain, parallel, task, each);
+                    }
+                    None => <TV::Accum as Scalar>::with_scratch(xs.len(), |x| {
+                        if parallel {
+                            f3r_parallel::par_chunks_mut(x, MIN_LEN_PER_TASK, |at, chunk| {
+                                convert_slice(&xs[at..at + chunk.len()], chunk);
+                            });
+                        } else {
+                            convert_slice(xs, x);
+                        }
+                        let x = &*x;
+                        let task = |rows| self.block_rows(c0, g, fold, &fin_block, rows, x);
+                        for_row_ranges(nr, grain, parallel, task, each);
+                    }),
+                },
+            }
         }
     }
 
-    /// Rows `rows` of the lane group of `g` columns from column `c0`: through
-    /// the panel kernel on the interleaved group `xt`, through the column
-    /// loop without one.  Returns the group's reductions over `rows`.  One
-    /// task, or the whole inline sweep — entered once per row range, so it is
-    /// kept out of line: one copy of the row loops per epilogue, not one per
-    /// call site.
+    /// `emit(row, column, acc)` of one task on the lane group from column
+    /// `c0`: finish the accumulator with `fin`, store the result.
+    #[inline(always)]
+    fn emit_with<'s, S>(
+        &self,
+        c0: usize,
+        fin: &'s impl Fn(TV::Accum, usize, usize, &mut S) -> TV,
+        sums: &'s mut [S; PANEL_LANES],
+    ) -> impl FnMut(usize, usize, TV::Accum) + 's {
+        // Captured by value: the row loops then keep the pointer and the
+        // strides in registers across the raw stores.
+        let (out, nr) = (self.out.get(), self.nr);
+        move |row: usize, c: usize, acc: TV::Accum| {
+            let at = (c0 + c) * nr + row;
+            let y = fin(acc, row, at, &mut sums[c]);
+            // SAFETY: row `row` of column `c0 + c`, which this task owns
+            // (`spmm`'s note on `out`); SELL boundary-group rows outside
+            // the task's rows are computed but never emitted.
+            unsafe { out.add(at).write(y) };
+        }
+    }
+
+    /// Rows `rows` of the lane group of `g` columns from column `c0` through
+    /// the column loop, on the group's columns `x` in the accumulation
+    /// precision.  Returns the group's reductions over `rows`.  One task, or
+    /// the whole inline sweep — entered once per row range, so it is kept
+    /// out of line: one copy of the row loops per epilogue, not one per call
+    /// site.
     #[inline(never)]
     fn group_rows<S: Copy + Default>(
         &self,
         c0: usize,
         g: usize,
+        fin: &impl Fn(TV::Accum, usize, usize, &mut S) -> TV,
+        rows: Range<usize>,
+        x: &[TV::Accum],
+    ) -> [S; PANEL_LANES] {
+        let mut sums = [S::default(); PANEL_LANES];
+        let emit = self.emit_with(c0, fin, &mut sums);
+        match self.layout {
+            Layout::Csr(m) => csr_rows(m, &mut [], x, g, rows, emit),
+            Layout::Sell(s) => sell_rows(s, x, g, rows, emit),
+        }
+        sums
+    }
+
+    /// [`Self::group_rows`] through the panel kernel, on the interleaved
+    /// group `xt` of a CSR matrix `m`.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn panel_group_rows<S: Copy + Default>(
+        &self,
+        m: &CsrMatrix<TA>,
+        c0: usize,
+        g: usize,
         rhs: Option<&[TV]>,
         fin: &impl Fn(TV::Accum, usize, usize, &mut S) -> TV,
         rows: Range<usize>,
-        xt: Option<&[[TV::Accum; PANEL_LANES]]>,
+        xt: &[[TV::Accum; PANEL_LANES]],
     ) -> [S; PANEL_LANES] {
-        let (nr, nc) = (self.nr, self.nc);
-        let xs = &self.xs[c0 * nc..(c0 + g) * nc];
+        let nr = self.nr;
         let mut sums = [S::default(); PANEL_LANES];
-        // Captured by value: the row loops then keep the pointer and the
-        // strides in registers across the raw stores.
-        let (out, acc_sums) = (self.out.get(), &mut sums);
-        let emit = move |row: usize, c: usize, acc: TV::Accum| {
-            let at = (c0 + c) * nr + row;
-            let y = fin(acc, row, at, &mut acc_sums[c]);
-            // SAFETY: row `row` of column `c0 + c`, which this task owns
-            // (`spmm`'s note on `out`); SELL boundary-group rows outside
-            // `rows` are computed but never emitted.
-            unsafe { out.add(at).write(y) };
+        let sink = PanelSink {
+            out: self.out.get().wrapping_add(c0 * nr),
+            stride: nr,
+            cols: g,
+            scales: self.scales,
+            rhs: rhs.map(|b| &b[c0 * nr..(c0 + g) * nr]),
         };
-        match (self.layout, xt) {
-            (Layout::Csr(m), Some(xt)) => {
-                let sink = PanelSink {
-                    out: out.wrapping_add(c0 * nr),
-                    stride: nr,
-                    cols: g,
-                    scales: self.scales,
-                    rhs: rhs.map(|b| &b[c0 * nr..(c0 + g) * nr]),
-                };
-                // SAFETY: as `emit`; the matrix arrays are those of a
-                // validated `CsrMatrix` with `nc == xt.len()` columns.
-                unsafe { panel_rows(m, xt, rows, &sink, emit) }
+        // SAFETY: rows `rows` of columns `c0 .. c0 + g`, which this task owns
+        // (`spmm`'s note on `out`); the matrix arrays are those of a validated
+        // `CsrMatrix` with `nc == xt.len()` columns.
+        unsafe { panel_rows(m, xt, rows, &sink, self.emit_with(c0, fin, &mut sums)) };
+        sums
+    }
+
+    /// [`Self::group_rows`]' column loop for fp16 vectors, `x` being the
+    /// group's columns widened: the rows go in blocks of [`ROW_BLOCK`], whose
+    /// accumulators the row bodies leave lifted ([`Fold::lift`]) in a buffer
+    /// on the stack, one run per column, for `fin_block` to finish and narrow
+    /// into the output in bulk — so neither a vector entry nor a result goes
+    /// through a conversion of its own.  (`fin_block` is called once per
+    /// block and column, so it is a `dyn` call: the row loops in here are
+    /// compiled once for the epilogues that reduce nothing, not once each.)
+    #[inline(never)]
+    fn block_rows<F: Fold<TV>, S: Copy + Default>(
+        &self,
+        c0: usize,
+        g: usize,
+        fold: F,
+        fin_block: &FinBlock<'_, F::W, TV, S>,
+        rows: Range<usize>,
+        x: &[TV::Accum],
+    ) -> [S; PANEL_LANES] {
+        let (nr, out) = (self.nr, self.out.get());
+        let mut sums = [S::default(); PANEL_LANES];
+        let mut window = [<TA::Accum as Scalar>::zero(); VALUE_WINDOW];
+        let window: &mut [TA::Accum] = if TA::PRECISION == Precision::Fp16 { &mut window } else { &mut [] };
+        let mut lifted = [<F::W as Scalar>::zero(); ROW_BLOCK * PANEL_LANES];
+        let mut operand = [<F::W as Scalar>::zero(); ROW_BLOCK];
+        let mut row = rows.start;
+        while row < rows.end {
+            // Blocks end on multiples of `ROW_BLOCK`, so only a task's own
+            // boundaries ever cut through a SELL group of eight rows.
+            let end = rows.end.min((row / ROW_BLOCK + 1) * ROW_BLOCK);
+            let block = &mut lifted;
+            let lift = move |r: usize, c: usize, acc: TV::Accum| block[c * ROW_BLOCK + r - row] = fold.lift(acc, r);
+            match self.layout {
+                Layout::Csr(m) => csr_rows(m, window, x, g, row..end, lift),
+                Layout::Sell(s) => sell_rows(s, x, g, row..end, lift),
             }
-            (Layout::Csr(m), None) => csr_rows(m, xs, g, rows, emit),
-            (Layout::Sell(s), _) => sell_rows(s, xs, g, rows, emit),
+            let len = end - row;
+            for (c, sums) in sums.iter_mut().enumerate().take(g) {
+                let at = (c0 + c) * nr + row;
+                // SAFETY: rows `row .. end` of column `c0 + c`, which this
+                // task owns (`spmm`'s note on `out`).
+                let y = unsafe { std::slice::from_raw_parts_mut(out.add(at), len) };
+                fin_block(&mut lifted[c * ROW_BLOCK..][..len], &mut operand[..len], at, y, sums);
+            }
+            row = end;
         }
         sums
     }
 }
+
+/// Rows per bulk conversion — of fp16 results narrowed
+/// ([`Panel::block_rows`]), of fp16 matrix values widened ([`csr_rows`]): a
+/// multiple of eight (the SELL row group), long enough that the converters'
+/// calls vanish next to the rows, short enough that what is converted (1–2
+/// KiB of accumulators per column) is still in L1 when it is used.
+const ROW_BLOCK: usize = 256;
+
+/// fp16 matrix values widened per bulk conversion: what a [`ROW_BLOCK`] of
+/// rows too short for the SIMD row kernel (under eight entries) can hold,
+/// 8 KiB of fp32 on the task's stack.
+const VALUE_WINDOW: usize = 8 * ROW_BLOCK;
 
 /// Rows per pool task: [`MIN_ROWS_PER_TASK`] scaled down by the panel width
 /// (each row moves ~k columns of vector traffic, so a k-wide task hits the
@@ -438,39 +620,79 @@ fn for_row_ranges<R: Send>(
 }
 
 /// Rows `rows` of one lane group through the column loop: each row's entries
-/// fetched once, the single-vector row body run on every column.
+/// fetched once, the single-vector row body run on every column of `xs`
+/// (`cols` columns in the accumulation precision).
+///
+/// fp16 matrix values reach the scalar row body widened in bulk, into
+/// `window` ([`VALUE_WINDOW`] values; unused, and empty, for fp32/fp64
+/// matrices): a [`ROW_BLOCK`] of rows whose entries fit it — which is every
+/// block of rows too short for the SIMD row kernel — in one conversion for
+/// the block, any other row that kernel declines through a window that moves
+/// with the rows ([`Widened`]).  A block of long rows therefore converts
+/// nothing here: the SIMD kernel widens what it loads.  (With an fp16 matrix
+/// the columns go one after another, each with its own walk over the rows:
+/// more than one reaches this loop only with `Dot2` panels and fp64 vectors,
+/// which no solver level combines with fp16 storage.)
 #[inline(always)]
-fn csr_rows<TA: Scalar, TV: Scalar>(
+fn csr_rows<TA: Scalar, A: FromScalar>(
     m: &CsrMatrix<TA>,
-    xs: &[TV],
+    window: &mut [TA::Accum],
+    xs: &[A],
     cols: usize,
     rows: Range<usize>,
-    mut emit: impl FnMut(usize, usize, TV::Accum),
+    mut emit: impl FnMut(usize, usize, A),
 ) {
-    let nc = m.n_cols();
-    // Everything the row loop reads, in locals: the stores behind `emit` go
+    // Everything the row loops read, in locals: the stores behind `emit` go
     // through a raw pointer, which the compiler must otherwise assume may
-    // change the matrix's own array headers between rows.
-    let (ptr, idx, vals) = (m.row_ptr(), m.col_idx(), m.values());
+    // change the matrix's own array headers between rows.  (And the loops
+    // spelled out: handing them their row body as a closure costs 10–25 % of
+    // a product.)
+    let (nc, ptr, idx, vals) = (m.n_cols(), m.row_ptr(), m.col_idx(), m.values());
     let entries = |row: usize| {
         let (start, end) = (ptr[row], ptr[row + 1]);
         (&idx[start..end], &vals[start..end])
     };
-    if cols == 1 {
-        // Every single-vector product: worth a loop with no column in it
-        // (measured 7–17 % on an L2-resident HPCG 16³).
-        let x = &xs[..nc];
+    if TA::PRECISION != Precision::Fp16 {
+        if cols == 1 {
+            // Every single-vector product: worth a loop with no column in it
+            // (measured 7–17 % on an L2-resident HPCG 16³).
+            let x = &xs[..nc];
+            for row in rows {
+                let (idx, vals) = entries(row);
+                emit(row, 0, row_acc(idx, vals, x, || None));
+            }
+            return;
+        }
+        let x: [&[A]; PANEL_LANES] = std::array::from_fn(|c| if c < cols { &xs[c * nc..(c + 1) * nc] } else { &[] });
         for row in rows {
             let (idx, vals) = entries(row);
-            emit(row, 0, row_acc(idx, vals, x));
+            for (c, x) in x.iter().enumerate().take(cols) {
+                emit(row, c, row_acc(idx, vals, x, || None));
+            }
         }
         return;
     }
-    let x: [&[TV]; PANEL_LANES] = std::array::from_fn(|c| if c < cols { &xs[c * nc..(c + 1) * nc] } else { &[] });
-    for row in rows {
-        let (idx, vals) = entries(row);
-        for (c, x) in x.iter().enumerate().take(cols) {
-            emit(row, c, row_acc(idx, vals, x));
+    for c in 0..cols {
+        let x = &xs[c * nc..(c + 1) * nc];
+        for block in (rows.start..rows.end).step_by(ROW_BLOCK) {
+            let rows = block..rows.end.min(block + ROW_BLOCK);
+            let all = ptr[rows.start]..ptr[rows.end];
+            if all.len() <= window.len() {
+                let (base, mut values) = (all.start, Widened::new(vals, &mut window[..all.len()]));
+                let block = values.get(all);
+                for row in rows {
+                    let (idx, vals) = entries(row);
+                    let at = ptr[row] - base;
+                    emit(row, c, row_acc(idx, vals, x, || Some(&block[at..at + vals.len()])));
+                }
+            } else {
+                let mut values = Widened::new(vals, window);
+                for row in rows {
+                    let (idx, vals) = entries(row);
+                    let seg = ptr[row]..ptr[row + 1];
+                    emit(row, c, row_acc(idx, vals, x, || (seg.len() <= VALUE_WINDOW).then(|| values.get(seg))));
+                }
+            }
         }
     }
 }
@@ -536,8 +758,9 @@ fn panel_row_tree<TA: Scalar, A: FromScalar>(
     std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]))
 }
 
-/// SELL rows `rows` against the `k` columns of one lane group, each
-/// accumulator handed to `emit(row, column, acc)`.
+/// SELL rows `rows` against the `k` columns `xs` of one lane group (in the
+/// accumulation precision), each accumulator handed to
+/// `emit(row, column, acc)`.
 ///
 /// When the SIMD backend is active and the chunk height is a multiple of
 /// eight, rows are processed in *globally aligned* groups of eight (rows
@@ -555,12 +778,12 @@ fn panel_row_tree<TA: Scalar, A: FromScalar>(
 /// across tasks and across a panel's columns — so the choice is per-row
 /// deterministic.
 #[inline(always)]
-fn sell_rows<TA: Scalar, TV: Scalar>(
+fn sell_rows<TA: Scalar, A: FromScalar>(
     a: &SellMatrix<TA>,
-    xs: &[TV],
+    xs: &[A],
     k: usize,
     rows: Range<usize>,
-    mut emit: impl FnMut(usize, usize, TV::Accum),
+    mut emit: impl FnMut(usize, usize, A),
 ) {
     let nc = a.n_cols();
     let end = rows.end;

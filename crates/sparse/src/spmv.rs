@@ -15,15 +15,21 @@
 //! # The widening convention
 //!
 //! Every stored operand enters the accumulator through a **single direct
-//! conversion**: vector entries via [`Scalar::widen`] (`f16 → f32` is one
-//! instruction/bit-cast sequence, `f32`/`f64` are the identity) and matrix
-//! values via [`FromScalar::from_scalar`] (`TA → TV::Accum` directly).  The
-//! historical kernels instead converted *every element* through `f64`
-//! (`from_f64(x.to_f64())`) and issued a scalar `mul_add` per element — two
-//! extra rounding steps and a libm call on targets without FMA, which
-//! blocked autovectorisation and erased the bandwidth advantage of narrow
-//! storage.  Those kernels are preserved in [`crate::reference`] for
-//! correctness baselines and benchmarks.
+//! conversion**: vector entries via [`Scalar::widen`] (exact; `f32`/`f64`
+//! are the identity) and matrix values via [`FromScalar::from_scalar`]
+//! (`TA → TV::Accum` directly).  The historical kernels instead converted
+//! *every element* through `f64` (`from_f64(x.to_f64())`) and issued a
+//! scalar `mul_add` per element — two extra rounding steps and a libm call
+//! on targets without FMA, which blocked autovectorisation and erased the
+//! bandwidth advantage of narrow storage.  Those kernels are preserved in
+//! [`crate::reference`] for correctness baselines and benchmarks.
+//!
+//! The row bodies here take their vector **in the accumulation precision**
+//! (`x: &[A]`, `A` fp32 or fp64): the driver hands fp32/fp64 vectors over
+//! where they lie and an fp16 vector widened once per product, in bulk, so
+//! no row converts a vector entry, and fp16 matrix values reach the scalar
+//! body from a bulk-widened window (`row_acc`).  See
+//! [`crate::spmm`], "fp16 operands cross in bulk".
 //!
 //! Inner loops are unrolled four ways over independent partial accumulators
 //! so LLVM can keep several chains in flight; results are reduced pairwise
@@ -42,11 +48,13 @@
 //! backend when it is active: CSR rows with at least eight entries go
 //! through gather-based vector kernels ([`f3r_simd::try_spmv_row`]), SELL
 //! chunks whose height is a multiple of eight are processed eight rows at a
-//! time ([`f3r_simd::try_sell_group8`]).  Whether a given row takes the SIMD
-//! or the scalar path depends only on *global* properties (latched backend,
-//! row length, chunk geometry, vector length) — never on which parallel task
-//! computes it — so inline and pooled products stay bit-identical, as the
-//! tests assert.  Accumulation order inside a SIMD row differs from
+//! time ([`f3r_simd::try_sell_group8`]).  Both gather fp32 or fp64 entries of
+//! `x` (there is no 16-bit gather, and no need for one) and widen the matrix
+//! values they load in hardware, the `n mod 8` tail of a row included.
+//! Whether a given row takes the SIMD or the scalar path depends only on
+//! *global* properties (latched backend, row length, chunk geometry, vector
+//! length) — never on which parallel task computes it — so inline and pooled
+//! products stay bit-identical, as the tests assert.  Accumulation order inside a SIMD row differs from
 //! the scalar chains (8/4 lanes with FMA instead of 4/2 scalar chains), so
 //! row results agree with the scalar backend within the usual reduction
 //! bounds rather than bitwise; everything downstream of the row accumulator
@@ -67,8 +75,9 @@ pub fn spmv<'a, TA: Scalar, TV: Scalar>(a: impl Into<Rows<'a, TA>>, x: &[TV], y:
     spmm(a, x, PanelOp::Product, y, 1, Dispatch::Auto);
 }
 
-/// One CSR row: unrolled multi-accumulator dot of the row against `x`,
-/// returned in the accumulation precision (callers narrow once).
+/// One CSR row: unrolled multi-accumulator dot of the row against `x`, in
+/// the accumulation precision `A` the driver hands every vector over in
+/// (callers narrow once).
 ///
 /// The gathers skip per-element bounds checks: the driver asserts that every
 /// panel column holds `n_cols` entries, and
@@ -76,27 +85,27 @@ pub fn spmv<'a, TA: Scalar, TV: Scalar>(a: impl Into<Rows<'a, TA>>, x: &[TV], y:
 /// that every stored column index is `< n_cols`, so the indices are in range
 /// by construction (also re-checked with `debug_assert!` here).
 #[inline(always)]
-fn spmv_row<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV]) -> TV::Accum {
-    let gather = |c: u32| -> TV {
+fn spmv_row<TA: Scalar, A: FromScalar>(cols: &[u32], vals: &[TA], x: &[A]) -> A {
+    let gather = |c: u32| -> A {
         debug_assert!((c as usize) < x.len(), "CSR column index out of range");
         // SAFETY: see function docs — the CSR constructor bounds all column
         // indices by n_cols and the driver asserts x.len() == n_cols.
         unsafe { *x.get_unchecked(c as usize) }
     };
-    let mut acc0 = <TV::Accum as Scalar>::zero();
-    let mut acc1 = <TV::Accum as Scalar>::zero();
-    let mut acc2 = <TV::Accum as Scalar>::zero();
-    let mut acc3 = <TV::Accum as Scalar>::zero();
+    let mut acc0 = A::zero();
+    let mut acc1 = A::zero();
+    let mut acc2 = A::zero();
+    let mut acc3 = A::zero();
     let mut c4 = cols.chunks_exact(4);
     let mut v4 = vals.chunks_exact(4);
     for (c, v) in (&mut c4).zip(&mut v4) {
-        acc0 += <TV::Accum as FromScalar>::from_scalar(v[0]) * gather(c[0]).widen();
-        acc1 += <TV::Accum as FromScalar>::from_scalar(v[1]) * gather(c[1]).widen();
-        acc2 += <TV::Accum as FromScalar>::from_scalar(v[2]) * gather(c[2]).widen();
-        acc3 += <TV::Accum as FromScalar>::from_scalar(v[3]) * gather(c[3]).widen();
+        acc0 += A::from_scalar(v[0]) * gather(c[0]);
+        acc1 += A::from_scalar(v[1]) * gather(c[1]);
+        acc2 += A::from_scalar(v[2]) * gather(c[2]);
+        acc3 += A::from_scalar(v[3]) * gather(c[3]);
     }
     for (&c, &v) in c4.remainder().iter().zip(v4.remainder().iter()) {
-        acc0 += <TV::Accum as FromScalar>::from_scalar(v) * gather(c).widen();
+        acc0 += A::from_scalar(v) * gather(c);
     }
     (acc0 + acc1) + (acc2 + acc3)
 }
@@ -106,8 +115,19 @@ fn spmv_row<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV]) -> TV::
 /// length), the scalar [`spmv_row`] otherwise.  The acceptance conditions
 /// are global per (matrix, vector) pair, so inline and pooled sweeps make
 /// identical per-row choices.
+///
+/// The SIMD kernel converts the values it loads in hardware.  The scalar
+/// body would convert fp16 values one by one in software, so a row it gets
+/// is read from `widened()` instead when that has them — the row's values
+/// already in `TA::Accum`, from a bulk conversion the driver shares between
+/// rows.  Widening is exact: the row's bits are the same either way.
 #[inline(always)]
-pub(crate) fn row_acc<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV]) -> TV::Accum {
+pub(crate) fn row_acc<'w, TA: Scalar, A: FromScalar>(
+    cols: &[u32],
+    vals: &[TA],
+    x: &[A],
+    widened: impl FnOnce() -> Option<&'w [TA::Accum]>,
+) -> A {
     // SAFETY: `try_spmv_row` requires every column index to be a valid index
     // into `x` — the CsrMatrix constructor invariant plus the driver's
     // `x.len() == n_cols` assertion (the same contract `spmv_row`'s unchecked
@@ -115,29 +135,32 @@ pub(crate) fn row_acc<TA: Scalar, TV: Scalar>(cols: &[u32], vals: &[TA], x: &[TV
     if let Some(acc) = unsafe { f3r_simd::try_spmv_row(cols, vals, x) } {
         return acc;
     }
-    spmv_row(cols, vals, x)
+    match widened() {
+        Some(wide) => spmv_row(cols, wide, x),
+        None => spmv_row(cols, vals, x),
+    }
 }
 
 /// One sliced-ELLPACK row: strided walk over the row's lanes with the same
 /// widen-into-accumulator scheme as the CSR kernel (two independent chains;
 /// SELL rows are strided, so deeper unrolling buys nothing here).
 #[inline(always)]
-pub(crate) fn sell_row<TA: Scalar, TV: Scalar>(a: &SellMatrix<TA>, row: usize, x: &[TV]) -> TV::Accum {
+pub(crate) fn sell_row<TA: Scalar, A: FromScalar>(a: &SellMatrix<TA>, row: usize, x: &[A]) -> A {
     let (cols, vals, stride, width) = a.row_lanes(row);
-    let mut acc0 = <TV::Accum as Scalar>::zero();
-    let mut acc1 = <TV::Accum as Scalar>::zero();
+    let mut acc0 = A::zero();
+    let mut acc1 = A::zero();
     let mut k = 0usize;
     let twice = width & !1;
     while k < twice {
         let p0 = k * stride;
         let p1 = (k + 1) * stride;
-        acc0 += <TV::Accum as FromScalar>::from_scalar(vals[p0]) * x[cols[p0] as usize].widen();
-        acc1 += <TV::Accum as FromScalar>::from_scalar(vals[p1]) * x[cols[p1] as usize].widen();
+        acc0 += A::from_scalar(vals[p0]) * x[cols[p0] as usize];
+        acc1 += A::from_scalar(vals[p1]) * x[cols[p1] as usize];
         k += 2;
     }
     if k < width {
         let p = k * stride;
-        acc0 += <TV::Accum as FromScalar>::from_scalar(vals[p]) * x[cols[p] as usize].widen();
+        acc0 += A::from_scalar(vals[p]) * x[cols[p] as usize];
     }
     acc0 + acc1
 }

@@ -11,6 +11,10 @@
 //!   precision pairs × k ∈ {0, 1, 3, 8, 9, 16}, on rows of 0, 1, 3, 4, 7, 8,
 //!   9, 15, 16, 17, 24, 27 and 33 entries (both summation trees, every tail
 //!   length) and a last row that touches column n − 1; inline == pool;
+//! * the one-column product itself, whose fp16 operands cross the product
+//!   boundary in bulk (vectors widened once per product, matrix values and
+//!   results a block of rows at a time), against the column loop spelled out
+//!   here one row and one conversion at a time ([`per_row`]);
 //! * the panel application of IC(0), ILU(0) and their block-Jacobi wrappers
 //!   in fp16/fp32/fp64 on HPCG, HPGMP and a ragged banded pattern, through
 //!   the trait and through both branches of `AnyPrecond::apply_panel_to`;
@@ -31,6 +35,7 @@ use f3r::core::richardson::{RichardsonLevel, WeightStrategy};
 use f3r::precision::{KernelCounters, Precision, Scalar};
 use f3r::precond::{build_preconditioner, PrecondKind};
 use f3r::prelude::{MatrixStorage, ProblemMatrix};
+use f3r::sparse::gen::laplacian::poisson2d_5pt;
 use f3r::sparse::gen::{hpcg_matrix, hpgmp_matrix};
 use f3r::sparse::scaling::jacobi_scale;
 use f3r::sparse::spmm::{spmm, Dispatch, PanelOp, Rows};
@@ -178,6 +183,281 @@ fn panel_spmm_is_bitwise_the_single_vector_kernels() {
     spmm_case::<f16, f32>(&hpcg, 32);
     spmm_case::<f32, f32>(&hpcg, 32);
     spmm_case::<f64, f64>(&hpcg, 32);
+}
+
+/// The column loop as it stood before fp16 operands crossed the product
+/// boundary in bulk, spelled out on the public surface: one row at a time,
+/// every fp16 vector entry and matrix value converted on its own where it is
+/// used, every result finished and rounded on its own.  What the driver does
+/// in bulk is exact widening and the same single rounding, so every
+/// one-column product must equal this bit for bit.
+mod per_row {
+    use super::Op;
+    use f3r::precision::{FromScalar, Scalar};
+    use f3r::sparse::spmm::Rows;
+    use f3r::sparse::{CsrMatrix, SellMatrix};
+
+    enum Layout<'a, TA> {
+        Csr(&'a CsrMatrix<TA>),
+        Sell(&'a SellMatrix<TA>),
+    }
+
+    /// One storage of the matrix: as the driver takes it, and taken apart —
+    /// its layout and, when row-scaled, its scales.
+    pub struct Stored<'a, TA: Scalar> {
+        pub name: &'static str,
+        pub rows: Rows<'a, TA>,
+        layout: Layout<'a, TA>,
+        pub scales: Option<&'a [f64]>,
+    }
+
+    impl<'a, TA: Scalar> Stored<'a, TA> {
+        pub fn csr(name: &'static str, rows: Rows<'a, TA>, a: &'a CsrMatrix<TA>, scales: Option<&'a [f64]>) -> Self {
+            Self { name, rows, layout: Layout::Csr(a), scales }
+        }
+
+        pub fn sell(name: &'static str, rows: Rows<'a, TA>, a: &'a SellMatrix<TA>, scales: Option<&'a [f64]>) -> Self {
+            Self { name, rows, layout: Layout::Sell(a), scales }
+        }
+
+        /// The row accumulators of the unscaled product with `x`.
+        pub fn accs<TV: Scalar>(&self, x: &[TV]) -> Vec<TV::Accum> {
+            match self.layout {
+                Layout::Csr(a) => csr_accs(a, x),
+                Layout::Sell(a) => sell_accs(a, x),
+            }
+        }
+    }
+
+    fn widen<TV: Scalar>(x: &[TV]) -> Vec<TV::Accum> {
+        x.iter().map(|v| v.widen()).collect()
+    }
+
+    /// Row accumulators of a CSR matrix: the SIMD row kernel where the
+    /// backend takes the row (it only ever saw widened entries), the
+    /// four-chain tree otherwise.
+    fn csr_accs<TA: Scalar, TV: Scalar>(a: &CsrMatrix<TA>, x: &[TV]) -> Vec<TV::Accum> {
+        let x_wide = widen(x);
+        (0..a.n_rows())
+            .map(|row| {
+                let (cols, vals) = a.row_entries(row);
+                // SAFETY: the column indices of a `CsrMatrix` are below its
+                // column count, which is `x_wide.len()`.
+                if let Some(acc) = unsafe { f3r_simd::try_spmv_row(cols, vals, &x_wide) } {
+                    return acc;
+                }
+                let term = |i: usize| <TV::Accum>::from_scalar(vals[i]) * x[cols[i] as usize].widen();
+                let mut acc = [<TV::Accum as Scalar>::zero(); 4];
+                let blocks = cols.len() / 4 * 4;
+                for i in 0..blocks {
+                    acc[i % 4] += term(i);
+                }
+                for i in blocks..cols.len() {
+                    acc[0] += term(i);
+                }
+                (acc[0] + acc[1]) + (acc[2] + acc[3])
+            })
+            .collect()
+    }
+
+    /// Row accumulators of a SELL matrix: aligned groups of eight rows through
+    /// the SIMD group kernel where the backend takes them, the two-chain row
+    /// otherwise (the trailing partial group always).
+    fn sell_accs<TA: Scalar, TV: Scalar>(a: &SellMatrix<TA>, x: &[TV]) -> Vec<TV::Accum> {
+        let x_wide = widen(x);
+        let n = a.n_rows();
+        let mut accs = Vec::with_capacity(n);
+        while accs.len() < n {
+            let row = accs.len();
+            let (cols, vals, stride, width) = a.row_lanes(row);
+            if a.chunk_size().is_multiple_of(8) && row.is_multiple_of(8) && row + 8 <= n {
+                // SAFETY: a full group of eight rows inside one chunk whose
+                // height is a multiple of eight, so the lane window is in
+                // bounds; SELL column indices (padding included) are below
+                // the column count, which is `x_wide.len()`.
+                if let Some(group) = unsafe { f3r_simd::try_sell_group8(cols, vals, stride, width, &x_wide) } {
+                    accs.extend(group);
+                    continue;
+                }
+            }
+            let term = |k: usize| <TV::Accum>::from_scalar(vals[k * stride]) * x[cols[k * stride] as usize].widen();
+            let mut acc = [<TV::Accum as Scalar>::zero(); 2];
+            let pairs = width / 2 * 2;
+            for k in 0..pairs {
+                acc[k % 2] += term(k);
+            }
+            if pairs < width {
+                acc[0] += term(pairs);
+            }
+            accs.push(acc[0] + acc[1]);
+        }
+        accs
+    }
+
+    /// Finish the accumulators row by row: plain storage in `TV::Accum` with
+    /// `narrow`, scaled storage in `f64` with `from_f64`; the dots on the
+    /// stored values, in row order, in `f64`.
+    pub fn finish<TV: Scalar>(accs: &[TV::Accum], scales: Option<&[f64]>, op: Op, b: &[TV]) -> (Vec<TV>, (f64, f64)) {
+        let (mut uy, mut yy) = (0.0f64, 0.0f64);
+        let y = accs
+            .iter()
+            .enumerate()
+            .map(|(row, &acc)| match scales {
+                None => match op {
+                    Op::Product => TV::narrow(acc),
+                    Op::Residual => TV::narrow(b[row].widen() - acc),
+                    Op::Dot2 => {
+                        let y = TV::narrow(acc);
+                        let w = y.widen();
+                        uy += (b[row].widen() * w).to_f64();
+                        yy += (w * w).to_f64();
+                        y
+                    }
+                },
+                Some(scales) => {
+                    let lifted = acc.to_f64() * scales[row];
+                    match op {
+                        Op::Product => TV::from_f64(lifted),
+                        Op::Residual => TV::from_f64(b[row].to_f64() - lifted),
+                        Op::Dot2 => {
+                            let y = TV::from_f64(lifted);
+                            let w = y.to_f64();
+                            uy += b[row].to_f64() * w;
+                            yy += w * w;
+                            y
+                        }
+                    }
+                }
+            })
+            .collect();
+        (y, (uy, yy))
+    }
+}
+
+/// Rows that exercise every way a row's fp16 values reach the row body, with
+/// 9 001 rows (not a multiple of 16, and enough for two pool tasks that meet
+/// inside a block and inside a SELL group):
+///
+/// * the entry counts of [`ragged_rows`] in turn — short and long rows mixed,
+///   too many entries per block of 256 rows for one bulk conversion, so the
+///   short ones go through the moving window, which blocks start in, end in
+///   and straddle;
+/// * rows 1 024 … 1 800: at most seven entries each, whole blocks widened in
+///   one conversion;
+/// * rows 2 300 … 2 600: five entries, every tenth row forty — a block that
+///   still fits one conversion, with rows for the SIMD kernel inside it;
+/// * row 700: 2 100 entries, more than the value window holds;
+///
+/// and among the values two that fp16 storage turns into an infinity and a
+/// subnormal.
+fn ragged_blocks() -> CsrMatrix<f64> {
+    let cycle = [0usize, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 27, 33];
+    let n = 9001;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        let len = match i {
+            700 => 2100,
+            1024..=1800 => [0, 1, 2, 5, 7, 3][i % 6],
+            2300..=2600 => [5, 40][usize::from(i % 10 == 0)],
+            _ => cycle[i % cycle.len()],
+        };
+        let first = (i * 5) % (n - len + 1);
+        for (t, j) in (first..first + len).enumerate() {
+            let v = (1.0 + ((i * 31 + t * 17) % 29) as f64) / 7.0 * if t % 3 == 1 { -1.0 } else { 1.0 };
+            let v = match (i % 97, t) {
+                (5, 0) => 1.0e5,  // beyond the fp16 range
+                (11, 1) => 3.0e-6, // an fp16 subnormal
+                _ => v * 10f64.powi((t % 5) as i32 - 2),
+            };
+            coo.push(i, j, v);
+        }
+    }
+    coo.to_csr()
+}
+
+/// Every one-column product through the driver — and every column of a
+/// nine-column panel, whose last column is a lane group of one — is bitwise
+/// the per-row column loop, inline and on the pool; the dots too when inline
+/// (on the pool they are sums of per-task partials).
+fn per_row_case<TA: Scalar, TV: Scalar>(name: &str, a64: &CsrMatrix<f64>, chunk: usize, specials: bool) {
+    let n = a64.n_rows();
+    let csr: CsrMatrix<TA> = a64.to_precision();
+    let scaled = ScaledCsr::<TA>::from_f64(a64);
+    let sell = SellMatrix::from_csr(&csr, chunk);
+    let scaled_sell = ScaledSell::<TA>::from_csr_f64(a64, chunk);
+    let k = 9;
+    let (mut xs, mut bs) = (panel::<TV>(n, k, 3), panel::<TV>(n, k, 11));
+    if specials {
+        // NaN, infinities, fp16 subnormals, the largest finite fp16 values,
+        // and values that fp16 vectors turn into zero and infinity.
+        let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 6e-8, -3e-7, 65504.0, -65504.0, 1e-40, 7e4];
+        for (i, v) in values.into_iter().enumerate() {
+            xs[(i * 3701 + 5) % (n * k)] = TV::from_f64(v);
+            bs[(i * 5303 + 9) % (n * k)] = TV::from_f64(v);
+        }
+    }
+    let storages = [
+        per_row::Stored::csr("csr", (&csr).into(), &csr, None),
+        per_row::Stored::csr("scaled csr", (&scaled).into(), scaled.matrix(), Some(scaled.row_scales())),
+        per_row::Stored::sell("sell", (&sell).into(), &sell, None),
+        per_row::Stored::sell(
+            "scaled sell",
+            (&scaled_sell).into(),
+            scaled_sell.matrix(),
+            Some(scaled_sell.row_scales()),
+        ),
+    ];
+    for stored in &storages {
+        let accs: Vec<_> = xs.chunks_exact(n).map(|x| stored.accs(x)).collect();
+        let a = stored.rows;
+        for op in [Op::Product, Op::Residual, Op::Dot2] {
+            let label = format!("{name}, {} {} x {}, {op:?}", stored.name, TA::name(), TV::name());
+            let (mut want, mut want_dots) = (vec![], vec![]);
+            for (acc, b) in accs.iter().zip(bs.chunks_exact(n)) {
+                let (y, dots) = per_row::finish(acc, stored.scales, op, b);
+                want.extend(bits(&y));
+                want_dots.push(dots);
+            }
+            for dispatch in [Dispatch::Seq, Dispatch::Par] {
+                // One column alone, then the panel.
+                for width in [1, k] {
+                    let label = format!("{label}, k = {width}, {dispatch:?}");
+                    let (got, dots) = run_spmm(a, op, &xs[..n * width], &bs[..n * width], n, width, dispatch);
+                    assert_eq!(got, want[..n * width], "{label}");
+                    if !matches!(op, Op::Dot2) {
+                        continue;
+                    }
+                    for (c, (got, want)) in dots.iter().zip(&want_dots).enumerate() {
+                        if dispatch == Dispatch::Seq {
+                            let bits = |d: &(f64, f64)| (d.0.to_bits(), d.1.to_bits());
+                            assert_eq!(bits(got), bits(want), "{label}, dots of column {c}");
+                        } else if want.0.is_finite() && want.1.is_finite() {
+                            let tol = 1e-12 * want.1.max(1.0) * n as f64;
+                            assert!(
+                                (got.0 - want.0).abs() <= tol && (got.1 - want.1).abs() <= tol,
+                                "{label}, dots of column {c}: {got:?} vs {want:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_column_products_are_bitwise_the_per_row_column_loop() {
+    fn pairs(name: &str, a: &CsrMatrix<f64>, chunk: usize, specials: bool) {
+        per_row_case::<f16, f16>(name, a, chunk, specials);
+        per_row_case::<f16, f32>(name, a, chunk, specials);
+        per_row_case::<f32, f16>(name, a, chunk, specials);
+        per_row_case::<f32, f32>(name, a, chunk, specials);
+    }
+    let ragged = ragged_blocks();
+    pairs("ragged", &ragged, 8, false);
+    pairs("ragged with specials", &ragged, 32, true);
+    pairs("hpcg12", &jacobi_scale(&hpcg_matrix(12, 12, 12)), 32, false);
+    pairs("poisson40", &jacobi_scale(&poisson2d_5pt(40, 40)), 8, true);
 }
 
 /// A diagonally dominant banded matrix whose rows cycle through 0 … 600

@@ -4,6 +4,11 @@
 //! invocations the nesting makes — `fgmres_cycle` keeps its per-column state,
 //! active list and outcomes in the workspace, at every depth.
 //!
+//! And a thread's *first* solve allocates no more than its later ones: what a
+//! product on fp16 vectors keeps in the calling thread's scratch is reserved
+//! by `build()`, before any session exists, not grown in the middle of the
+//! first solve.
+//!
 //! One test in a binary of its own: the counting allocator (`tests/common`)
 //! is global, and a second test running beside it would be counted too.
 
@@ -52,8 +57,38 @@ fn warm_allocations(nx: usize, inner: (usize, usize, usize)) -> (usize, usize, u
     (single_allocations, batch_allocations, levels[0] + levels[1])
 }
 
+/// Allocations of the first `solve` of two fresh sessions of one fp16-F3R
+/// solver on HPCG `nx`³, in the order made.  Each pays for its own
+/// workspaces; only the first could pay for the thread's.
+fn fresh_session_allocations(nx: usize) -> (usize, usize) {
+    let a = jacobi_scale(&hpcg_matrix(nx, nx, nx));
+    let n = a.n_rows();
+    let prepared = SolverBuilder::new(Arc::new(ProblemMatrix::from_csr(a)))
+        .scheme(F3rScheme::Fp16)
+        .precond(PrecondKind::BlockJacobiIc0 { blocks: 8, alpha: 1.0 })
+        .build();
+    let b = random_rhs(n, 7);
+    let mut x = vec![0.0; n];
+    // Latch the kernel backend outside the counted region: reading
+    // `F3R_KERNEL_BACKEND` allocates when it is set.
+    assert!(f3r::sparse::blas1::norm2(&b) > 0.0);
+    let mut first_solve = || {
+        let mut session = prepared.session();
+        let before = allocations();
+        let result = session.solve(&b, &mut x);
+        let made = allocations() - before;
+        assert!(result.converged);
+        made
+    };
+    (first_solve(), first_solve())
+}
+
 #[test]
 fn warm_solves_allocate_only_their_result_bookkeeping() {
+    // Before anything else has run a kernel on this thread.
+    let (first, second) = fresh_session_allocations(16);
+    assert!(first <= second, "the thread's first solve allocated {first} times, its second {second}");
+
     let (single_8, batch_8, cycles_8) = warm_allocations(8, (8, 4, 2));
     let (single_16, batch_16, cycles_16) = warm_allocations(16, (8, 4, 2));
     // Twice the middle iterations: twice the innermost cycle invocations.
