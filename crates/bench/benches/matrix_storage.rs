@@ -5,16 +5,18 @@
 //! (PR 5) even on machines where softfloat fp16 conversion dominates
 //! wall-clock.
 //!
-//! Scaled storage streams the same narrowed values plus one `f64` scale per
-//! row and folds the scale into the accumulator once per row; on a
-//! hardware-fp16 machine it runs at plain storage's bandwidth.
+//! Scaled storage (`StoredMatrix::row_scaled`) streams the same narrowed
+//! values plus one `f64` scale per row and folds the scale into the
+//! accumulator once per row; on a hardware-fp16 machine it runs at plain
+//! storage's bandwidth.  fp64 storage has no scaled form (it holds the source
+//! values verbatim), so it has no scaled rows here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use f3r_bench::BenchProblem;
 use f3r_precision::traffic::TrafficModel;
 use f3r_precision::{f16, Precision, Scalar};
 use f3r_sparse::spmm::{spmm, Dispatch, PanelOp, Rows};
-use f3r_sparse::{CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
+use f3r_sparse::{CsrMatrix, SellMatrix, StoredMatrix};
 use std::hint::black_box;
 
 fn meta(_c: &mut Criterion) {
@@ -32,17 +34,19 @@ fn bench_storage<TA: Scalar>(
     let p = TA::PRECISION;
 
     let plain: CsrMatrix<TA> = a64.to_precision();
-    let scaled = ScaledCsr::<TA>::from_f64(a64);
+    let scaled = StoredMatrix::<TA>::row_scaled(a64, None);
     let sell = SellMatrix::from_csr(&plain, 32);
-    let scaled_sell = ScaledSell::<TA>::from_csr_f64(a64, 32);
+    let scaled_sell = StoredMatrix::<TA>::row_scaled(a64, Some(32));
     let plain_bytes = TrafficModel::spmv_bytes(nnz, n, p, Precision::Fp64);
     let scaled_bytes = TrafficModel::spmv_scaled_bytes(nnz, n, p, Precision::Fp64);
-    let rows: [(&str, String, u64, Rows<'_, TA>); 4] = [
+    let mut rows: Vec<(&str, String, u64, Rows<'_, TA>)> = vec![
         ("csr", format!("{p}"), plain_bytes, (&plain).into()),
-        ("csr", format!("scaled-{p}"), scaled_bytes, (&scaled).into()),
         ("sell32", format!("{p}"), plain_bytes, (&sell).into()),
-        ("sell32", format!("scaled-{p}"), scaled_bytes, (&scaled_sell).into()),
     ];
+    if scaled.row_scales().is_some() {
+        rows.insert(1, ("csr", format!("scaled-{p}"), scaled_bytes, (&scaled).into()));
+        rows.push(("sell32", format!("scaled-{p}"), scaled_bytes, (&scaled_sell).into()));
+    }
     for (format, storage, bytes, a) in rows {
         group.throughput(Throughput::Bytes(bytes));
         group.bench_function(BenchmarkId::new(format, storage), |b| {

@@ -218,8 +218,20 @@ impl<T: Scalar, S: Scalar> FgmresWorkspace<T, S> {
 
     /// Allocate a workspace for cycles of up to `m` iterations on up to
     /// `columns` simultaneous right-hand sides of length `n`.
+    ///
+    /// # Panics
+    /// Panics if the basis storage `S` is wider than the working precision
+    /// `T` ([`Precision::stores_within`]): a basis stored wider than the
+    /// vectors it is built from buys nothing, and no cycle is compiled for
+    /// such a pair.
     #[must_use]
     pub fn with_columns(n: usize, m: usize, columns: usize) -> Self {
+        assert!(
+            const { S::PRECISION.stores_within(T::PRECISION) },
+            "FGMRES: {} basis storage is wider than the {} working precision (storage must be no wider than the working precision)",
+            S::PRECISION,
+            T::PRECISION,
+        );
         Self {
             n,
             m,
@@ -373,6 +385,10 @@ pub fn fgmres_cycle<'w, T: Scalar, S: Scalar>(
         counters,
         mut progress,
     } = params;
+    // `ws` exists, so this holds (`FgmresWorkspace::with_columns`); tested
+    // again here, on constants, so that no cycle body is compiled for a pair
+    // no workspace can have.
+    assert!(const { S::PRECISION.stores_within(T::PRECISION) });
     ws.reserve_columns(k);
     let FgmresWorkspace {
         n,
@@ -634,6 +650,10 @@ impl<T: Scalar, S: Scalar> FgmresLevel<T, S> {
     /// Create an FGMRES level performing `m` iterations per invocation,
     /// streaming the matrix variant in `mat_storage` and preconditioned by
     /// `inner`.
+    ///
+    /// # Panics
+    /// Panics if the basis storage `S` is wider than the working precision
+    /// `T` (its workspace refuses: [`FgmresWorkspace::with_columns`]).
     #[must_use]
     pub fn new(
         matrix: Arc<ProblemMatrix>,
@@ -937,6 +957,14 @@ mod tests {
         // Never shrunk.
         assert!(!ws.reserve_columns(2));
         assert_eq!(ws.columns(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "storage must be no wider than the working precision")]
+    fn basis_stored_wider_than_the_working_precision_is_refused() {
+        // `FgmresLevel::<f32, f64>::new`.
+        let (pm, m, counters) = setup(4);
+        let _ = fp32_level::<f64>(&pm, &m, &counters, 4);
     }
 
     #[test]

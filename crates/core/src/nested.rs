@@ -203,13 +203,13 @@ impl NestedSpec {
                 ..
             } = level
             {
-                if basis_prec > vector_prec {
+                if !basis_prec.stores_within(*vector_prec) {
                     return Err(SpecError::new(
                         "basis storage precision must not exceed the working precision",
                     ));
                 }
             }
-            if level.matrix_precision() > level.vector_precision() {
+            if !level.matrix_precision().stores_within(level.vector_precision()) {
                 // A matrix stored wider than the vectors it multiplies buys
                 // no accuracy (products round to the working precision) while
                 // paying the wide storage's bandwidth — reject it like a
@@ -554,7 +554,6 @@ mod tests {
 
     #[test]
     fn prepared_solver_materializes_only_the_spec_variants() {
-        use crate::operator::MatrixFormat;
         let a = jacobi_scale(&poisson2d_5pt(8, 8));
         let pm = Arc::new(ProblemMatrix::from_csr(a));
         // f64 + f32 levels: no fp16 variant may be materialized.
@@ -577,7 +576,7 @@ mod tests {
                 .all(|v| v.storage.precision() != Precision::Fp16),
             "no level streams fp16, so the store must hold no fp16 variant: {variants:?}"
         );
-        assert!(pm.is_materialized(MatrixStorage::Plain(Precision::Fp32), MatrixFormat::Csr));
+        assert!(pm.is_materialized(MatrixStorage::Plain(Precision::Fp32)));
         assert_eq!(variants.len(), 2);
     }
 

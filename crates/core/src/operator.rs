@@ -3,22 +3,22 @@
 //!
 //! F3R consumes the coefficient matrix `A` in up to three precisions at once
 //! (Table 1: fp64 for the outermost FGMRES, fp32 for `F^m2`, fp16 for `F^m3`
-//! and the Richardson part).  Historically [`ProblemMatrix`] eagerly built
-//! every precision copy (and, on the SELL backend, every SELL copy) whether
-//! or not any level used them.  It is now a **lazy variant table**: the fp64
-//! CSR base is the only copy built up front, and every other
-//! ([`MatrixStorage`], [`MatrixFormat`]) variant is materialized behind a
-//! `OnceLock` the first time a level applies it — `PreparedSolver` setup
+//! and the Richardson part).  [`ProblemMatrix`] is a **lazy variant table**
+//! keyed by [`MatrixStorage`]: the fp64 CSR base is the only copy built up
+//! front, and every other variant — one [`f3r_sparse::StoredMatrix`] in the
+//! layout the store's [`SpmvBackend`] fixes — is materialized behind a
+//! `OnceLock` the first time a level applies it.  `PreparedSolver` setup
 //! faults in exactly the variants its validated spec names, and anything
 //! else (a per-solve override, a diagnostic) can still fault in later.
 //!
 //! Besides the plain precision copies, the table holds **scaled** variants
-//! ([`f3r_sparse::ScaledCsr`] / [`f3r_sparse::ScaledSell`]): row-normalised
-//! values with one power-of-two `f64` amplitude scale per row, mirroring the
-//! compressed Krylov basis convention.  Scaled fp16 storage survives any
-//! entry dynamic range, where an unscaled fp16 copy of a general Matrix
-//! Market input silently overflows to ±∞ (see
-//! [`f3r_sparse::EntryRangeStats`]).
+//! ([`f3r_sparse::StoredMatrix::row_scaled`]): row-normalised values with one
+//! power-of-two `f64` amplitude scale per row, mirroring the compressed
+//! Krylov basis convention.  Scaled fp16 storage survives any entry dynamic
+//! range, where an unscaled fp16 copy of a general Matrix Market input
+//! silently overflows to ±∞ (see [`f3r_sparse::EntryRangeStats`]).  fp64
+//! storage holds the source values verbatim, so `Scaled(Fp64)` *is*
+//! `Plain(Fp64)`: one slot, one stream, counted as what it is.
 //!
 //! Every product records its traffic in the shared [`KernelCounters`],
 //! including the per-storage-precision matrix-stream attribution
@@ -31,7 +31,7 @@ use f3r_precision::{f16, KernelCounters, Precision, Scalar};
 use f3r_precision::traffic::TrafficModel;
 use f3r_sparse::blas1;
 use f3r_sparse::spmm::{spmm, Dispatch, PanelOp};
-use f3r_sparse::{CsrMatrix, ScaledCsr, ScaledSell, SellMatrix};
+use f3r_sparse::{CsrMatrix, SellMatrix, StoredMatrix};
 
 /// Which sparse matrix–vector kernel the solvers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,26 +83,13 @@ impl MatrixStorage {
         matches!(self, MatrixStorage::Scaled(_))
     }
 
-    /// All six storage configurations (used by accounting and benches).
-    #[must_use]
-    pub fn all() -> [MatrixStorage; 6] {
-        [
-            MatrixStorage::Plain(Precision::Fp16),
-            MatrixStorage::Plain(Precision::Fp32),
-            MatrixStorage::Plain(Precision::Fp64),
-            MatrixStorage::Scaled(Precision::Fp16),
-            MatrixStorage::Scaled(Precision::Fp32),
-            MatrixStorage::Scaled(Precision::Fp64),
-        ]
-    }
-
-    fn index(self) -> usize {
-        let p = match self.precision() {
-            Precision::Fp16 => 0,
-            Precision::Fp32 => 1,
-            Precision::Fp64 => 2,
-        };
-        p + if self.is_scaled() { 3 } else { 0 }
+    /// The storage a request for `self` streams: fp64 storage keeps the
+    /// source values verbatim, so a scaled fp64 request is the plain variant.
+    fn streamed(self) -> MatrixStorage {
+        match self {
+            MatrixStorage::Scaled(Precision::Fp64) => MatrixStorage::Plain(Precision::Fp64),
+            other => other,
+        }
     }
 }
 
@@ -147,59 +134,43 @@ pub struct VariantInfo {
     pub bytes: u64,
 }
 
-/// One entry of the lazy variant table.
+/// One entry of the lazy variant table, by the precision its values are
+/// stored in.
 enum MatrixVariant {
-    Csr64(Arc<CsrMatrix<f64>>),
-    Csr32(Arc<CsrMatrix<f32>>),
-    Csr16(Arc<CsrMatrix<f16>>),
-    Sell64(Arc<SellMatrix<f64>>),
-    Sell32(Arc<SellMatrix<f32>>),
-    Sell16(Arc<SellMatrix<f16>>),
-    ScaledCsr64(Arc<ScaledCsr<f64>>),
-    ScaledCsr32(Arc<ScaledCsr<f32>>),
-    ScaledCsr16(Arc<ScaledCsr<f16>>),
-    ScaledSell64(Arc<ScaledSell<f64>>),
-    ScaledSell32(Arc<ScaledSell<f32>>),
-    ScaledSell16(Arc<ScaledSell<f16>>),
+    F64(StoredMatrix<f64>),
+    F32(StoredMatrix<f32>),
+    F16(StoredMatrix<f16>),
 }
 
-/// Run one expression on the matrix behind a [`MatrixVariant`], whichever
-/// of the twelve it is; the expression is written once, generically over the
-/// layout and the value precision.
+/// Run one expression on the [`StoredMatrix`] behind a [`MatrixVariant`],
+/// written once, generically over the value precision.
 macro_rules! with_variant {
     ($variant:expr, |$m:ident| $body:expr) => {
         match $variant {
-            MatrixVariant::Csr64($m) => $body,
-            MatrixVariant::Csr32($m) => $body,
-            MatrixVariant::Csr16($m) => $body,
-            MatrixVariant::Sell64($m) => $body,
-            MatrixVariant::Sell32($m) => $body,
-            MatrixVariant::Sell16($m) => $body,
-            MatrixVariant::ScaledCsr64($m) => $body,
-            MatrixVariant::ScaledCsr32($m) => $body,
-            MatrixVariant::ScaledCsr16($m) => $body,
-            MatrixVariant::ScaledSell64($m) => $body,
-            MatrixVariant::ScaledSell32($m) => $body,
-            MatrixVariant::ScaledSell16($m) => $body,
+            MatrixVariant::F64($m) => $body,
+            MatrixVariant::F32($m) => $body,
+            MatrixVariant::F16($m) => $body,
         }
     };
 }
 
-impl MatrixVariant {
-    fn bytes(&self) -> u64 {
-        with_variant!(self, |m| m.storage_bytes())
-    }
-}
+/// The storages with a slot of their own beside the fp64 CSR base, in slot
+/// order.  The fp64 slot is used by SELL stores only: a CSR store streams its
+/// base.
+const VARIANT_SLOTS: [MatrixStorage; 5] = [
+    MatrixStorage::Plain(Precision::Fp64),
+    MatrixStorage::Plain(Precision::Fp32),
+    MatrixStorage::Plain(Precision::Fp16),
+    MatrixStorage::Scaled(Precision::Fp32),
+    MatrixStorage::Scaled(Precision::Fp16),
+];
 
-/// Number of ([`MatrixStorage`], [`MatrixFormat`]) slots in the table.
-const VARIANT_SLOTS: usize = 12;
-
-fn slot(storage: MatrixStorage, format: MatrixFormat) -> usize {
-    storage.index() * 2
-        + match format {
-            MatrixFormat::Csr => 0,
-            MatrixFormat::Sell => 1,
-        }
+fn slot(storage: MatrixStorage) -> usize {
+    let streamed = storage.streamed();
+    VARIANT_SLOTS
+        .iter()
+        .position(|&s| s == streamed)
+        .expect("every streamed storage has a slot")
 }
 
 /// Demand-driven multi-precision/multi-format store of the coefficient
@@ -210,7 +181,7 @@ fn slot(storage: MatrixStorage, format: MatrixFormat) -> usize {
 /// is built on first use — see the [module docs](self).
 pub struct ProblemMatrix {
     base: Arc<CsrMatrix<f64>>,
-    variants: [OnceLock<MatrixVariant>; VARIANT_SLOTS],
+    variants: [OnceLock<MatrixVariant>; VARIANT_SLOTS.len()],
     backend: SpmvBackend,
     n: usize,
     nnz: usize,
@@ -233,15 +204,9 @@ impl ProblemMatrix {
         let n = a.n_rows();
         let nnz = a.nnz();
         let base = Arc::new(a);
-        let variants: [OnceLock<MatrixVariant>; VARIANT_SLOTS] = Default::default();
-        // The base is a table entry like any other, pre-seeded so accounting
-        // always reports it.
-        variants[slot(MatrixStorage::Plain(Precision::Fp64), MatrixFormat::Csr)]
-            .set(MatrixVariant::Csr64(Arc::clone(&base)))
-            .unwrap_or_else(|_| unreachable!("fresh table"));
         Self {
             base,
-            variants,
+            variants: Default::default(),
             backend,
             n,
             nnz,
@@ -271,15 +236,6 @@ impl ProblemMatrix {
     #[must_use]
     pub fn backend(&self) -> SpmvBackend {
         self.backend
-    }
-
-    /// The sparse format the backend streams for solver-level products.
-    #[must_use]
-    pub fn backend_format(&self) -> MatrixFormat {
-        match self.backend {
-            SpmvBackend::Csr => MatrixFormat::Csr,
-            SpmvBackend::Sell { .. } => MatrixFormat::Sell,
-        }
     }
 
     /// The fp64 CSR base (used by result verification, the baselines and
@@ -318,57 +274,47 @@ impl ProblemMatrix {
         })
     }
 
-    /// Build (or fetch) the variant for `storage` in the backend's format.
-    fn variant(&self, storage: MatrixStorage) -> &MatrixVariant {
-        let format = self.backend_format();
-        self.variants[slot(storage, format)].get_or_init(|| self.build_variant(storage, format))
+    /// The sparse layout the backend fixes for every variant it builds.
+    fn format(&self) -> MatrixFormat {
+        match self.backend {
+            SpmvBackend::Csr => MatrixFormat::Csr,
+            SpmvBackend::Sell { .. } => MatrixFormat::Sell,
+        }
     }
 
-    fn build_variant(&self, storage: MatrixStorage, format: MatrixFormat) -> MatrixVariant {
+    /// Whether `storage` streams the fp64 CSR base itself, which needs no
+    /// slot: fp64 storage on a CSR store.
+    fn is_base(&self, storage: MatrixStorage) -> bool {
+        storage.precision() == Precision::Fp64 && self.backend == SpmvBackend::Csr
+    }
+
+    /// Build (or fetch) the variant for `storage`; `None` when that is the
+    /// base.
+    fn variant(&self, storage: MatrixStorage) -> Option<&MatrixVariant> {
+        (!self.is_base(storage)).then(|| {
+            self.variants[slot(storage)].get_or_init(|| match storage.precision() {
+                Precision::Fp64 => MatrixVariant::F64(self.stored(storage)),
+                Precision::Fp32 => MatrixVariant::F32(self.stored(storage)),
+                Precision::Fp16 => MatrixVariant::F16(self.stored(storage)),
+            })
+        })
+    }
+
+    /// The copy of the base a level with `storage` streams, values in `S`.
+    fn stored<S: Scalar>(&self, storage: MatrixStorage) -> StoredMatrix<S> {
         let chunk = match self.backend {
-            SpmvBackend::Csr => 0,
-            SpmvBackend::Sell { chunk } => chunk,
+            SpmvBackend::Csr => None,
+            SpmvBackend::Sell { chunk } => Some(chunk),
         };
-        match (format, storage) {
-            (MatrixFormat::Csr, MatrixStorage::Plain(p)) => match p {
-                // The fp64 CSR slot is pre-seeded with the base; this arm only
-                // runs for a table rebuilt without it (which cannot happen),
-                // so cloning the Arc keeps it cheap regardless.
-                Precision::Fp64 => MatrixVariant::Csr64(Arc::clone(&self.base)),
-                Precision::Fp32 => MatrixVariant::Csr32(Arc::new(self.base.to_precision())),
-                Precision::Fp16 => MatrixVariant::Csr16(Arc::new(self.base.to_precision())),
-            },
-            (MatrixFormat::Csr, MatrixStorage::Scaled(p)) => match p {
-                Precision::Fp64 => MatrixVariant::ScaledCsr64(Arc::new(ScaledCsr::from_f64(&self.base))),
-                Precision::Fp32 => MatrixVariant::ScaledCsr32(Arc::new(ScaledCsr::from_f64(&self.base))),
-                Precision::Fp16 => MatrixVariant::ScaledCsr16(Arc::new(ScaledCsr::from_f64(&self.base))),
-            },
-            (MatrixFormat::Sell, MatrixStorage::Plain(p)) => match p {
-                // The narrowed CSR copy is a transient: only the SELL layout
-                // is kept.
-                Precision::Fp64 => {
-                    MatrixVariant::Sell64(Arc::new(SellMatrix::from_csr(&self.base, chunk)))
-                }
-                Precision::Fp32 => MatrixVariant::Sell32(Arc::new(SellMatrix::from_csr(
-                    &self.base.to_precision::<f32>(),
-                    chunk,
-                ))),
-                Precision::Fp16 => MatrixVariant::Sell16(Arc::new(SellMatrix::from_csr(
-                    &self.base.to_precision::<f16>(),
-                    chunk,
-                ))),
-            },
-            (MatrixFormat::Sell, MatrixStorage::Scaled(p)) => match p {
-                Precision::Fp64 => {
-                    MatrixVariant::ScaledSell64(Arc::new(ScaledSell::from_csr_f64(&self.base, chunk)))
-                }
-                Precision::Fp32 => {
-                    MatrixVariant::ScaledSell32(Arc::new(ScaledSell::from_csr_f64(&self.base, chunk)))
-                }
-                Precision::Fp16 => {
-                    MatrixVariant::ScaledSell16(Arc::new(ScaledSell::from_csr_f64(&self.base, chunk)))
-                }
-            },
+        if storage.is_scaled() {
+            return StoredMatrix::row_scaled(&self.base, chunk);
+        }
+        let csr = self.base.to_precision::<S>();
+        match chunk {
+            None => csr.into(),
+            // The narrowed CSR copy is a transient: only the SELL layout is
+            // kept.
+            Some(chunk) => SellMatrix::from_csr(&csr, chunk).into(),
         }
     }
 
@@ -379,38 +325,32 @@ impl ProblemMatrix {
         let _ = self.variant(storage);
     }
 
-    /// Whether the variant for `storage` (in the given format) has been
-    /// materialized.
+    /// Whether what a level with `storage` streams has been materialized
+    /// (always, when that is the fp64 CSR base).
     #[must_use]
-    pub fn is_materialized(&self, storage: MatrixStorage, format: MatrixFormat) -> bool {
-        self.variants[slot(storage, format)].get().is_some()
+    pub fn is_materialized(&self, storage: MatrixStorage) -> bool {
+        self.is_base(storage) || self.variants[slot(storage)].get().is_some()
     }
 
     /// Every materialized variant with its storage key and byte footprint —
-    /// the store's accounting, always including the fp64 CSR base.
+    /// the store's accounting: the fp64 CSR base first, then the table.
     #[must_use]
     pub fn materialized_variants(&self) -> Vec<VariantInfo> {
-        let mut out = Vec::new();
-        for storage in MatrixStorage::all() {
-            for format in [MatrixFormat::Csr, MatrixFormat::Sell] {
-                if let Some(v) = self.variants[slot(storage, format)].get() {
-                    out.push(VariantInfo {
-                        storage,
-                        format,
-                        bytes: v.bytes(),
-                    });
-                }
-            }
-        }
-        out
+        let base = VariantInfo {
+            storage: MatrixStorage::Plain(Precision::Fp64),
+            format: MatrixFormat::Csr,
+            bytes: self.base.storage_bytes(),
+        };
+        let table = VARIANT_SLOTS.iter().zip(&self.variants).filter_map(|(&storage, v)| {
+            let bytes = with_variant!(v.get()?, |m| m.storage_bytes());
+            Some(VariantInfo { storage, format: self.format(), bytes })
+        });
+        std::iter::once(base).chain(table).collect()
     }
 
-    /// Total bytes of *actually materialized* matrix storage.
-    ///
-    /// Under the lazy store this reflects what the spec's level chain faulted
-    /// in — a fresh matrix reports only the fp64 base, and a solver whose
-    /// levels use fp64+fp32 pays for no fp16 copy (historically this reported
-    /// the eager worst case of all three CSR precisions regardless of use).
+    /// Total bytes of *actually materialized* matrix storage: what the
+    /// spec's level chain faulted in — a fresh matrix reports only the fp64
+    /// base, and a solver whose levels use fp64+fp32 pays for no fp16 copy.
     #[must_use]
     pub fn storage_bytes(&self) -> u64 {
         self.materialized_variants().iter().map(|v| v.bytes).sum()
@@ -435,6 +375,7 @@ impl ProblemMatrix {
         k: usize,
         counters: &KernelCounters,
     ) {
+        let storage = storage.streamed();
         let (p, v) = (storage.precision(), TV::PRECISION);
         let (total, matrix_stream) = if storage.is_scaled() {
             (
@@ -463,7 +404,10 @@ impl ProblemMatrix {
                 counters.record_blas1(v, TrafficModel::blas1_bytes(self.n, reads, writes, v));
             }
         }
-        with_variant!(self.variant(storage), |m| spmm(m.as_ref(), xs, op, out, k, Dispatch::Auto));
+        match self.variant(storage) {
+            None => spmm(self.base.as_ref(), xs, op, out, k, Dispatch::Auto),
+            Some(variant) => with_variant!(variant, |m| spmm(m, xs, op, out, k, Dispatch::Auto)),
+        }
     }
 
     /// Compute `y = A x` streaming the variant selected by `storage`, with
@@ -634,13 +578,20 @@ mod tests {
         for i in 0..n {
             assert!((y16[i] - y_plain[i]).abs() < 2e-2 * y_plain[i].abs().max(1.0));
         }
-        // Scaled SpMVs stream the row scales on top of the plain estimate.
+        // fp64 storage is verbatim: the scaled request streamed the base and
+        // is counted as the plain product it ran; the fp16 one priced in its
+        // row scales.
         let snap = counters.snapshot();
         assert_eq!(
             snap.matrix_bytes_in(Precision::Fp64),
-            TrafficModel::matrix_stream_bytes(pm.nnz(), n, Precision::Fp64)
-                + TrafficModel::scaled_matrix_stream_bytes(pm.nnz(), n, Precision::Fp64)
+            2 * TrafficModel::matrix_stream_bytes(pm.nnz(), n, Precision::Fp64)
         );
+        assert_eq!(
+            snap.matrix_bytes_in(Precision::Fp16),
+            TrafficModel::scaled_matrix_stream_bytes(pm.nnz(), n, Precision::Fp16)
+        );
+        assert!(pm.is_materialized(MatrixStorage::Scaled(Precision::Fp64)));
+        assert_eq!(pm.materialized_variants().len(), 2, "the base and the scaled fp16 copy");
     }
 
     #[test]
@@ -661,10 +612,11 @@ mod tests {
             assert!((y1[i] - y2[i]).abs() < 1e-13);
             assert!((y1[i] - y3[i]).abs() < 1e-13);
         }
-        assert!(pm_sell.is_materialized(
-            MatrixStorage::Scaled(Precision::Fp64),
-            MatrixFormat::Sell
-        ));
+        // The two fp64 requests shared the one fp64 SELL slot.
+        assert!(pm_sell.is_materialized(MatrixStorage::Scaled(Precision::Fp64)));
+        let vs = pm_sell.materialized_variants();
+        assert_eq!(vs.len(), 2, "{vs:?}");
+        assert_eq!((vs[1].storage, vs[1].format), (MatrixStorage::Plain(Precision::Fp64), MatrixFormat::Sell));
     }
 
     #[test]
@@ -704,9 +656,9 @@ mod tests {
         let x = vec![1.0f64; n];
         let mut y = vec![0.0f64; n];
         pm.apply(MatrixStorage::Scaled(Precision::Fp16), &x, &mut y, &counters);
-        assert!(pm.is_materialized(MatrixStorage::Scaled(Precision::Fp16), MatrixFormat::Csr));
-        assert!(!pm.is_materialized(MatrixStorage::Plain(Precision::Fp16), MatrixFormat::Csr));
-        assert!(!pm.is_materialized(MatrixStorage::Plain(Precision::Fp32), MatrixFormat::Csr));
+        assert!(pm.is_materialized(MatrixStorage::Scaled(Precision::Fp16)));
+        assert!(!pm.is_materialized(MatrixStorage::Plain(Precision::Fp16)));
+        assert!(!pm.is_materialized(MatrixStorage::Plain(Precision::Fp32)));
         let expected_scaled = (nnz as u64) * 6 + 4 * (n as u64 + 1) + 8 * n as u64;
         assert_eq!(pm.storage_bytes(), base_bytes + expected_scaled);
 

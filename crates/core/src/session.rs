@@ -1747,8 +1747,7 @@ mod tests {
             MatrixStorage::Scaled(Precision::Fp16)
         );
         // Setup already materialized the variants the chain streams.
-        use crate::operator::MatrixFormat;
-        assert!(pm.is_materialized(MatrixStorage::Scaled(Precision::Fp16), MatrixFormat::Csr));
+        assert!(pm.is_materialized(MatrixStorage::Scaled(Precision::Fp16)));
         let n = prepared.dim();
         let b = random_rhs(n, 11);
         let mut x = vec![0.0; n];

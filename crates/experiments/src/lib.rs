@@ -1,8 +1,8 @@
 //! Experiment harness for the F3R reproduction.
 //!
-//! Each module regenerates one table or figure of the paper (see DESIGN.md
-//! §5 for the experiment index); the binaries under `src/bin/` are thin
-//! wrappers that run a module at the scale selected by the `F3R_SCALE`
+//! Each module regenerates one table or figure of the paper (the README's
+//! "Experiments and benchmarks" section is the index); the binaries under
+//! `src/bin/` are thin wrappers that run a module at the scale selected by the `F3R_SCALE`
 //! environment variable (`tiny`, `small` — default —, `medium`) and write
 //! text + CSV reports under `target/experiments/`.
 

@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates on HPCG/HPGMP benchmark matrices (reproduced exactly,
 //! at smaller grid sizes) and on SuiteSparse matrices (each mapped to a
-//! synthetic analogue with the same qualitative structure — see DESIGN.md §3).
+//! synthetic analogue with the same qualitative structure — the generators of
+//! `f3r_sparse::gen`, named per problem in [`TestProblem::paper_analog`]).
 //! Problems are produced already diagonally scaled, as in Section 5
 //! ("we applied diagonal scaling to all matrices"), together with their
 //! α_ILU / α_AINV stabilisation factors from Table 2.

@@ -9,7 +9,7 @@ use crate::suite::{full_suite, SuiteScale};
 #[must_use]
 pub fn run(scale: SuiteScale) -> Table {
     let mut table = Table::new(
-        "Table 2 — test matrices (synthetic analogues, see DESIGN.md §3)",
+        "Table 2 — test matrices (synthetic analogues of the paper's set, see column \"paper analog\")",
         &["matrix", "n", "nnz", "nnz/n", "sym", "alpha", "paper analog"],
     );
     for p in full_suite(scale) {

@@ -46,6 +46,18 @@ impl Precision {
         }
     }
 
+    /// The storage rule of the kernel layer: a matrix or a Krylov basis is
+    /// *stored* no wider than the `working` precision of the vectors it
+    /// meets (the paper's Table 1 only ever narrows storage).  `true` when
+    /// storage in `self` obeys it.  The solver spec checks it for a message;
+    /// the kernel entry points (`f3r_sparse::spmm::spmm`, the FGMRES
+    /// workspace) test it on their type parameters' constants, so code for a
+    /// wide pair is never compiled.
+    #[must_use]
+    pub const fn stores_within(self, working: Precision) -> bool {
+        self.bytes() <= working.bytes()
+    }
+
     /// Unit roundoff (machine epsilon) of the precision.
     #[must_use]
     pub fn epsilon(self) -> f64 {

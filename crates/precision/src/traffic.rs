@@ -161,17 +161,10 @@ impl TrafficModel {
     }
 
     /// Bytes moved by one application of a triangular-solve style
-    /// preconditioner (e.g. ILU(0)) with `nnz` stored nonzeros and vectors of
-    /// length `n` in precision `v` (values stored in precision `m`).
-    #[must_use]
-    pub fn sparse_precond_bytes(nnz: usize, n: usize, m: Precision, v: Precision) -> u64 {
-        Self::sparse_precond_panel_bytes(nnz, n, m, v, 1)
-    }
-
-    /// [`sparse_precond_bytes`](Self::sparse_precond_bytes) for a panel of
-    /// `k` right-hand sides applied together: the forward and backward
-    /// sweeps read the factors **once** for the panel, the vector traffic
-    /// scales with its width.
+    /// preconditioner (e.g. ILU(0)) with `nnz` stored nonzeros (values stored
+    /// in precision `m`) to a panel of `k` right-hand sides of length `n` in
+    /// precision `v`: the forward and backward sweeps read the factors
+    /// **once** for the panel, the vector traffic scales with its width.
     #[must_use]
     pub fn sparse_precond_panel_bytes(nnz: usize, n: usize, m: Precision, v: Precision, k: usize) -> u64 {
         (nnz as u64) * (m.bytes() as u64 + 4)

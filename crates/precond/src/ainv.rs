@@ -20,8 +20,8 @@
 //! the sparse iteration matrix `G` plus a diagonal scaling — the same
 //! application cost and parallel structure as SD-AINV.  On the diagonally
 //! scaled, (weakly) diagonally dominant test problems of the paper the series
-//! converges and the operator is a serviceable approximate inverse.  The
-//! substitution is documented in DESIGN.md §3.
+//! converges and the operator is a serviceable approximate inverse.  It is a
+//! substitution: the application profile of SD-AINV, not its operator.
 
 use f3r_precision::Scalar;
 use f3r_sparse::spmv::spmv;
@@ -90,12 +90,6 @@ impl<T: Scalar> SdAinvPrecond<T> {
     #[must_use]
     pub fn order(&self) -> usize {
         self.order
-    }
-
-    /// The stored iteration matrix `G`.
-    #[must_use]
-    pub fn iteration_matrix(&self) -> &CsrMatrix<T> {
-        &self.g
     }
 }
 

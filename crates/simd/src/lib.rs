@@ -58,8 +58,7 @@
 //!
 //! Requests are clamped to detected CPU features, so forcing `avx2` on a
 //! machine without AVX2+FMA+F16C safely resolves to `scalar`.  On non-x86-64
-//! architectures (including aarch64, whose NEON fp16 path is detected but
-//! not yet implemented) the backend is always `scalar`.
+//! architectures the backend is always `scalar`.
 
 #![warn(missing_docs)]
 
@@ -139,7 +138,6 @@ pub struct CpuFeatures {
     pub avx2: bool,
     pub fma: bool,
     pub avx512f: bool,
-    pub neon: bool,
 }
 
 impl CpuFeatures {
@@ -153,7 +151,6 @@ impl CpuFeatures {
             (self.avx2, "avx2"),
             (self.fma, "fma"),
             (self.avx512f, "avx512f"),
-            (self.neon, "neon"),
         ] {
             if on {
                 parts.push(name);
@@ -169,8 +166,6 @@ impl CpuFeatures {
     /// The widest [`KernelBackend`] these features support.
     #[must_use]
     pub fn widest_backend(&self) -> KernelBackend {
-        // NEON fp16 kernels are not implemented yet; aarch64 reports the
-        // feature but resolves to the scalar backend.
         if self.f16c && self.avx2 && self.fma {
             if self.avx512f {
                 KernelBackend::Avx512
@@ -193,17 +188,9 @@ pub fn detect_features() -> CpuFeatures {
             avx2: is_x86_feature_detected!("avx2"),
             fma: is_x86_feature_detected!("fma"),
             avx512f: is_x86_feature_detected!("avx512f"),
-            neon: false,
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        CpuFeatures {
-            neon: std::arch::is_aarch64_feature_detected!("neon"),
-            ..CpuFeatures::default()
-        }
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         CpuFeatures::default()
     }
@@ -337,7 +324,7 @@ pub fn try_dot<T: Scalar>(x: &[T], y: &[T]) -> Option<f64> {
 }
 
 /// SIMD `dot_stored`: dot of a working-precision `x` against a vector stored
-/// in (possibly different) precision `S`, each stored element widened once
+/// in precision `S`, no wider than `T`, each stored element widened once
 /// into `T::Accum` (the `dot_compressed` core).  `None` for fallback.
 ///
 /// # Panics
@@ -351,14 +338,13 @@ pub fn try_dot_stored<T: Scalar, S: Scalar>(x: &[T], v: &[S]) -> Option<f64> {
         let d = unsafe {
             match (T::view(x), S::view(v)) {
                 (V::F16(a), V::F16(b)) => x86::dot_stored_a(a, b),
-                (V::F16(a), V::F32(b)) => x86::dot_stored_a(a, b),
-                (V::F16(a), V::F64(b)) => x86::dot_stored_a(a, b),
                 (V::F32(a), V::F16(b)) => x86::dot_stored_a(a, b),
                 (V::F32(a), V::F32(b)) => x86::dot_stored_a(a, b),
-                (V::F32(a), V::F64(b)) => x86::dot_stored_a(a, b),
                 (V::F64(a), V::F16(b)) => x86::dot_stored_b(a, b),
                 (V::F64(a), V::F32(b)) => x86::dot_stored_b(a, b),
                 (V::F64(a), V::F64(b)) => x86::dot_stored_b(a, b),
+                // Storage wider than the working precision: no basis is.
+                _ => return None,
             }
         };
         return Some(d);
@@ -393,9 +379,9 @@ pub fn try_dot2<T: Scalar>(x1: &[T], y1: &[T], x2: &[T], y2: &[T]) -> Option<(f6
     None
 }
 
-/// SIMD `axpy` with a stored-precision `x` operand: `y += c · v` with `v`
-/// widened once into `T::Accum` (covers plain `axpy` with `S = T` and the
-/// compressed-basis `axpy_scaled_from`).  Elementwise bit-identical to the
+/// SIMD `axpy` with a stored-precision `x` operand: `y += c · v` with `v`,
+/// stored no wider than `T`, widened once into `T::Accum` (covers plain
+/// `axpy` with `S = T` and the compressed-basis `axpy_scaled_from`).  Elementwise bit-identical to the
 /// scalar kernel.  Returns `false` for fallback.
 ///
 /// # Panics
@@ -408,14 +394,13 @@ pub fn try_axpy_stored<T: Scalar, S: Scalar>(c: f64, v: &[S], y: &mut [T]) -> bo
         unsafe {
             match (S::view(v), T::view_mut(y)) {
                 (V::F16(a), VM::F16(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
-                (V::F32(a), VM::F16(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
-                (V::F64(a), VM::F16(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
                 (V::F16(a), VM::F32(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
                 (V::F32(a), VM::F32(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
-                (V::F64(a), VM::F32(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
                 (V::F16(a), VM::F64(b)) => x86::axpy_stored_b(c, a, b),
                 (V::F32(a), VM::F64(b)) => x86::axpy_stored_b(c, a, b),
                 (V::F64(a), VM::F64(b)) => x86::axpy_stored_b(c, a, b),
+                // Storage wider than the working precision: no basis is.
+                _ => return false,
             }
         }
         return true;
@@ -648,12 +633,12 @@ pub unsafe fn try_spmv_row<TA: Scalar, A: FromScalar>(cols: &[u32], vals: &[TA],
             match (TA::view(vals), A::view(x)) {
                 (V::F16(a), V::F32(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
                 (V::F32(a), V::F32(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
-                (V::F64(a), V::F32(v)) => f64::from(x86::spmv_row_a(cols, a, v)),
                 (V::F16(a), V::F64(v)) => x86::spmv_row_b(cols, a, v),
                 (V::F32(a), V::F64(v)) => x86::spmv_row_b(cols, a, v),
                 (V::F64(a), V::F64(v)) => x86::spmv_row_b(cols, a, v),
-                // No accumulator is fp16.
-                (_, V::F16(_)) => return None,
+                // No accumulator is fp16, and no matrix is stored wider than
+                // the vectors it meets.
+                _ => return None,
             }
         };
         // Exact: `acc` *is* the f32/f64 accumulator value, widened at most
@@ -695,12 +680,11 @@ pub unsafe fn try_sell_group8<TA: Scalar, A: FromScalar>(
             match (TA::view(vals), A::view(x)) {
                 (V::F16(a), V::F32(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
                 (V::F32(a), V::F32(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
-                (V::F64(a), V::F32(v)) => x86::sell_group8_a(cols, a, stride, width, v).map(f64::from),
                 (V::F16(a), V::F64(v)) => x86::sell_group8_b(cols, a, stride, width, v),
                 (V::F32(a), V::F64(v)) => x86::sell_group8_b(cols, a, stride, width, v),
                 (V::F64(a), V::F64(v)) => x86::sell_group8_b(cols, a, stride, width, v),
-                // No accumulator is fp16.
-                (_, V::F16(_)) => return None,
+                // As in `try_spmv_row`.
+                _ => return None,
             }
         };
         // Exact per lane, as in `try_spmv_row`.
@@ -751,7 +735,7 @@ mod tests {
         let f = CpuFeatures { f16c: true, fma: true, ..CpuFeatures::default() };
         assert_eq!(f.summary(), "f16c+fma");
         assert_eq!(f.widest_backend(), KernelBackend::Scalar);
-        let full = CpuFeatures { f16c: true, avx2: true, fma: true, avx512f: false, neon: false };
+        let full = CpuFeatures { f16c: true, avx2: true, fma: true, avx512f: false };
         assert_eq!(full.widest_backend(), KernelBackend::Avx2);
     }
 

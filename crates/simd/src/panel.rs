@@ -177,12 +177,11 @@ pub unsafe fn try_spmm_panel<TA: Scalar, TV: Scalar>(
         }
         match (TA::view(vals), TV::PRECISION) {
             (V::F16(a), f3r_precision::Precision::Fp16) => run!(a, half::f16),
-            (V::F32(a), f3r_precision::Precision::Fp16) => run!(a, half::f16),
-            (V::F64(a), f3r_precision::Precision::Fp16) => run!(a, half::f16),
             (V::F16(a), f3r_precision::Precision::Fp32) => run!(a, f32),
             (V::F32(a), f3r_precision::Precision::Fp32) => run!(a, f32),
-            (V::F64(a), f3r_precision::Precision::Fp32) => run!(a, f32),
-            (_, f3r_precision::Precision::Fp64) => return false,
+            // fp64 vectors keep the column loop, and no matrix is stored
+            // wider than the vectors it meets.
+            _ => return false,
         }
         return true;
     }

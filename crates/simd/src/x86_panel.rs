@@ -60,15 +60,6 @@ impl Bcast8 for f32 {
     }
 }
 
-impl Bcast8 for f64 {
-    // SAFETY: per the Bcast8 contract — one readable f64 at `p`, AVX2 on.
-    #[inline(always)]
-    unsafe fn bc8(p: *const Self) -> __m256 {
-        // vcvtsd2ss rounds to nearest even, like `to_f32`.
-        _mm256_broadcastss_ps(_mm_cvtpd_ps(_mm_load_sd(p)))
-    }
-}
-
 /// Transpose an 8×8 block of f32 held as eight row registers.
 // SAFETY: pure register shuffles; AVX proven by the caller's context.
 #[inline(always)]

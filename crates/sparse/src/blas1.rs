@@ -94,15 +94,6 @@ fn dot_chunk<T: Scalar>(x: &[T], y: &[T]) -> f64 {
     total
 }
 
-/// Forced-sequential dot product `xᵀ y` (no pool dispatch regardless of
-/// length) — the single-core baseline the dispatch benchmarks compare
-/// against; solvers use the size-dispatching [`dot`].
-#[must_use]
-pub fn dot_seq<T: Scalar>(x: &[T], y: &[T]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    dot_chunk(x, y)
-}
-
 /// Dot product `xᵀ y`, accumulated in `T::Accum` and returned as `f64`.
 #[must_use]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> f64 {
@@ -186,14 +177,6 @@ fn axpy_chunk<T: Scalar>(a: T::Accum, xs: &[T], chunk: &mut [T]) {
     for (yi, &xi) in chunk.iter_mut().zip(xs.iter()) {
         *yi = T::narrow(xi.widen() * a + yi.widen());
     }
-}
-
-/// Forced-sequential `y ← y + alpha * x` (no pool dispatch regardless of
-/// length) — the single-core baseline the dispatch benchmarks compare
-/// against; solvers use the size-dispatching [`axpy`].
-pub fn axpy_seq<T: Scalar>(alpha: f64, x: &[T], y: &mut [T]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    axpy_chunk(<T::Accum as Scalar>::from_f64(alpha), x, y);
 }
 
 /// `y ← y + alpha * x`.

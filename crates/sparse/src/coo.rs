@@ -57,12 +57,6 @@ impl<T: Scalar> CooMatrix<T> {
         self.n_cols
     }
 
-    /// Number of (possibly duplicated) stored entries.
-    #[must_use]
-    pub fn n_entries(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Append the triplet `(row, col, value)`.
     ///
     /// # Panics

@@ -353,125 +353,6 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
-/// A CSR matrix stored in precision `S` with one power-of-two `f64`
-/// amplitude scale per row; the represented row is `row_scale * stored_row`.
-///
-/// This is the matrix-side mirror of the compressed Krylov basis
-/// ([`narrow_scaled_into`](crate::blas1::narrow_scaled_into)'s convention):
-/// when `S` is narrower than `f64`, every stored magnitude is at most one
-/// (division by a power of two is exact, so the only per-element rounding is
-/// the single narrowing into `S`), which keeps fp16 matrix storage finite
-/// and accurate for *any* entry dynamic range across rows — general Matrix
-/// Market inputs would otherwise silently overflow to ±∞ or flush to zero in
-/// an unscaled fp16 copy.  When `S` is `f64` (the construction precision)
-/// the values are stored verbatim with unit scales: bit-lossless, no
-/// amplitude-reduction pass.
-///
-/// The product driver ([`crate::spmm::spmm`], through
-/// [`Rows`](crate::spmm::Rows)) consumes the stored form directly: each stored element is widened exactly once into
-/// the row accumulator and the row scale is folded into the accumulated sum
-/// once per row, so scaled storage streams at the storage precision's memory
-/// bandwidth with one extra multiply per row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaledCsr<S> {
-    matrix: CsrMatrix<S>,
-    row_scales: Vec<f64>,
-}
-
-impl<S: Scalar> ScaledCsr<S> {
-    /// Build the scaled storage-precision copy of `a`.
-    #[must_use]
-    pub fn from_f64(a: &CsrMatrix<f64>) -> Self {
-        if S::PRECISION == Precision::Fp64 {
-            // Verbatim bit-lossless fast path: f64 storage has the source's
-            // full exponent range, so no amplitude normalisation is needed.
-            return Self {
-                matrix: a.to_precision::<S>(),
-                row_scales: vec![1.0; a.n_rows()],
-            };
-        }
-        let row_scales = crate::scaling::pow2_row_scales(a);
-        let mut values = Vec::with_capacity(a.nnz());
-        for (row, &scale) in row_scales.iter().enumerate() {
-            let (_, vals) = a.row_entries(row);
-            // Division by a power of two is exact in f64; the narrowing into
-            // S is the single per-element rounding.  Divide rather than
-            // multiply by the reciprocal: for subnormal row amplitudes
-            // (scale ≤ 2^-1023) the reciprocal overflows to +∞ while the
-            // division stays exact.
-            values.extend(vals.iter().map(|&v| S::from_f64(v / scale)));
-        }
-        Self {
-            matrix: CsrMatrix {
-                n_rows: a.n_rows,
-                n_cols: a.n_cols,
-                row_ptr: a.row_ptr.clone(),
-                col_idx: a.col_idx.clone(),
-                values,
-            },
-            row_scales,
-        }
-    }
-
-    /// The stored (row-normalised) matrix.
-    #[must_use]
-    pub fn matrix(&self) -> &CsrMatrix<S> {
-        &self.matrix
-    }
-
-    /// The per-row power-of-two amplitude scales.
-    #[must_use]
-    pub fn row_scales(&self) -> &[f64] {
-        &self.row_scales
-    }
-
-    /// Split into the stored matrix and the row scales.
-    #[must_use]
-    pub fn into_parts(self) -> (CsrMatrix<S>, Vec<f64>) {
-        (self.matrix, self.row_scales)
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.matrix.n_rows()
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn n_cols(&self) -> usize {
-        self.matrix.n_cols()
-    }
-
-    /// Number of stored nonzeros.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.matrix.nnz()
-    }
-
-    /// The precision in which values are stored.
-    #[must_use]
-    pub fn value_precision(&self) -> Precision {
-        S::PRECISION
-    }
-
-    /// The *represented* value at `(row, col)` — `row_scale * stored` — or
-    /// `None` outside the sparsity pattern (diagnostics and tests; kernels
-    /// never reconstruct values element-wise like this).
-    #[must_use]
-    pub fn get(&self, row: usize, col: usize) -> Option<f64> {
-        self.matrix
-            .get(row, col)
-            .map(|v| v.to_f64() * self.row_scales[row])
-    }
-
-    /// Bytes used by the stored values/indices plus the per-row `f64` scales.
-    #[must_use]
-    pub fn storage_bytes(&self) -> u64 {
-        self.matrix.storage_bytes() + 8 * self.n_rows() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,75 +479,6 @@ mod tests {
         assert!(a16.storage_bytes() < a32.storage_bytes());
         assert!(a32.storage_bytes() < a.storage_bytes());
         assert_eq!(a.storage_bytes(), 7 * 12 + 4 * 4);
-    }
-
-    fn wide_range() -> CsrMatrix<f64> {
-        // Entries spanning 1e-12 .. 1e12 within and across rows; the unscaled
-        // fp16 copy of this matrix is pure ±inf / 0.
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0e12);
-        coo.push(0, 1, -3.0e11);
-        coo.push(1, 1, 5.0e-12);
-        coo.push(1, 2, 1.0e-12);
-        coo.push(2, 2, 1.0);
-        coo.to_csr()
-    }
-
-    #[test]
-    fn scaled_f64_storage_is_verbatim_with_unit_scales() {
-        let a = wide_range();
-        let s = ScaledCsr::<f64>::from_f64(&a);
-        assert_eq!(s.matrix(), &a);
-        assert!(s.row_scales().iter().all(|&r| r == 1.0));
-        assert_eq!(s.get(0, 0), Some(2.0e12));
-        assert_eq!(s.storage_bytes(), a.storage_bytes() + 8 * 3);
-    }
-
-    #[test]
-    fn scaled_fp16_storage_survives_wide_dynamic_range() {
-        let a = wide_range();
-        let unscaled: CsrMatrix<f16> = a.to_precision();
-        assert!(unscaled.values().iter().any(|v| !v.to_f64().is_finite()));
-        let s = ScaledCsr::<f16>::from_f64(&a);
-        assert_eq!(s.value_precision(), Precision::Fp16);
-        for (&stored, _) in s.matrix().values().iter().zip(a.values()) {
-            assert!(stored.to_f64().is_finite());
-            assert!(stored.to_f64().abs() <= 1.0);
-        }
-        // Represented values match the source to fp16's relative accuracy of
-        // the row amplitude.
-        for row in 0..3 {
-            let (cols, vals) = a.row_entries(row);
-            let amax = vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                let got = s.get(row, c as usize).unwrap();
-                assert!(
-                    (got - v).abs() <= amax * 2.0f64.powi(-10),
-                    "({row},{c}): {got} vs {v}"
-                );
-            }
-        }
-        assert_eq!(s.row_scales().len(), 3);
-        assert_eq!(s.row_scales()[2], 1.0);
-    }
-
-    #[test]
-    fn scaled_storage_survives_subnormal_row_amplitudes() {
-        // A row whose amplitude is subnormal: 1/scale overflows to +inf, but
-        // the exact power-of-two division must still store finite values
-        // with |stored| <= 1.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0e-310);
-        coo.push(0, 1, -0.5e-310);
-        coo.push(1, 1, 1.0);
-        let a = coo.to_csr();
-        let s = ScaledCsr::<f16>::from_f64(&a);
-        assert!(s.row_scales()[0].is_finite() && s.row_scales()[0] > 0.0);
-        for v in s.matrix().values() {
-            assert!(v.to_f64().is_finite());
-            assert!(v.to_f64().abs() <= 1.0);
-        }
-        assert!((s.get(0, 0).unwrap() - 1.0e-310).abs() <= 1.0e-310 * 2.0f64.powi(-10));
     }
 
     #[test]

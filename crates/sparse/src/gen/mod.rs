@@ -6,7 +6,9 @@
 //! bundled; instead, each SuiteSparse matrix used by the paper is mapped to a
 //! *synthetic analogue* with the same qualitative structure (symmetry,
 //! nonzeros per row, conditioning character) so the relative-solver-behaviour
-//! experiments can be regenerated at laptop scale.  See DESIGN.md §3.
+//! experiments can be regenerated at laptop scale.  The mapping itself — which
+//! generator stands in for which paper matrix — is the `paper_analog` column
+//! of `f3r-experiments`' `suite` module (Table 2).
 
 pub mod convdiff;
 pub mod elasticity;

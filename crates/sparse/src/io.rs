@@ -6,7 +6,7 @@
 //! files (`matrix coordinate real/integer/pattern general/symmetric`), so
 //! that the experiment harness can be pointed at real SuiteSparse downloads
 //! when they are available; the bundled experiments fall back to the
-//! synthetic analogue generators described in DESIGN.md.
+//! synthetic analogue generators of [`crate::gen`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -25,8 +25,8 @@ use crate::csr::CsrMatrix;
 /// below its smallest subnormal (≈ 6.0e-8) flush to zero, silently corrupting
 /// an unscaled `to_precision::<f16>()` copy.  Loaders expose these stats so
 /// callers can pick scaled matrix storage
-/// ([`ScaledCsr`](crate::csr::ScaledCsr)) — or global Jacobi pre-scaling —
-/// before any fp16 copy is materialized.
+/// ([`StoredMatrix::row_scaled`](crate::StoredMatrix::row_scaled)) — or
+/// global Jacobi pre-scaling — before any fp16 copy is materialized.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntryRangeStats {
     /// Largest absolute value of any stored entry.

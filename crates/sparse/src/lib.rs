@@ -67,13 +67,22 @@
 //! ## Scaled matrix storage
 //!
 //! The same power-of-two amplitude convention applies to the matrix itself:
-//! [`csr::ScaledCsr`] / [`sell::ScaledSell`] store row-normalised values
-//! (`|stored| ≤ 1`) in a narrow precision plus one `f64` scale per row, so
-//! fp16 matrix storage survives any entry dynamic range — general Matrix
-//! Market inputs (see [`io::EntryRangeStats`]) would otherwise overflow an
-//! unscaled fp16 copy to ±∞.  The product driver streams both through the
-//! same [`spmm::Rows`] view: each stored element is widened exactly once and
-//! the row scale is folded into the accumulated sum once per row.
+//! a [`StoredMatrix`] — one layout (CSR or sliced ELLPACK) in one storage
+//! precision, the owned twin of the [`spmm::Rows`] view — may be *row-scaled*
+//! ([`StoredMatrix::row_scaled`]): row-normalised values (`|stored| ≤ 1`) in
+//! a narrow precision plus one `f64` scale per row, so fp16 matrix storage
+//! survives any entry dynamic range — general Matrix Market inputs (see
+//! [`io::EntryRangeStats`]) would otherwise overflow an unscaled fp16 copy
+//! to ±∞.  The product driver streams plain and scaled storage through the
+//! same row loops: each stored element is widened exactly once and the row
+//! scale is folded into the accumulated sum once per row.
+//!
+//! ## Storage is no wider than the working precision
+//!
+//! A matrix is never stored wider than the vectors it meets (`TA ≤ TV`; the
+//! paper's Table 1 only ever narrows storage), and [`spmm::spmm`] refuses a
+//! wide pair on constants, so of the nine `(TA, TV)` pairs the six a solve
+//! can reach are the ones compiled.
 //!
 //! See `crates/bench/README.md` for how to benchmark the layer and the
 //! recorded per-PR baselines.
@@ -112,10 +121,12 @@ pub mod sell;
 pub mod spmm;
 pub mod spmv;
 pub mod stats;
+pub mod stored;
 
 pub use coo::CooMatrix;
-pub use csr::{CsrMatrix, ScaledCsr};
+pub use csr::CsrMatrix;
 pub use io::EntryRangeStats;
 pub use scaling::ScaledSystem;
-pub use sell::{ScaledSell, SellMatrix};
+pub use sell::SellMatrix;
 pub use stats::MatrixStats;
+pub use stored::StoredMatrix;

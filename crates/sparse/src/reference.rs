@@ -79,12 +79,6 @@ pub fn dot_naive<T: Scalar>(x: &[T], y: &[T]) -> f64 {
     acc.to_f64()
 }
 
-/// Reference Euclidean norm.
-#[must_use]
-pub fn norm2_naive<T: Scalar>(x: &[T]) -> f64 {
-    dot_naive(x, x).sqrt()
-}
-
 /// Reference `y ← y + alpha * x`: rounds `alpha` into `T` and uses a
 /// per-element `mul_add` in the storage precision.
 pub fn axpy_naive<T: Scalar>(alpha: f64, x: &[T], y: &mut [T]) {

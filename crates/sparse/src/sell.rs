@@ -9,9 +9,9 @@
 //! ([`crate::spmm::spmm`], eight rows of a chunk at a time where the kernel
 //! backend allows); it serves as the "GPU backend" of the experiment harness.
 
-use f3r_precision::{Precision, Scalar};
+use f3r_precision::Scalar;
 
-use crate::csr::{CsrMatrix, ScaledCsr};
+use crate::csr::CsrMatrix;
 
 /// A sparse matrix in sliced ELLPACK format with a fixed chunk size.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,75 +186,6 @@ impl<T: Scalar> SellMatrix<T> {
     }
 }
 
-/// A sliced-ELLPACK matrix stored in precision `S` with one power-of-two
-/// `f64` amplitude scale per row — the SELL twin of
-/// [`ScaledCsr`] (see there for the scaling convention), used by the
-/// GPU-node backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaledSell<S> {
-    matrix: SellMatrix<S>,
-    row_scales: Vec<f64>,
-}
-
-impl<S: Scalar> ScaledSell<S> {
-    /// Build the scaled storage-precision SELL copy of `a` with the given
-    /// chunk size.  The row scales are computed once on the CSR form; the
-    /// padding lanes store zero, which any row scale represents exactly.
-    ///
-    /// # Panics
-    /// Panics if `chunk` is zero.
-    #[must_use]
-    pub fn from_csr_f64(a: &CsrMatrix<f64>, chunk: usize) -> Self {
-        let (scaled_csr, row_scales) = ScaledCsr::<S>::from_f64(a).into_parts();
-        Self {
-            matrix: SellMatrix::from_csr(&scaled_csr, chunk),
-            row_scales,
-        }
-    }
-
-    /// The stored (row-normalised) SELL matrix.
-    #[must_use]
-    pub fn matrix(&self) -> &SellMatrix<S> {
-        &self.matrix
-    }
-
-    /// The per-row power-of-two amplitude scales.
-    #[must_use]
-    pub fn row_scales(&self) -> &[f64] {
-        &self.row_scales
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.matrix.n_rows()
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn n_cols(&self) -> usize {
-        self.matrix.n_cols()
-    }
-
-    /// Number of logical (unpadded) nonzeros.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.matrix.nnz()
-    }
-
-    /// The precision in which values are stored.
-    #[must_use]
-    pub fn value_precision(&self) -> Precision {
-        S::PRECISION
-    }
-
-    /// Bytes used by the padded values/indices plus the per-row `f64` scales.
-    #[must_use]
-    pub fn storage_bytes(&self) -> u64 {
-        self.matrix.storage_bytes() + 8 * self.n_rows() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,37 +253,6 @@ mod tests {
         let s16 = s.to_precision::<half::f16>();
         assert_eq!(s16.padded_len(), s.padded_len());
         assert!(s16.storage_bytes() < s.storage_bytes());
-    }
-
-    #[test]
-    fn scaled_sell_mirrors_scaled_csr() {
-        let mut a = irregular();
-        // Blow the amplitudes far out of fp16 range.
-        for v in a.values_mut() {
-            *v *= 1.0e8;
-        }
-        let scaled = ScaledSell::<half::f16>::from_csr_f64(&a, 2);
-        assert_eq!(scaled.nnz(), a.nnz());
-        assert_eq!(scaled.value_precision(), Precision::Fp16);
-        assert_eq!(
-            scaled.row_scales(),
-            crate::scaling::pow2_row_scales(&a).as_slice()
-        );
-        for row in 0..a.n_rows() {
-            let mut dense = vec![0.0f64; a.n_cols()];
-            for (c, v) in scaled.matrix().row_iter(row) {
-                dense[c] += v.to_f64() * scaled.row_scales()[row];
-            }
-            let (cols, vals) = a.row_entries(row);
-            let amax = vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                assert!((dense[c as usize] - v).abs() <= amax * 2.0f64.powi(-10));
-            }
-        }
-        assert_eq!(
-            scaled.storage_bytes(),
-            scaled.matrix().storage_bytes() + 8 * 5
-        );
     }
 
     #[test]

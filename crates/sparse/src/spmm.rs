@@ -90,9 +90,10 @@ use f3r_simd::PanelSink;
 
 pub use f3r_simd::PANEL_LANES;
 
-use crate::csr::{CsrMatrix, ScaledCsr};
-use crate::sell::{ScaledSell, SellMatrix};
+use crate::csr::CsrMatrix;
+use crate::sell::SellMatrix;
 use crate::spmv::{row_acc, sell_row};
+use crate::stored::{self, StoredMatrix};
 
 /// How a product is run.  The result never depends on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,7 +148,8 @@ enum Layout<'a, TA> {
 
 /// A stored matrix as the driver streams it: CSR or sliced ELLPACK, plain or
 /// row-scaled with its per-row power-of-two amplitude scales.  Made from a
-/// reference to any of the four storage types.
+/// reference to a bare [`CsrMatrix`] or [`SellMatrix`] (plain), or to a
+/// [`StoredMatrix`], its owned twin.
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a, TA: Scalar> {
     layout: Layout<'a, TA>,
@@ -160,21 +162,19 @@ impl<'a, TA: Scalar> From<&'a CsrMatrix<TA>> for Rows<'a, TA> {
     }
 }
 
-impl<'a, TA: Scalar> From<&'a ScaledCsr<TA>> for Rows<'a, TA> {
-    fn from(a: &'a ScaledCsr<TA>) -> Self {
-        Self { layout: Layout::Csr(a.matrix()), scales: Some(a.row_scales()) }
-    }
-}
-
 impl<'a, TA: Scalar> From<&'a SellMatrix<TA>> for Rows<'a, TA> {
     fn from(a: &'a SellMatrix<TA>) -> Self {
         Self { layout: Layout::Sell(a), scales: None }
     }
 }
 
-impl<'a, TA: Scalar> From<&'a ScaledSell<TA>> for Rows<'a, TA> {
-    fn from(a: &'a ScaledSell<TA>) -> Self {
-        Self { layout: Layout::Sell(a.matrix()), scales: Some(a.row_scales()) }
+impl<'a, TA: Scalar> From<&'a StoredMatrix<TA>> for Rows<'a, TA> {
+    fn from(a: &'a StoredMatrix<TA>) -> Self {
+        let layout = match &a.layout {
+            stored::Layout::Csr(m) => Layout::Csr(m),
+            stored::Layout::Sell(m) => Layout::Sell(m),
+        };
+        Self { layout, scales: a.row_scales.as_deref() }
     }
 }
 
@@ -234,9 +234,17 @@ impl<TV: Scalar> Fold<TV> for Scaled<'_> {
 /// bitwise the one-column product of column `c`, whatever the dispatch — see
 /// the [module docs](self).
 ///
+/// **Storage is no wider than the working precision**: `TA` may be `TV` or
+/// narrower, never wider.  No solver level stores a matrix wider than the
+/// vectors it meets (the paper's Table 1; `NestedSpec::check` says so with a
+/// message at spec time), so the wide pairs are not compiled: the test below
+/// is on constants, and the driver's body exists for the six pairs that
+/// pass it.
+///
 /// # Panics
-/// Panics if a panel's length is not `k` times the matching matrix
-/// dimension, or [`PanelOp::Dot2`]'s `dots` does not hold `k` pairs.
+/// Panics if `TA` is wider than `TV`, if a panel's length is not `k` times
+/// the matching matrix dimension, or if [`PanelOp::Dot2`]'s `dots` does not
+/// hold `k` pairs.
 pub fn spmm<'a, TA: Scalar, TV: Scalar>(
     a: impl Into<Rows<'a, TA>>,
     xs: &[TV],
@@ -245,6 +253,12 @@ pub fn spmm<'a, TA: Scalar, TV: Scalar>(
     k: usize,
     dispatch: Dispatch,
 ) {
+    assert!(
+        const { TA::PRECISION.stores_within(TV::PRECISION) },
+        "spmm: {} matrix storage is wider than the {} working precision (storage must be no wider than the working precision)",
+        TA::PRECISION,
+        TV::PRECISION,
+    );
     // One body per (TA, TV), whichever storage type the caller holds.
     spmm_rows(a.into(), xs, op, out, k, dispatch);
 }
@@ -959,9 +973,9 @@ mod tests {
     fn with_storages<TA: Scalar>(a: &CsrMatrix<f64>, chunk: usize, mut f: impl FnMut(&str, Rows<'_, TA>)) {
         let csr: CsrMatrix<TA> = a.to_precision();
         f("csr", (&csr).into());
-        f("scaled csr", (&ScaledCsr::<TA>::from_f64(a)).into());
+        f("scaled csr", (&StoredMatrix::<TA>::row_scaled(a, None)).into());
         f("sell", (&SellMatrix::from_csr(&csr, chunk)).into());
-        f("scaled sell", (&ScaledSell::<TA>::from_csr_f64(a, chunk)).into());
+        f("scaled sell", (&StoredMatrix::<TA>::row_scaled(a, Some(chunk))).into());
     }
 
     #[test]
@@ -1080,6 +1094,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "storage must be no wider than the working precision")]
+    fn storage_wider_than_the_working_precision_is_refused() {
+        let a = tridiag(4);
+        let mut ys = vec![0.0f32; 4];
+        spmm(&a, &[0.0f32; 4], PanelOp::Product, &mut ys, 1, Dispatch::Auto);
+    }
+
+    #[test]
     #[should_panic(expected = "spmm: input panel length mismatch")]
     fn input_length_mismatch_panics() {
         let a = tridiag(4);
@@ -1107,7 +1129,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "spmm: dot panel length mismatch")]
     fn dot_panel_length_mismatch_panics() {
-        let a = ScaledCsr::<f32>::from_f64(&tridiag(4));
+        let a = StoredMatrix::<f32>::row_scaled(&tridiag(4), None);
         let (mut ys, mut dots) = (vec![0.0f64; 4], [(0.0, 0.0)]);
         spmm(&a, &[0.0f64; 4], PanelOp::Dot2 { u: &[0.0; 3], dots: &mut dots }, &mut ys, 1, Dispatch::Auto);
     }

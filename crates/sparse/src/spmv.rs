@@ -170,8 +170,8 @@ pub(crate) fn sell_row<TA: Scalar, A: FromScalar>(a: &SellMatrix<TA>, row: usize
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::csr::{CsrMatrix, ScaledCsr};
-    use crate::sell::ScaledSell;
+    use crate::csr::CsrMatrix;
+    use crate::stored::StoredMatrix;
     use half::f16;
 
     fn tridiag(n: usize) -> CsrMatrix<f64> {
@@ -284,8 +284,9 @@ mod tests {
         assert!(a16.values().iter().any(|v| !v.to_f64().is_finite()));
 
         // … the row-scaled fp16 copies match to fp16 storage accuracy.
-        let s16 = ScaledCsr::<f16>::from_f64(&a);
-        let sell16 = ScaledSell::<f16>::from_csr_f64(&a, 32);
+        let s16 = StoredMatrix::<f16>::row_scaled(&a, None);
+        let sell16 = StoredMatrix::<f16>::row_scaled(&a, Some(32));
+        let scales = s16.row_scales().unwrap();
         let mut y = vec![0.0f64; n];
         let mut y_sell = vec![0.0f64; n];
         spmv(&s16, &x, &mut y);
@@ -293,24 +294,12 @@ mod tests {
         for i in 0..n {
             // Per-element storage error ≤ eps_fp16 · row_scale; ≤ 3 entries
             // per row with |x| ≤ 1/2 bounds the row error by 2^-9 · scale.
-            let tol = 2.0f64.powi(-9) * s16.row_scales()[i];
+            let tol = 2.0f64.powi(-9) * scales[i];
             assert!((y[i] - y_ref[i]).abs() <= tol, "row {i}: {} vs {}", y[i], y_ref[i]);
             // CSR and SELL group the row sum differently (4 vs 2 partial
             // accumulators), so allow roundoff at the row amplitude.
-            let tol = 1e-13 * s16.row_scales()[i];
+            let tol = 1e-13 * scales[i];
             assert!((y[i] - y_sell[i]).abs() <= tol, "row {i}: {} vs {}", y[i], y_sell[i]);
         }
-    }
-
-    #[test]
-    fn scaled_f64_storage_is_bit_identical_to_plain_spmv() {
-        let n = 500;
-        let a = wide_range_tridiag(n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut y1 = vec![0.0f64; n];
-        let mut y2 = vec![0.0f64; n];
-        spmv(&a, &x, &mut y1);
-        spmv(&ScaledCsr::<f64>::from_f64(&a), &x, &mut y2);
-        assert_eq!(y1, y2);
     }
 }

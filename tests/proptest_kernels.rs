@@ -304,12 +304,11 @@ fn spmv_matches_reference<TA: Scalar, TV: Scalar>(case: u64) {
 #[test]
 fn spmv_matches_reference_for_all_precision_pairs() {
     for case in 0..CASES / 2 {
+        // Every pair a product is compiled for: storage no wider than the
+        // vectors.
         spmv_matches_reference::<f64, f64>(case);
-        spmv_matches_reference::<f64, f32>(case);
-        spmv_matches_reference::<f64, f16>(case);
         spmv_matches_reference::<f32, f64>(case);
         spmv_matches_reference::<f32, f32>(case);
-        spmv_matches_reference::<f32, f16>(case);
         spmv_matches_reference::<f16, f64>(case);
         spmv_matches_reference::<f16, f32>(case);
         spmv_matches_reference::<f16, f16>(case);

@@ -20,7 +20,7 @@ use f3r::precision::traffic::TrafficModel;
 use f3r::sparse::gen::{poisson2d_5pt, random_rhs};
 use f3r::sparse::io::EntryRangeStats;
 use f3r::sparse::scaling::jacobi_scale;
-use f3r::sparse::{CsrMatrix, ScaledCsr};
+use f3r::sparse::{CsrMatrix, StoredMatrix};
 
 /// An SPD system whose *entries* span ~10 orders of magnitude:
 /// symmetrically diagonal-scale the (Jacobi-normalised) 2-D Laplacian by
@@ -147,7 +147,7 @@ fn f64_f32_spec_materializes_no_fp16_variant() {
         .iter()
         .all(|v| v.storage.precision() != Precision::Fp16));
     assert!(variants.iter().all(|v| v.format == MatrixFormat::Csr));
-    assert!(!pm.is_materialized(MatrixStorage::Plain(Precision::Fp16), MatrixFormat::Csr));
+    assert!(!pm.is_materialized(MatrixStorage::Plain(Precision::Fp16)));
 
     // storage_bytes() reports the materialized footprint, strictly below the
     // historical eager sextet (f64+f32+f16), and above the base alone.
@@ -158,6 +158,54 @@ fn f64_f32_spec_materializes_no_fp16_variant() {
         pm.storage_bytes(),
         eager_worst_case
     );
+}
+
+#[test]
+fn scaled_fp64_storage_is_the_plain_fp64_variant() {
+    // fp64 storage holds the source values verbatim, so a `Scaled(Fp64)`
+    // level streams what a `Plain(Fp64)` level streams: no copy of its own,
+    // the plain product's traffic, the same bits.
+    let a = wide_dynamic_range_system(16);
+    let n = a.n_rows();
+    let b = random_rhs(n, 9);
+    for backend in [SpmvBackend::Csr, SpmvBackend::Sell { chunk: 32 }] {
+        let solve = |storage: MatrixStorage| {
+            let pm = Arc::new(ProblemMatrix::new(a.clone(), backend));
+            let base_bytes = pm.storage_bytes();
+            let prepared = SolverBuilder::new(Arc::clone(&pm))
+                .spec(two_level_spec(&format!("{storage}"), storage))
+                .build();
+            let mut x = vec![0.0; n];
+            let r = prepared.session().solve(&b, &mut x);
+            assert!(r.converged, "{backend:?} {storage}: {}", r.final_relative_residual);
+            (pm, base_bytes, x, r)
+        };
+        let (pm_plain, _, x_plain, r_plain) = solve(MatrixStorage::Plain(Precision::Fp64));
+        let (pm, base_bytes, x, r) = solve(MatrixStorage::Scaled(Precision::Fp64));
+        assert_eq!(x, x_plain, "{backend:?}");
+        assert_eq!(r.residual_history, r_plain.residual_history, "{backend:?}");
+        assert_eq!(r.counters, r_plain.counters, "{backend:?}: counted as the plain product");
+        assert_eq!(r.counters.matrix_bytes_in(Precision::Fp64), r.counters.matrix_bytes_total());
+        let stream = TrafficModel::matrix_stream_bytes(pm.nnz(), n, Precision::Fp64);
+        assert_eq!(r.counters.matrix_bytes_total() % stream, 0, "{backend:?}: no row-scale stream");
+
+        assert!(pm.is_materialized(MatrixStorage::Scaled(Precision::Fp64)));
+        assert_eq!(pm.materialized_variants(), pm_plain.materialized_variants(), "{backend:?}");
+        match backend {
+            // Both levels stream the base itself.
+            SpmvBackend::Csr => {
+                assert_eq!(pm.materialized_variants().len(), 1);
+                assert_eq!(pm.storage_bytes(), base_bytes);
+            }
+            // Both levels share the one fp64 SELL copy.
+            SpmvBackend::Sell { .. } => {
+                let variants = pm.materialized_variants();
+                assert_eq!(variants.len(), 2, "{variants:?}");
+                assert_eq!(variants[1].storage, MatrixStorage::Plain(Precision::Fp64));
+                assert_eq!(variants[1].format, MatrixFormat::Sell);
+            }
+        }
+    }
 }
 
 #[test]
@@ -219,16 +267,17 @@ fn property_scaled_spmv_tracks_f64_reference_within_storage_eps() {
         let mut y_ref = vec![0.0f64; n];
         f3r::sparse::spmv::spmv(&a, &x, &mut y_ref);
 
-        let s16 = ScaledCsr::<f3r::precision::f16>::from_f64(&a);
-        let s32 = ScaledCsr::<f32>::from_f64(&a);
+        let s16 = StoredMatrix::<f3r::precision::f16>::row_scaled(&a, None);
+        let s32 = StoredMatrix::<f32>::row_scaled(&a, None);
+        let (scales16, scales32) = (s16.row_scales().unwrap(), s32.row_scales().unwrap());
         let mut y16 = vec![0.0f64; n];
         let mut y32 = vec![0.0f64; n];
         f3r::sparse::spmv::spmv(&s16, &x, &mut y16);
         f3r::sparse::spmv::spmv(&s32, &x, &mut y32);
         for i in 0..n {
             // ≤ 6 entries/row, |x| ≤ 1/2 → error ≤ 3·eps_storage·scale.
-            let tol16 = 3.0 * 2.0f64.powi(-11) * s16.row_scales()[i];
-            let tol32 = 3.0 * 2.0f64.powi(-24) * s32.row_scales()[i];
+            let tol16 = 3.0 * 2.0f64.powi(-11) * scales16[i];
+            let tol32 = 3.0 * 2.0f64.powi(-24) * scales32[i];
             assert!(
                 (y16[i] - y_ref[i]).abs() <= tol16,
                 "case {case}, row {i}: fp16 {} vs {}",
