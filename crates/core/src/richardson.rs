@@ -17,8 +17,9 @@
 //! right-hand side (Section 4.3).  For the same reason they persist across
 //! *solves* within one [`SolveSession`](crate::session::SolveSession): a
 //! warmed session starts each new right-hand side with already-tuned
-//! weights, which is part of the amortized-solve advantage recorded in
-//! `BENCH_pr4.json`.
+//! weights, which is part of the amortized-solve advantage (HPCG 16³: a
+//! warmed session's tenth solve 76 ms against a fresh session's 117 ms,
+//! CHANGES.md, PR 4).
 //!
 //! # Panels
 //!

@@ -91,16 +91,6 @@ pub struct Lexed {
 }
 
 impl Lexed {
-    /// `true` when any *code* token starts on `line`.
-    pub fn line_has_code(&self, line: u32) -> bool {
-        // Token and comment vectors are line-ordered; files are small enough
-        // that a linear scan per query would do, but rules query per line in
-        // tight ladders, so binary-search the token start lines.
-        self.toks
-            .binary_search_by(|t| t.line.cmp(&line))
-            .is_ok()
-    }
-
     /// All comments that touch `line` (start ≤ line ≤ end).
     pub fn comments_on_line(&self, line: u32) -> impl Iterator<Item = &Comment> {
         self.comments

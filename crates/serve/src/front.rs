@@ -70,6 +70,14 @@ pub enum SubmitError {
         /// Queue depth observed at rejection (== the configured capacity).
         queue_depth: usize,
     },
+    /// The request is malformed for its solver (a right-hand side or `x0`
+    /// of the wrong length, a tolerance that is not positive, a zero cycle
+    /// budget, an empty batch, or one `x0` for several right-hand sides);
+    /// it was never queued.
+    Invalid {
+        /// What is wrong with the request.
+        reason: &'static str,
+    },
     /// [`ServeHandle::shutdown`] has been called; no new work is accepted.
     ShuttingDown,
 }
@@ -80,6 +88,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Rejected { queue_depth } => {
                 write!(f, "submission rejected: queue full ({queue_depth} deep)")
             }
+            SubmitError::Invalid { reason } => write!(f, "submission invalid: {reason}"),
             SubmitError::ShuttingDown => write!(f, "submission refused: server shutting down"),
         }
     }
@@ -96,7 +105,7 @@ impl std::error::Error for SubmitError {}
 /// ([`SolveSession::solve_batch_with`](f3r_core::session::SolveSession::solve_batch_with)),
 /// so each served column is bitwise its own `solve_with`.  The one exception
 /// is `x0`: one warm start cannot stand for several columns, so a multi-RHS
-/// batch carrying one fails fast in [`ServeHandle::submit_batch`] rather than
+/// batch carrying one fails fast with [`SubmitError::Invalid`] rather than
 /// guessing.
 #[derive(Debug, Clone, Default)]
 pub struct RequestOptions {
@@ -235,7 +244,9 @@ impl ServeHandle {
     /// Submit one right-hand side against `solver`.
     ///
     /// # Errors
-    /// [`SubmitError::Rejected`] when the queue is full under
+    /// [`SubmitError::Invalid`] when `b` or `opts.x0` is not the solver's
+    /// dimension long, `opts.tol` is not positive or `opts.max_outer_cycles`
+    /// is zero; [`SubmitError::Rejected`] when the queue is full under
     /// [`Backpressure::Reject`]; [`SubmitError::ShuttingDown`] after
     /// [`shutdown`](Self::shutdown) started.
     pub fn submit(
@@ -252,27 +263,45 @@ impl ServeHandle {
     /// call, every column under `opts`' tolerance and cycle budget.
     ///
     /// # Errors
-    /// As [`submit`](Self::submit); additionally rejects an empty batch, and
-    /// an `x0` on a batch of more than one right-hand side (see
-    /// [`RequestOptions`]), with [`SubmitError::Rejected`].
+    /// As [`submit`](Self::submit), for every right-hand side; additionally
+    /// an empty batch, and an `x0` on a batch of more than one right-hand
+    /// side (see [`RequestOptions`]), are [`SubmitError::Invalid`].
     pub fn submit_batch(
         &self,
         solver: &CachedSolver,
         bs: Vec<Vec<f64>>,
         opts: RequestOptions,
     ) -> Result<Ticket, SubmitError> {
-        if bs.is_empty() || (bs.len() > 1 && opts.x0.is_some()) {
-            return Err(SubmitError::Rejected { queue_depth: 0 });
-        }
         self.enqueue(solver, bs, opts)
     }
 
+    /// Admit a request: refuse what the solve driver would assert on, then
+    /// queue it under the backpressure policy.
     fn enqueue(
         &self,
         solver: &CachedSolver,
         rhs: Vec<Vec<f64>>,
         opts: RequestOptions,
     ) -> Result<Ticket, SubmitError> {
+        let n = solver.prepared().dim();
+        let reason = if rhs.is_empty() {
+            Some("empty batch")
+        } else if rhs.len() > 1 && opts.x0.is_some() {
+            Some("one x0 cannot stand for several right-hand sides")
+        } else if rhs.iter().any(|b| b.len() != n) {
+            Some("right-hand side length differs from the matrix dimension")
+        } else if opts.x0.as_ref().is_some_and(|x0| x0.len() != n) {
+            Some("x0 length differs from the matrix dimension")
+        } else if opts.tol.is_some_and(|tol| tol.is_nan() || tol <= 0.0) {
+            Some("tolerance must be positive")
+        } else if opts.max_outer_cycles == Some(0) {
+            Some("need at least one outer cycle")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            return Err(SubmitError::Invalid { reason });
+        }
         let (tx, rx) = mpsc::channel();
         let mut queue = self.shared.queue.lock().expect("serve queue poisoned");
         loop {

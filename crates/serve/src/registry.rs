@@ -1,7 +1,9 @@
 //! Fingerprint-keyed cache of prepared solvers.
 //!
 //! Setup — precision variants, preconditioner factorization, spec validation
-//! — is ~1% of a solve (BENCH_pr4) but pure waste when repeated for every
+//! — is ~1% of a solve (HPCG 16³, CHANGES.md, PR 4; the standing benchmark
+//! times it per solver as `core.build_s.*` beside `solve_s.*`) but pure
+//! waste when repeated for every
 //! request over the same matrix.  The [`SolverRegistry`] owns that
 //! amortization:
 //!

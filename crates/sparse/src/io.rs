@@ -208,12 +208,6 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix<f64>, MatrixMa
     Ok(coo.to_csr())
 }
 
-/// Read a sparse matrix in Matrix Market coordinate format from a file.
-pub fn read_matrix_market_file(path: impl AsRef<Path>) -> Result<CsrMatrix<f64>, MatrixMarketError> {
-    let file = std::fs::File::open(path)?;
-    read_matrix_market(file)
-}
-
 /// Read a Matrix Market matrix together with its [`EntryRangeStats`], so the
 /// caller can decide on a storage strategy (unscaled vs scaled fp16) before
 /// materializing any reduced-precision copy.

@@ -45,9 +45,10 @@
 //!   accumulator,
 //! * [`spmm::PanelOp::Dot2`] — `y = A x` plus `(uᵀy, yᵀy)` in one sweep (the
 //!   adaptive Richardson weight, CG's `(p, Ap)`, BiCGStab's `(t,s)/(t,t)`),
-//! * [`blas1::dot2`] — two dots in one pass (FGMRES Gram–Schmidt),
+//! * [`blas1::dot2`] — two dots in one pass (the uncompressed twin of
+//!   [`blas1::dot2_compressed`], which FGMRES's Gram–Schmidt uses),
 //! * [`blas1::axpy_norm2`] — vector update plus the updated vector's norm²,
-//! * [`blas1::scale_into`] — fused copy + scale (basis normalisation).
+//! * [`blas1::scale_into`] — fused copy + scale.
 //!
 //! ## Compressed-basis kernels
 //!
@@ -84,8 +85,11 @@
 //! wide pair on constants, so of the nine `(TA, TV)` pairs the six a solve
 //! can reach are the ones compiled.
 //!
-//! See `crates/bench/README.md` for how to benchmark the layer and the
-//! recorded per-PR baselines.
+//! The layer is timed by the standing benchmark (`benchmark/` at the
+//! repository root): `sparse.spmv_s.*` for the single-vector product over
+//! the four matrix/vector pairs of Table 1, `sparse.spmm8_col_s.*` for a
+//! column of an eight-column panel and `sparse.orth_vec_s.*` for the
+//! Gram–Schmidt sweep over a compressed basis.
 //!
 //! # Quick example
 //!

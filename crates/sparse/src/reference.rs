@@ -2,15 +2,10 @@
 //!
 //! These are the original scalar kernels that converted **every element
 //! through `f64`** (`from_f64(x.to_f64())`) and issued one `mul_add` per
-//! element.  They are retained for two purposes only:
-//!
-//! 1. **Correctness baselines** — the property tests assert that the
-//!    unrolled/fused kernels in [`crate::spmv`] and [`crate::blas1`] agree
-//!    with these within one ulp of the accumulation precision, for every
-//!    `(TA, TV)` precision pair the solvers use.
-//! 2. **Performance baselines** — the criterion benches time them next to
-//!    the production kernels so the speedup of the direct-widening layer
-//!    stays visible (and regressions stay measurable) across commits.
+//! element.  They are retained as **correctness baselines** only: the
+//! property tests assert that the unrolled/fused kernels in [`crate::spmv`]
+//! and [`crate::blas1`] agree with these within one ulp of the accumulation
+//! precision, for every `(TA, TV)` precision pair the solvers use.
 //!
 //! Do **not** call these from solver code: the double conversion adds two
 //! rounding steps per flop, the scalar `mul_add` lowers to a libm call on

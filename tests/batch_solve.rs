@@ -101,7 +101,7 @@ fn batch_matches_sequential_on_hpcg_fp16_storage() {
 
 #[test]
 fn batch_amortizes_the_matrix_stream_across_columns() {
-    // The acceptance claim behind `benches/solver_batch.rs`: on HPCG, the
+    // The batched path's byte claim (CHANGES.md, PR 7): on HPCG, the
     // counter-measured matrix bytes per right-hand side at k = 8 must be at
     // most a quarter of the k = 1 cost (ideal amortization would be 1/8) —
     // with the scaled-fp16 inner FGMRES stream, and with the fp16-F3R preset,

@@ -264,8 +264,8 @@ fn pool_checkout_return_preserves_workspace_generation() {
     assert_eq!(stats.fingerprint, solver.fingerprint());
 }
 
-/// Per-request options apply to single-RHS requests; a multi-RHS batch with
-/// options is refused up front (the fused batch path has no overrides).
+/// Per-request options reach every column of a request; an `x0` on a
+/// multi-RHS batch, and an empty batch, are refused up front.
 #[test]
 fn request_options_and_batch_contract() {
     let registry = SolverRegistry::with_defaults();
@@ -318,12 +318,70 @@ fn request_options_and_batch_contract() {
     // no request: both are contract violations, not silent no-ops.
     let warm = RequestOptions { x0: Some(vec![0.0; n]), ..RequestOptions::default() };
     let err = serve.submit_batch(&solver, bs, warm.clone()).unwrap_err();
-    assert!(matches!(err, SubmitError::Rejected { .. }));
+    assert!(matches!(err, SubmitError::Invalid { .. }));
     let err = serve.submit_batch(&solver, Vec::new(), RequestOptions::default()).unwrap_err();
-    assert!(matches!(err, SubmitError::Rejected { .. }));
+    assert!(matches!(err, SubmitError::Invalid { .. }));
     // On one column it is an ordinary warm start.
     let single = serve.submit_batch(&solver, vec![b], warm).unwrap().wait();
     assert!(single.results[0].converged);
+    serve.shutdown();
+}
+
+/// Every malformed request shape is refused with `Invalid` at admission, so
+/// no worker ever sees one: afterwards a valid request on the same handle
+/// (one worker) completes, nothing is left in flight, and only the valid
+/// request counts as submitted and completed.
+#[test]
+fn malformed_requests_are_refused_at_admission() {
+    let registry = SolverRegistry::with_defaults();
+    let serve = ServeHandle::start(
+        Arc::clone(&registry),
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            backpressure: Backpressure::Block,
+        },
+    );
+    let m = matrix(16);
+    let solver = registry.get_or_prepare(&m, &spec()).unwrap();
+    let n = m.dim();
+    let b = random_rhs(n, 9);
+    let opts = |x0: Option<Vec<f64>>, tol: Option<f64>, max_outer_cycles: Option<usize>| {
+        RequestOptions { x0, tol, max_outer_cycles }
+    };
+
+    let singles = [
+        ("short b", vec![0.0; n - 1], RequestOptions::default()),
+        ("long b", vec![0.0; n + 1], RequestOptions::default()),
+        ("empty b", Vec::new(), RequestOptions::default()),
+        ("short x0", b.clone(), opts(Some(vec![0.0; n - 1]), None, None)),
+        ("zero tol", b.clone(), opts(None, Some(0.0), None)),
+        ("negative tol", b.clone(), opts(None, Some(-1e-8), None)),
+        ("NaN tol", b.clone(), opts(None, Some(f64::NAN), None)),
+        ("zero cycles", b.clone(), opts(None, None, Some(0))),
+    ];
+    for (case, rhs, o) in singles {
+        let err = serve.submit(&solver, rhs, o).unwrap_err();
+        assert!(matches!(err, SubmitError::Invalid { .. }), "{case}: {err}");
+    }
+    let batches = [
+        ("empty batch", Vec::new(), RequestOptions::default()),
+        ("x0 on two columns", vec![b.clone(), b.clone()], opts(Some(vec![0.0; n]), None, None)),
+        ("one short column", vec![b.clone(), vec![0.0; n - 1]], RequestOptions::default()),
+        ("zero tol on a batch", vec![b.clone(), b.clone()], opts(None, Some(0.0), None)),
+    ];
+    for (case, bs, o) in batches {
+        let err = serve.submit_batch(&solver, bs, o).unwrap_err();
+        assert!(matches!(err, SubmitError::Invalid { .. }), "{case}: {err}");
+    }
+
+    let response = serve.submit(&solver, b, RequestOptions::default()).unwrap().wait();
+    assert!(response.results[0].converged, "{}", response.results[0]);
+    let metrics = serve.metrics();
+    assert_eq!(metrics.in_flight, 0);
+    assert_eq!(metrics.submitted, 1);
+    assert_eq!(metrics.completed, 1);
+    assert_eq!(metrics.rejected, 0, "invalid is not backpressure");
     serve.shutdown();
 }
 
