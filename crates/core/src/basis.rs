@@ -23,10 +23,12 @@
 //! numerically and nearly cost-wise unchanged.
 //!
 //! The solver never decompresses a whole basis: the mixed-precision kernels
-//! in [`f3r_sparse::blas1`] (`dot2_compressed`, `axpy_scaled_from`, …)
-//! operate on the stored form directly, widening each element exactly once
-//! into the working accumulator, so basis sweeps run at the *storage*
-//! precision's memory bandwidth.
+//! in [`f3r_sparse::blas1`] (the Gram–Schmidt sweeps `project_compressed`
+//! and `subtract_projections`, which read the slots through
+//! [`CompressedBasis::vector`], and `axpy_scaled_from`) operate on the
+//! stored form directly, widening each element exactly once into the working
+//! accumulator, so basis sweeps run at the *storage* precision's memory
+//! bandwidth.
 //!
 //! # Example
 //!

@@ -57,6 +57,13 @@
 //! which receives a working-precision copy of `v_j` (one decompression per
 //! iteration).
 //!
+//! Per iteration and column, classical Gram–Schmidt is two sweeps over the
+//! new direction `w`: all `j + 1` projections in one
+//! ([`blas1::project_compressed`]), all `j + 1` updates plus `‖w‖²` in the
+//! other ([`blas1::subtract_projections`]).  So `w` crosses memory three
+//! times at any `j`, beside the `2(j + 1)` basis reads, and the result is
+//! bitwise that of one dot and one axpy per basis vector.
+//!
 //! # Why swapping the inner chain mid-solve is legal
 //!
 //! Flexible preconditioning is also what makes the *adaptive* runtime
@@ -494,42 +501,16 @@ pub fn fgmres_cycle<'w, T: Scalar, S: Scalar>(
             // Classical Gram–Schmidt against v_0..v_j (paper: "we employ
             // classical Gram-Schmidt ... all associated computations are
             // performed only with vectors and scalars stored in fp32" for the
-            // inner levels — the dots below accumulate in T::Accum, widening
-            // each stored basis element once).  Projection coefficients, two
-            // stored basis vectors per fused sweep.
-            let mut i = 0;
-            while i < j {
-                let (vi, si) = basis.vector(i * cap + c);
-                let (vi1, si1) = basis.vector((i + 1) * cap + c);
-                let (hi, hi1) = blas1::dot2_compressed(wcol, vi, si, vi1, si1);
-                hcol[i] = hi;
-                hcol[i + 1] = hi1;
-                i += 2;
-            }
-            if i <= j {
-                let (vi, si) = basis.vector(i * cap + c);
-                hcol[i] = blas1::dot_compressed(wcol, vi, si);
-            }
-            counters.record_blas1(
-                T::PRECISION,
-                TrafficModel::blas1_bytes(n, j + 1, 0, T::PRECISION),
-            );
-            counters.record_basis_traffic(sp, TrafficModel::basis_bytes(n, j + 1, sp), 0);
-            // Orthogonalisation updates; the last one is fused with the norm
-            // of the orthogonalised vector so w is not swept again for
+            // inner levels — the dots accumulate in T::Accum, widening each
+            // stored basis element once).  One sweep over w takes all j + 1
+            // projections, one more subtracts them and yields ‖w‖² for
             // h_{j+1,j}.
-            for (i, &hi) in hcol.iter().enumerate().take(j) {
-                let (vi, si) = basis.vector(i * cap + c);
-                blas1::axpy_scaled_from(-hi, vi, si, wcol);
-            }
-            let hnext = {
-                let (vjs, sj) = basis.vector(j * cap + c);
-                blas1::axpy_scaled_norm2(-hcol[j], vjs, sj, wcol).sqrt()
-            };
-            counters.record_blas1(
-                T::PRECISION,
-                TrafficModel::blas1_bytes(n, j + 1, j + 1, T::PRECISION),
-            );
+            let column = |i: usize| basis.vector(i * cap + c);
+            blas1::project_compressed(wcol, column, &mut hcol[..=j]);
+            counters.record_blas1(T::PRECISION, TrafficModel::blas1_bytes(n, 1, 0, T::PRECISION));
+            counters.record_basis_traffic(sp, TrafficModel::basis_bytes(n, j + 1, sp), 0);
+            let hnext = blas1::subtract_projections(column, &hcol[..=j], wcol).sqrt();
+            counters.record_blas1(T::PRECISION, TrafficModel::blas1_bytes(n, 1, 1, T::PRECISION));
             counters.record_basis_traffic(sp, TrafficModel::basis_bytes(n, j + 1, sp), 0);
             hcol[j + 1] = hnext;
 

@@ -27,7 +27,10 @@
 //! * [`par_map_ranges`] — map disjoint index ranges to per-chunk results and
 //!   collect them in order (chunked reductions: dot products, norms),
 //! * [`par_ranges`] — run a task per disjoint index range and collect
-//!   nothing (tasks that write their own outputs: panel products),
+//!   nothing (tasks that write their own outputs: panel products);
+//!   [`par_ranges_indexed`] also tells each task its range's index, so a
+//!   reduction can leave per-range partials in a buffer of its own and fold
+//!   them in order without allocating (Gram–Schmidt's multi-dot),
 //! * [`par_parts_mut`] / [`par_map`] — parallelise over a small list of
 //!   unevenly sized parts or items (block-Jacobi blocks).
 //!
@@ -488,16 +491,34 @@ pub fn par_ranges<F>(len: usize, grain: usize, f: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
+    par_ranges_indexed(len, grain, |_, range| f(range));
+}
+
+/// [`par_ranges`] that also tells each task which range it has: `f(i, range)`
+/// runs for range `i` of the split, and the call returns how many ranges
+/// there were — at most [`current_num_threads`], one when called from a pool
+/// worker.
+///
+/// The split is that of [`par_map_ranges`], so a reduction whose tasks leave
+/// their partial results in a buffer of the caller's, one slot per range, and
+/// whose caller folds the slots in range order, gets the bits
+/// [`par_map_ranges`] plus a fold would give — without allocating.
+pub fn par_ranges_indexed<F>(len: usize, grain: usize, f: F) -> usize
+where
+    F: Fn(usize, Range<usize>) + Sync,
+{
     let nw = workers(len, grain);
     if nw <= 1 || is_worker_thread() {
-        f(0..len);
-        return;
+        f(0, 0..len);
+        return 1;
     }
     let per = len.div_ceil(nw);
-    run_batch(len.div_ceil(per), &|i: usize| {
+    let count = len.div_ceil(per);
+    run_batch(count, &|i: usize| {
         let start = i * per;
-        f(start..(start + per).min(len));
+        f(i, start..(start + per).min(len));
     });
+    count
 }
 
 /// Process the contiguous parts `data[offsets[p]..offsets[p + 1]]` in
@@ -610,6 +631,23 @@ mod tests {
         let total: u64 = sums.iter().sum();
         assert_eq!(total, 99_999 * 100_000 / 2);
         assert!(!sums.is_empty());
+    }
+
+    #[test]
+    fn indexed_ranges_are_the_map_split_in_order() {
+        use_test_pool();
+        for len in [0usize, 5, 999, 100_000] {
+            let split = par_map_ranges(len, 1_000, |r| r);
+            let seen = Mutex::new(vec![None; current_num_threads()]);
+            let count = par_ranges_indexed(len, 1_000, |i, r| {
+                seen.lock().unwrap()[i] = Some(r);
+            });
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(count, split.len(), "len {len}");
+            for (i, r) in split.into_iter().enumerate() {
+                assert_eq!(seen[i].clone(), Some(r), "len {len} range {i}");
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! # Numerical contract
 //!
 //! * **Elementwise kernels** (`try_axpy_stored`, `try_waxpby_norm2`'s vector
-//!   output, `try_scale_into`, `try_widen_scaled`, `try_compress`) are
+//!   output, `try_scale`, `try_widen_scaled`, `try_compress`) are
 //!   **bit-identical** to the scalar kernels for non-NaN data: they perform
 //!   the same single widening per operand, the same separate multiply and add
 //!   (no FMA contraction), and the same single round-to-nearest-even back to
@@ -68,7 +68,7 @@ use std::sync::OnceLock;
 use f3r_precision::{FromScalar, Scalar};
 
 #[cfg(target_arch = "x86_64")]
-use f3r_precision::{SliceView as V, SliceViewMut as VM};
+use f3r_precision::{Precision, SliceView as V, SliceViewMut as VM};
 
 mod panel;
 #[cfg(target_arch = "x86_64")]
@@ -352,60 +352,45 @@ pub fn try_dot_stored<T: Scalar, S: Scalar>(x: &[T], v: &[S]) -> Option<f64> {
     None
 }
 
-/// SIMD `dot2`: `(x1·y1, x2·y2)` in one pass.  `None` for fallback.
+/// SIMD `axpy` of `K` stored-precision operands in turn: `y += c_0 · v_0`,
+/// then `y += c_1 · v_1`, … with each `v_k`, stored no wider than `T`,
+/// widened once into `T::Accum` and `y` rounded to `T` after every term — `K`
+/// single-vector updates in one pass over `y` (`K = 1` covers plain `axpy`
+/// with `S = T` and `axpy_scaled_from`; more are the Gram–Schmidt updates).
+/// Elementwise bit-identical to the scalar kernel.  Returns `false` for
+/// fallback.
 ///
 /// # Panics
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn try_dot2<T: Scalar>(x1: &[T], y1: &[T], x2: &[T], y2: &[T]) -> Option<(f64, f64)> {
-    let n = x1.len();
-    assert!(
-        y1.len() == n && x2.len() == n && y2.len() == n,
-        "try_dot2: length mismatch"
-    );
+/// Panics if a `v_k` differs from `y` in length.
+pub fn try_axpy_stored<T: Scalar, S: Scalar, const K: usize>(cs: [f64; K], vs: [&[S]; K], y: &mut [T]) -> bool {
+    assert!(vs.iter().all(|v| v.len() == y.len()), "try_axpy_stored: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: see module note above the dispatchers.
-        let d = unsafe {
-            match (T::view(x1), T::view(y1), T::view(x2), T::view(y2)) {
-                (V::F16(a), V::F16(b), V::F16(c), V::F16(d)) => x86::dot2_a(a, b, c, d),
-                (V::F32(a), V::F32(b), V::F32(c), V::F32(d)) => x86::dot2_a(a, b, c, d),
-                (V::F64(a), V::F64(b), V::F64(c), V::F64(d)) => x86::dot2_b(a, b, c, d),
-                _ => return None, // unreachable: all four share T
-            }
-        };
-        return Some(d);
-    }
-    None
-}
-
-/// SIMD `axpy` with a stored-precision `x` operand: `y += c · v` with `v`,
-/// stored no wider than `T`, widened once into `T::Accum` (covers plain
-/// `axpy` with `S = T` and the compressed-basis `axpy_scaled_from`).  Elementwise bit-identical to the
-/// scalar kernel.  Returns `false` for fallback.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn try_axpy_stored<T: Scalar, S: Scalar>(c: f64, v: &[S], y: &mut [T]) -> bool {
-    assert_eq!(v.len(), y.len(), "try_axpy_stored: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
+        macro_rules! as_views {
+            ($variant:ident) => {
+                vs.map(|v| match S::view(v) {
+                    V::$variant(v) => v,
+                    _ => unreachable!("every slice of one type has the same view"),
+                })
+            };
+        }
+        let a = cs.map(f32::from_scalar);
         // SAFETY: see module note above the dispatchers.
         unsafe {
-            match (S::view(v), T::view_mut(y)) {
-                (V::F16(a), VM::F16(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
-                (V::F16(a), VM::F32(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
-                (V::F32(a), VM::F32(b)) => x86::axpy_stored_a(f32::from_scalar(c), a, b),
-                (V::F16(a), VM::F64(b)) => x86::axpy_stored_b(c, a, b),
-                (V::F32(a), VM::F64(b)) => x86::axpy_stored_b(c, a, b),
-                (V::F64(a), VM::F64(b)) => x86::axpy_stored_b(c, a, b),
+            match (S::PRECISION, T::view_mut(y)) {
+                (Precision::Fp16, VM::F16(b)) => x86::axpy_stored_a(a, as_views!(F16), b),
+                (Precision::Fp16, VM::F32(b)) => x86::axpy_stored_a(a, as_views!(F16), b),
+                (Precision::Fp32, VM::F32(b)) => x86::axpy_stored_a(a, as_views!(F32), b),
+                (Precision::Fp16, VM::F64(b)) => x86::axpy_stored_b(cs, as_views!(F16), b),
+                (Precision::Fp32, VM::F64(b)) => x86::axpy_stored_b(cs, as_views!(F32), b),
+                (Precision::Fp64, VM::F64(b)) => x86::axpy_stored_b(cs, as_views!(F64), b),
                 // Storage wider than the working precision: no basis is.
                 _ => return false,
             }
         }
         return true;
     }
-    let _ = c;
+    let _ = cs;
     false
 }
 
@@ -473,36 +458,9 @@ pub fn try_waxpby_norm2<T: Scalar>(
     None
 }
 
-/// SIMD `scale_into`: `dst = c · src` (one widening, one multiply, one
+/// SIMD in-place `scale`: `x = c · x` (one widening, one multiply, one
 /// rounding per element; elementwise bit-identical to the scalar kernel).
 /// Returns `false` for fallback.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn try_scale_into<T: Scalar>(c: f64, src: &[T], dst: &mut [T]) -> bool {
-    assert_eq!(src.len(), dst.len(), "try_scale_into: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        let n = src.len();
-        // SAFETY: see module note above the dispatchers; src/dst are distinct
-        // borrows so the pointer ranges cannot overlap.
-        unsafe {
-            match (T::view(src), T::view_mut(dst)) {
-                (V::F16(s), VM::F16(d)) => x86::scale_a(f32::from_scalar(c), s.as_ptr(), d.as_mut_ptr(), n),
-                (V::F32(s), VM::F32(d)) => x86::scale_a(f32::from_scalar(c), s.as_ptr(), d.as_mut_ptr(), n),
-                (V::F64(s), VM::F64(d)) => x86::scale_b(c, s.as_ptr(), d.as_mut_ptr(), n),
-                _ => return false, // unreachable: both share T
-            }
-        }
-        return true;
-    }
-    let _ = c;
-    false
-}
-
-/// SIMD in-place `scale`: `x = c · x`, the aliased twin of
-/// [`try_scale_into`] (same per-element operations, so the two stay
-/// bit-identical).  Returns `false` for fallback.
 pub fn try_scale<T: Scalar>(c: f64, x: &mut [T]) -> bool {
     #[cfg(target_arch = "x86_64")]
     if simd_active() {

@@ -65,6 +65,13 @@ pub(crate) trait Lane8Dst: Lane8 {
     /// # Safety
     /// 8 elements must be writable at `p`; AVX2+F16C context.
     unsafe fn st8(p: *mut Self, v: __m256);
+
+    /// `v` rounded to this precision and widened back, lane by lane: what
+    /// [`Lane8Dst::st8`] then [`Lane8::ld8`] give, without the memory trip.
+    ///
+    /// # Safety
+    /// AVX2+F16C context.
+    unsafe fn round8(v: __m256) -> __m256;
 }
 
 impl Lane8 for f16 {
@@ -93,6 +100,12 @@ impl Lane8Dst for f16 {
         // vcvtps2ph with round-to-nearest-even == f16::from_f32 on non-NaN.
         _mm_storeu_si128(p.cast::<__m128i>(), _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
     }
+
+    // SAFETY: per the Lane8Dst contract — F16C on; register-only.
+    #[inline(always)]
+    unsafe fn round8(v: __m256) -> __m256 {
+        _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v))
+    }
 }
 
 impl Lane8 for f32 {
@@ -108,6 +121,12 @@ impl Lane8Dst for f32 {
     #[inline(always)]
     unsafe fn st8(p: *mut Self, v: __m256) {
         _mm256_storeu_ps(p, v);
+    }
+
+    // SAFETY: per the Lane8Dst contract; f32 lanes are already f32.
+    #[inline(always)]
+    unsafe fn round8(v: __m256) -> __m256 {
+        v
     }
 }
 
@@ -413,116 +432,77 @@ pub(crate) unsafe fn dot_stored_b<S: Lane4>(x: &[f64], v: &[S]) -> f64 {
     total
 }
 
-/// World-A fused pair of dots: `(x1·y1, x2·y2)` in one index sweep.
-// SAFETY: AVX2+FMA+F16C context; caller guarantees the four slices are
-// at least x1.len() long (dispatch wrappers pass equal-length views).
-#[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn dot2_a<T: Lane8>(x1: &[T], y1: &[T], x2: &[T], y2: &[T]) -> (f64, f64) {
-    let n = x1.len();
-    let (p1, q1, p2, q2) = (x1.as_ptr(), y1.as_ptr(), x2.as_ptr(), y2.as_ptr());
-    let mut t1 = 0.0f64;
-    let mut t2 = 0.0f64;
-    let mut start = 0;
-    while start < n {
-        let end = (start + CASCADE_BLOCK).min(n);
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut i = start;
-        while i + 8 <= end {
-            a1 = _mm256_fmadd_ps(T::ld8(p1.add(i)), T::ld8(q1.add(i)), a1);
-            a2 = _mm256_fmadd_ps(T::ld8(p2.add(i)), T::ld8(q2.add(i)), a2);
-            i += 8;
-        }
-        let mut s1 = 0.0f32;
-        let mut s2 = 0.0f32;
-        while i < end {
-            s1 += (*p1.add(i)).to_f32() * (*q1.add(i)).to_f32();
-            s2 += (*p2.add(i)).to_f32() * (*q2.add(i)).to_f32();
-            i += 1;
-        }
-        t1 += f64::from(hsum_ps(a1) + s1);
-        t2 += f64::from(hsum_ps(a2) + s2);
-        start = end;
-    }
-    (t1, t2)
-}
-
-/// World-B fused pair of dots.
-// SAFETY: same contract as dot2_a.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn dot2_b(x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64]) -> (f64, f64) {
-    let n = x1.len();
-    let (p1, q1, p2, q2) = (x1.as_ptr(), y1.as_ptr(), x2.as_ptr(), y2.as_ptr());
-    let mut t1 = 0.0f64;
-    let mut t2 = 0.0f64;
-    let mut start = 0;
-    while start < n {
-        let end = (start + CASCADE_BLOCK).min(n);
-        let mut a1 = _mm256_setzero_pd();
-        let mut a2 = _mm256_setzero_pd();
-        let mut i = start;
-        while i + 4 <= end {
-            a1 = _mm256_fmadd_pd(_mm256_loadu_pd(p1.add(i)), _mm256_loadu_pd(q1.add(i)), a1);
-            a2 = _mm256_fmadd_pd(_mm256_loadu_pd(p2.add(i)), _mm256_loadu_pd(q2.add(i)), a2);
-            i += 4;
-        }
-        let mut s1 = 0.0f64;
-        let mut s2 = 0.0f64;
-        while i < end {
-            s1 += *p1.add(i) * *q1.add(i);
-            s2 += *p2.add(i) * *q2.add(i);
-            i += 1;
-        }
-        t1 += hsum_pd(a1) + s1;
-        t2 += hsum_pd(a2) + s2;
-        start = end;
-    }
-    (t1, t2)
-}
-
 // ---------------------------------------------------------------------------
 // BLAS-1 elementwise kernels (bit-identical to scalar: separate mul and
 // add, one conversion in, one rounding out).
 // ---------------------------------------------------------------------------
 
-/// World-A `y += a · v` with stored-precision `v`.
-// SAFETY: AVX2+FMA+F16C context; accesses stop at v.len().min(y.len()).
+/// World-A `y += a_k · v_k` for `k = 0, 1, …, K − 1` in turn, with
+/// stored-precision `v_k` and `y` rounded to `T` after every term: `K`
+/// single-vector updates in one pass over `y`, streaming the `K` vectors at
+/// once.
+// SAFETY: AVX2+FMA+F16C context; accesses stop at the shortest of `y` and
+// the `vs`.
 #[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn axpy_stored_a<S: Lane8, T: Lane8Dst>(a: f32, v: &[S], y: &mut [T]) {
-    let n = v.len().min(y.len());
-    let vp = v.as_ptr();
+pub(crate) unsafe fn axpy_stored_a<S: Lane8, T: Lane8Dst, const K: usize>(a: [f32; K], vs: [&[S]; K], y: &mut [T]) {
+    let n = vs.iter().fold(y.len(), |n, v| n.min(v.len()));
+    let vp = vs.map(<[S]>::as_ptr);
     let yp = y.as_mut_ptr();
-    let va = _mm256_set1_ps(a);
+    let mut va = [_mm256_setzero_ps(); K];
+    for k in 0..K {
+        va[k] = _mm256_set1_ps(a[k]);
+    }
     let mut i = 0;
     while i + 8 <= n {
-        // mul + add (not FMA): matches the scalar `from_scalar(v)*a + widen(y)`.
-        let r = _mm256_add_ps(_mm256_mul_ps(S::ld8(vp.add(i)), va), T::ld8(yp.add(i)));
+        let mut r = T::ld8(yp.add(i));
+        for k in 0..K {
+            // mul + add (not FMA): matches the scalar `from_scalar(v)*a + widen(y)`.
+            r = _mm256_add_ps(_mm256_mul_ps(S::ld8(vp[k].add(i)), va[k]), r);
+            if k + 1 < K {
+                r = T::round8(r);
+            }
+        }
         T::st8(yp.add(i), r);
         i += 8;
     }
     while i < n {
-        let r = (*vp.add(i)).to_f32() * a + (*yp.add(i)).to_f32();
-        *yp.add(i) = T::from_f32(r);
+        let mut yi = *yp.add(i);
+        for k in 0..K {
+            yi = T::from_f32((*vp[k].add(i)).to_f32() * a[k] + yi.to_f32());
+        }
+        *yp.add(i) = yi;
         i += 1;
     }
 }
 
-/// World-B `y += a · v` with stored-precision `v`.
-// SAFETY: AVX2+FMA+F16C context; accesses stop at v.len().min(y.len()).
+/// World-B `y += a_k · v_k` for `k = 0, 1, …, K − 1` in turn, with
+/// stored-precision `v_k`.
+// SAFETY: AVX2+FMA+F16C context; accesses stop at the shortest of `y` and
+// the `vs`.
 #[target_feature(enable = "avx2,fma,f16c")]
-pub(crate) unsafe fn axpy_stored_b<S: Lane4>(a: f64, v: &[S], y: &mut [f64]) {
-    let n = v.len().min(y.len());
-    let vp = v.as_ptr();
+pub(crate) unsafe fn axpy_stored_b<S: Lane4, const K: usize>(a: [f64; K], vs: [&[S]; K], y: &mut [f64]) {
+    let n = vs.iter().fold(y.len(), |n, v| n.min(v.len()));
+    let vp = vs.map(<[S]>::as_ptr);
     let yp = y.as_mut_ptr();
-    let va = _mm256_set1_pd(a);
+    let mut va = [_mm256_setzero_pd(); K];
+    for k in 0..K {
+        va[k] = _mm256_set1_pd(a[k]);
+    }
     let mut i = 0;
     while i + 4 <= n {
-        let r = _mm256_add_pd(_mm256_mul_pd(S::ld4(vp.add(i)), va), _mm256_loadu_pd(yp.add(i)));
+        let mut r = _mm256_loadu_pd(yp.add(i));
+        for k in 0..K {
+            r = _mm256_add_pd(_mm256_mul_pd(S::ld4(vp[k].add(i)), va[k]), r);
+        }
         _mm256_storeu_pd(yp.add(i), r);
         i += 4;
     }
     while i < n {
-        *yp.add(i) = (*vp.add(i)).to_f64() * a + *yp.add(i);
+        let mut yi = *yp.add(i);
+        for k in 0..K {
+            yi += (*vp[k].add(i)).to_f64() * a[k];
+        }
+        *yp.add(i) = yi;
         i += 1;
     }
 }
@@ -685,7 +665,7 @@ pub(crate) unsafe fn waxpby_norm2_b(a: f64, x: &[f64], b: f64, y: &[f64], w: &mu
 }
 
 /// World-A scaled copy `dst[i] = narrow(to_f32(src[i]) · c)`, the shared
-/// core of `scale`/`scale_into`, compress-on-write and decompress.  Raw
+/// core of `scale`, compress-on-write and decompress.  Raw
 /// pointers so `src == dst` aliasing (in-place scale) is allowed: each block
 /// is fully read before it is written.
 // SAFETY: AVX2+FMA+F16C context; caller guarantees `n` elements readable

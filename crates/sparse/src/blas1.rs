@@ -14,8 +14,11 @@
 //!
 //! Reductions run eight independent accumulator chains so LLVM can
 //! vectorise; chunked parallel variants combine per-chunk partial sums in
-//! `f64`.  Fused kernels ([`dot2`], [`axpy_norm2`], [`scale_into`]) cover the two-reductions-one-pass and update-plus-norm
-//! patterns of the CG / BiCGStab / FGMRES / Richardson iteration loops.
+//! `f64`.  Fused kernels ([`axpy_norm2`], [`waxpby_norm2`]) cover the
+//! update-plus-norm patterns of the CG / BiCGStab iteration loops, and the
+//! multi-vector pair [`project_compressed`] / [`subtract_projections`] is
+//! FGMRES's classical Gram–Schmidt: every projection in one pass over the
+//! new direction, every update plus the norm in one more.
 //!
 //! Each kernel has a sequential and a thread-parallel variant plus a
 //! size-dispatching wrapper.  Parallel variants
@@ -34,6 +37,8 @@
 //! The interception sits *inside* the per-chunk bodies, so the sequential
 //! and pool-parallel variants of a kernel always run the same backend on
 //! identical chunk geometry.
+
+use std::array::from_fn;
 
 use f3r_precision::{FromScalar, Scalar};
 
@@ -57,14 +62,28 @@ const CASCADE_BLOCK: usize = 4096;
 /// `f64` state captured by the closure, so changes to the cascade scheme
 /// happen in one place.
 #[inline]
-fn for_cascade_blocks(len: usize, mut f: impl FnMut(usize, usize)) {
+fn for_cascade_blocks(len: usize, f: impl FnMut(usize, usize)) {
+    for_spans(len, CASCADE_BLOCK, f);
+}
+
+/// Drive `f` over consecutive `[start, end)` spans of `span` elements of
+/// `0..len` (the last one shorter).
+#[inline]
+fn for_spans(len: usize, span: usize, mut f: impl FnMut(usize, usize)) {
     let mut start = 0;
     while start < len {
-        let end = (start + CASCADE_BLOCK).min(len);
+        let end = (start + span).min(len);
         f(start, end);
         start = end;
     }
 }
+
+/// Elements of `w` a Gram–Schmidt sweep keeps in cache while every basis
+/// vector streams past them: eight cascade blocks (256 KiB of fp64), so
+/// each basis vector is read in runs long enough for the hardware
+/// prefetcher, and the last update's norm runs eight independent
+/// accumulator chains instead of one.
+const SWEEP_SPAN: usize = 8 * CASCADE_BLOCK;
 
 /// Unrolled dot kernel over one contiguous chunk, returned in `f64`.
 #[inline]
@@ -109,56 +128,6 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> f64 {
     }
 }
 
-/// Two dot products in one pass: returns `(x1ᵀ y1, x2ᵀ y2)`.
-///
-/// All four vectors must have the same length; the fused sweep halves the
-/// loop overhead of the paired reductions that CG-style methods issue
-/// back-to-back (e.g. `(r, z)` and `(p, A p)`).
-#[must_use]
-pub fn dot2<T: Scalar>(x1: &[T], y1: &[T], x2: &[T], y2: &[T]) -> (f64, f64) {
-    assert_eq!(x1.len(), y1.len(), "dot2: length mismatch");
-    assert_eq!(x1.len(), x2.len(), "dot2: length mismatch");
-    assert_eq!(x2.len(), y2.len(), "dot2: length mismatch");
-    let body = |x1: &[T], y1: &[T], x2: &[T], y2: &[T]| -> (f64, f64) {
-        if let Some(d) = f3r_simd::try_dot2(x1, y1, x2, y2) {
-            return d;
-        }
-        let mut t1 = 0.0f64;
-        let mut t2 = 0.0f64;
-        for_cascade_blocks(x1.len(), |start, end| {
-            let mut a = [<T::Accum as Scalar>::zero(); 4];
-            let mut b = [<T::Accum as Scalar>::zero(); 4];
-            let n4 = start + ((end - start) & !3);
-            let mut i = start;
-            while i < n4 {
-                for k in 0..4 {
-                    a[k] += x1[i + k].widen() * y1[i + k].widen();
-                    b[k] += x2[i + k].widen() * y2[i + k].widen();
-                }
-                i += 4;
-            }
-            let mut ta = <T::Accum as Scalar>::zero();
-            let mut tb = <T::Accum as Scalar>::zero();
-            for j in n4..end {
-                ta += x1[j].widen() * y1[j].widen();
-                tb += x2[j].widen() * y2[j].widen();
-            }
-            t1 += (((a[0] + a[1]) + (a[2] + a[3])) + ta).to_f64();
-            t2 += (((b[0] + b[1]) + (b[2] + b[3])) + tb).to_f64();
-        });
-        (t1, t2)
-    };
-    if x1.len() >= PAR_LEN_THRESHOLD {
-        f3r_parallel::par_map_ranges(x1.len(), MIN_LEN_PER_TASK, |r| {
-            body(&x1[r.clone()], &y1[r.clone()], &x2[r.clone()], &y2[r])
-        })
-        .into_iter()
-        .fold((0.0, 0.0), |(s0, s1), (p0, p1)| (s0 + p0, s1 + p1))
-    } else {
-        body(x1, y1, x2, y2)
-    }
-}
-
 /// Euclidean norm `‖x‖₂`, accumulated in `T::Accum`.
 #[must_use]
 pub fn norm2<T: Scalar>(x: &[T]) -> f64 {
@@ -171,7 +140,7 @@ fn axpy_chunk<T: Scalar>(a: T::Accum, xs: &[T], chunk: &mut [T]) {
     // `a.to_f64()` is exact (accum → f64 widening), and the SIMD side
     // re-narrows it back to the accumulation precision, so both backends
     // multiply by bit-identical coefficients.
-    if f3r_simd::try_axpy_stored(a.to_f64(), xs, chunk) {
+    if f3r_simd::try_axpy_stored([a.to_f64()], [xs], chunk) {
         return;
     }
     for (yi, &xi) in chunk.iter_mut().zip(xs.iter()) {
@@ -335,27 +304,6 @@ pub fn scale<T: Scalar>(alpha: f64, x: &mut [T]) {
     }
 }
 
-/// Fused `dst ← alpha * src` (the FGMRES "normalise the new basis vector"
-/// copy + scale collapsed into one sweep).
-pub fn scale_into<T: Scalar>(alpha: f64, src: &[T], dst: &mut [T]) {
-    assert_eq!(src.len(), dst.len(), "scale_into: length mismatch");
-    let a = <T::Accum as Scalar>::from_f64(alpha);
-    let body = |base: usize, chunk: &mut [T]| {
-        let xs = &src[base..base + chunk.len()];
-        if f3r_simd::try_scale_into(alpha, xs, chunk) {
-            return;
-        }
-        for (di, &si) in chunk.iter_mut().zip(xs.iter()) {
-            *di = T::narrow(si.widen() * a);
-        }
-    };
-    if src.len() >= PAR_LEN_THRESHOLD {
-        f3r_parallel::par_chunks_mut(dst, MIN_LEN_PER_TASK, body);
-    } else {
-        body(0, dst);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Compressed-basis kernels
 //
@@ -427,8 +375,8 @@ pub fn narrow_scaled_into<T: Scalar, S: Scalar>(alpha: f64, src: &[T], dst: &mut
         // storage has the full exponent range of the source), so skip the
         // amplitude reduction and the per-element division: store the values
         // as-is and carry `alpha` in the scale.  This keeps the uncompressed
-        // default path at the cost of the pre-compression `scale_into`
-        // (one read + one write sweep, no extra max-reduction pass).
+        // default path at the cost of a plain copy (one read + one write
+        // sweep, no extra max-reduction pass).
         let body = |base: usize, chunk: &mut [S]| {
             let xs = &src[base..base + chunk.len()];
             // `c = 1` compress: multiplying by one is exact, so the SIMD
@@ -578,15 +526,8 @@ pub fn dot_compressed<T: Scalar, S: Scalar>(x: &[T], v: &[S], scale: f64) -> f64
 
 /// Two dots of the same working-precision vector against two compressed
 /// basis vectors in one fused sweep over `x`:
-/// `(xᵀ (s1 · v1), xᵀ (s2 · v2))`.
-///
-/// This is the compressed counterpart of [`dot2`] for the FGMRES classical
-/// Gram–Schmidt projections — `x` (the new Krylov direction) streams once per
-/// *pair* of basis vectors instead of once per vector.
-///
-/// Stays on the scalar path: the mixed-precision two-vector fusion has no
-/// `f3r-simd` entry point yet, and the single-dot core it decomposes into
-/// ([`dot_compressed`]) is already vectorised.
+/// `(xᵀ (s1 · v1), xᵀ (s2 · v2))` — the two-vector case of
+/// [`project_compressed`].
 #[must_use]
 pub fn dot2_compressed<T: Scalar, S: Scalar>(
     x: &[T],
@@ -595,46 +536,124 @@ pub fn dot2_compressed<T: Scalar, S: Scalar>(
     v2: &[S],
     s2: f64,
 ) -> (f64, f64) {
-    assert_eq!(x.len(), v1.len(), "dot2_compressed: length mismatch");
-    assert_eq!(x.len(), v2.len(), "dot2_compressed: length mismatch");
-    let body = |x: &[T], v1: &[S], v2: &[S]| -> (f64, f64) {
-        let mut t1 = 0.0f64;
-        let mut t2 = 0.0f64;
-        for_cascade_blocks(x.len(), |start, end| {
-            let mut a = [<T::Accum as Scalar>::zero(); 4];
-            let mut b = [<T::Accum as Scalar>::zero(); 4];
-            let n4 = start + ((end - start) & !3);
-            let mut i = start;
-            while i < n4 {
-                for k in 0..4 {
-                    let xv = x[i + k].widen();
-                    a[k] += xv * <T::Accum as FromScalar>::from_scalar(v1[i + k]);
-                    b[k] += xv * <T::Accum as FromScalar>::from_scalar(v2[i + k]);
+    let mut h = [0.0; 2];
+    project_compressed(x, |i| [(v1, s1), (v2, s2)][i], &mut h);
+    (h[0], h[1])
+}
+
+/// The classical Gram–Schmidt projections of `w` onto `h.len()` compressed
+/// basis vectors, `h[i] = wᵀ (s_i · v_i)` with `(v_i, s_i) = basis(i)`, in
+/// one pass over `w`.
+///
+/// A span of `w` (eight cascade blocks) stays in cache while the basis
+/// vectors stream past it, four at a time, so `w` is read once for all the
+/// dots where a dot per vector (or per pair) would re-read it each time.
+/// The bits are those of the per-pair sequence: pairs `(0, 1), (2, 3), …`
+/// keep the four-lane layout of the [`dot2_compressed`] block kernel, a
+/// trailing odd vector runs the kernel of [`dot_compressed`], each dot adds
+/// its cascade blocks in order with the cascade restarted at every pool
+/// chunk, and the chunks are summed in order.
+///
+/// # Panics
+/// Panics if a basis vector's length differs from `w`'s.
+pub fn project_compressed<'b, T: Scalar, S: Scalar + 'b>(
+    w: &[T],
+    basis: impl Fn(usize) -> (&'b [S], f64) + Sync,
+    h: &mut [f64],
+) {
+    let (n, count) = (w.len(), h.len());
+    assert!((0..count).all(|i| basis(i).0.len() == n), "project_compressed: length mismatch");
+    if n >= PAR_LEN_THRESHOLD {
+        with_range_partials(
+            n,
+            count,
+            |range, out| project_chunk(&w[range.clone()], range.start, &basis, out),
+            |partials, ranges| {
+                // No partial is −0 (each is a sum that starts at +0), so
+                // `sum` here is also the pairs' former `fold(0.0, +)`.
+                for (i, hi) in h.iter_mut().enumerate() {
+                    *hi = (0..ranges).map(|r| partials[r * count + i]).sum();
                 }
-                i += 4;
-            }
-            let mut ta = <T::Accum as Scalar>::zero();
-            let mut tb = <T::Accum as Scalar>::zero();
-            for j in n4..end {
-                let xv = x[j].widen();
-                ta += xv * <T::Accum as FromScalar>::from_scalar(v1[j]);
-                tb += xv * <T::Accum as FromScalar>::from_scalar(v2[j]);
-            }
-            t1 += (((a[0] + a[1]) + (a[2] + a[3])) + ta).to_f64();
-            t2 += (((b[0] + b[1]) + (b[2] + b[3])) + tb).to_f64();
-        });
-        (t1, t2)
-    };
-    let (r1, r2) = if x.len() >= PAR_LEN_THRESHOLD {
-        f3r_parallel::par_map_ranges(x.len(), MIN_LEN_PER_TASK, |r| {
-            body(&x[r.clone()], &v1[r.clone()], &v2[r])
-        })
-        .into_iter()
-        .fold((0.0, 0.0), |(s0, s1), (p0, p1)| (s0 + p0, s1 + p1))
+            },
+        );
     } else {
-        body(x, v1, v2)
-    };
-    (r1 * s1, r2 * s2)
+        project_chunk(w, 0, &basis, h);
+    }
+    for (i, hi) in h.iter_mut().enumerate() {
+        *hi *= basis(i).1;
+    }
+}
+
+/// The unscaled projections of one chunk of `w` (elements `at..` of the whole
+/// vector) into `out`: span by span, the basis vectors in groups of two
+/// pairs (then a last pair, then an odd one), each dot adding its cascade
+/// blocks in order.  A group streams four basis vectors at once, which keeps
+/// more memory requests in flight than a pair does.
+fn project_chunk<'b, T: Scalar, S: Scalar + 'b>(
+    w: &[T],
+    at: usize,
+    basis: &impl Fn(usize) -> (&'b [S], f64),
+    out: &mut [f64],
+) {
+    let count = out.len();
+    out.fill(0.0);
+    for_spans(w.len(), SWEEP_SPAN, |lo, hi| {
+        let ws = &w[lo..hi];
+        let stored = |i: usize| &basis(i).0[at + lo..at + hi];
+        let mut i = 0;
+        while i + 4 <= count {
+            let vs = [stored(i), stored(i + 1), stored(i + 2), stored(i + 3)];
+            for_cascade_blocks(ws.len(), |s, e| {
+                let d = dots_stored_block(&ws[s..e], vs.map(|v| &v[s..e]));
+                for (o, d) in out[i..i + 4].iter_mut().zip(d) {
+                    *o += d;
+                }
+            });
+            i += 4;
+        }
+        if i + 2 <= count {
+            let vs = [stored(i), stored(i + 1)];
+            for_cascade_blocks(ws.len(), |s, e| {
+                let [d0, d1] = dots_stored_block(&ws[s..e], vs.map(|v| &v[s..e]));
+                out[i] += d0;
+                out[i + 1] += d1;
+            });
+            i += 2;
+        }
+        if i < count {
+            // One block through the single-dot chunk kernel is one term of
+            // that kernel's own cascade over the chunk.
+            let v = stored(i);
+            for_cascade_blocks(ws.len(), |s, e| out[i] += dot_stored_chunk(&ws[s..e], &v[s..e]));
+        }
+    });
+}
+
+/// `K` dots of one cascade block of `x` against stored vectors, each in the
+/// pair kernel's layout: four independent accumulator lanes plus a tail,
+/// folded into `f64`.  The dots share the loads of `x` and nothing else, so
+/// each is bitwise the same whatever `K` it is computed beside.
+fn dots_stored_block<T: Scalar, S: Scalar, const K: usize>(x: &[T], vs: [&[S]; K]) -> [f64; K] {
+    let (xq, xt) = x.as_chunks::<4>();
+    let vq = vs.map(|v| v[..x.len()].as_chunks::<4>().0);
+    let mut acc = [[<T::Accum as Scalar>::zero(); 4]; K];
+    for (q, x4) in xq.iter().enumerate() {
+        let x4 = x4.map(Scalar::widen);
+        for (a, v) in acc.iter_mut().zip(&vq) {
+            for l in 0..4 {
+                a[l] += x4[l] * <T::Accum as FromScalar>::from_scalar(v[q][l]);
+            }
+        }
+    }
+    let mut tail = [<T::Accum as Scalar>::zero(); K];
+    let t0 = xq.len() * 4;
+    for (j, &xj) in xt.iter().enumerate() {
+        let xv = xj.widen();
+        for (t, v) in tail.iter_mut().zip(&vs) {
+            *t += xv * <T::Accum as FromScalar>::from_scalar(v[t0 + j]);
+        }
+    }
+    from_fn(|d| (((acc[d][0] + acc[d][1]) + (acc[d][2] + acc[d][3])) + tail[d]).to_f64())
 }
 
 /// `y ← y + alpha * (scale · v)` with `v` a compressed basis vector: the
@@ -643,100 +662,188 @@ pub fn dot2_compressed<T: Scalar, S: Scalar>(
 pub fn axpy_scaled_from<T: Scalar, S: Scalar>(alpha: f64, v: &[S], scale: f64, y: &mut [T]) {
     assert_eq!(v.len(), y.len(), "axpy_scaled_from: length mismatch");
     let c = alpha * scale;
-    if coeff_fits::<T::Accum>(c) {
-        let a = <T::Accum as Scalar>::from_f64(c);
-        let body = |base: usize, chunk: &mut [T]| {
-            let xs = &v[base..base + chunk.len()];
-            if f3r_simd::try_axpy_stored(c, xs, chunk) {
-                return;
-            }
-            for (yi, &xi) in chunk.iter_mut().zip(xs.iter()) {
-                *yi = T::narrow(<T::Accum as FromScalar>::from_scalar(xi) * a + yi.widen());
-            }
-        };
-        if v.len() >= PAR_LEN_THRESHOLD {
-            f3r_parallel::par_chunks_mut(y, MIN_LEN_PER_TASK, body);
-        } else {
-            body(0, y);
-        }
+    if v.len() >= PAR_LEN_THRESHOLD {
+        f3r_parallel::par_chunks_mut(y, MIN_LEN_PER_TASK, |base, chunk| {
+            axpy_stored(c, &v[base..base + chunk.len()], chunk);
+        });
     } else {
-        let body = |base: usize, chunk: &mut [T]| {
-            let xs = &v[base..base + chunk.len()];
-            for (yi, &xi) in chunk.iter_mut().zip(xs.iter()) {
-                *yi = T::from_f64(xi.to_f64() * c + yi.to_f64());
+        axpy_stored(c, v, y);
+    }
+}
+
+/// `w ← w − Σ_i h[i] · (s_i · v_i)` over the compressed basis vectors
+/// `(v_i, s_i) = basis(i)`, returning `‖w_new‖²` — the update half of
+/// classical Gram–Schmidt, in one read and one write of `w`.
+///
+/// A span of `w` (eight cascade blocks) takes the updates of `v_0, v_1, …`
+/// in order while it stays in cache, four (or two) vectors per pass, so every
+/// element sees exactly the operations of one [`axpy_scaled_from`] per
+/// vector (a coefficient outside the accumulator's range takes that
+/// kernel's `f64` path for its vector).  The norm adds the squares of the
+/// stored results as the fused last update of the per-vector sequence did:
+/// one accumulator per cascade block, summed over pool chunks in order.
+///
+/// # Panics
+/// Panics if `h` is empty or a basis vector's length differs from `w`'s.
+#[must_use]
+pub fn subtract_projections<'b, T: Scalar, S: Scalar + 'b>(
+    basis: impl Fn(usize) -> (&'b [S], f64) + Sync,
+    h: &[f64],
+    w: &mut [T],
+) -> f64 {
+    let n = w.len();
+    assert!(!h.is_empty(), "subtract_projections: no basis vectors");
+    assert!((0..h.len()).all(|i| basis(i).0.len() == n), "subtract_projections: length mismatch");
+    if n < PAR_LEN_THRESHOLD {
+        return subtract_chunk(w, 0, &basis, h);
+    }
+    // SAFETY: the pool tasks below take the disjoint ranges of one split of
+    // `0..n`, each only its own elements of `w`, and the split returns
+    // inside this borrow of `w`.
+    let base = unsafe { f3r_parallel::SyncPtr::new(w.as_mut_ptr()) };
+    with_range_partials(
+        n,
+        1,
+        |range, out| {
+            // SAFETY: `range` is this task's own part of `w` (see `base`).
+            let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
+            out[0] = subtract_chunk(chunk, range.start, &basis, h);
+        },
+        |partials, ranges| partials[..ranges].iter().sum(),
+    )
+}
+
+/// [`subtract_projections`] on one chunk of `w` (elements `at..` of the
+/// whole vector), returning the chunk's `‖w_new‖²`: span by span, the
+/// updates in order, then the squares of the span's stored results.
+fn subtract_chunk<'b, T: Scalar, S: Scalar + 'b>(
+    w: &mut [T],
+    at: usize,
+    basis: &impl Fn(usize) -> (&'b [S], f64),
+    h: &[f64],
+) -> f64 {
+    let coeff = |i: usize| -h[i] * basis(i).1;
+    let last_fits = coeff_fits::<T::Accum>(coeff(h.len() - 1));
+    let mut total = 0.0f64;
+    for_spans(w.len(), SWEEP_SPAN, |lo, hi| {
+        let ws = &mut w[lo..hi];
+        let stored = |i: usize| &basis(i).0[at + lo..at + hi];
+        let mut i = 0;
+        while i < h.len() {
+            // Four (or two) consecutive vectors whose coefficients fit the
+            // accumulator update the span in one pass.
+            let mut run = 0;
+            while run < 4 && i + run < h.len() && coeff_fits::<T::Accum>(coeff(i + run)) {
+                run += 1;
             }
-        };
-        if v.len() >= PAR_LEN_THRESHOLD {
-            f3r_parallel::par_chunks_mut(y, MIN_LEN_PER_TASK, body);
-        } else {
-            body(0, y);
+            i += match run {
+                0 | 1 => {
+                    axpy_stored(coeff(i), stored(i), ws);
+                    1
+                }
+                2 | 3 => {
+                    axpy_stored_many::<_, _, 2>(from_fn(|k| coeff(i + k)), from_fn(|k| stored(i + k)), ws);
+                    2
+                }
+                _ => {
+                    axpy_stored_many::<_, _, 4>(from_fn(|k| coeff(i + k)), from_fn(|k| stored(i + k)), ws);
+                    4
+                }
+            };
+        }
+        add_squares(ws, last_fits, &mut total);
+    });
+    total
+}
+
+/// `y ← y + c · v` with `v` stored: one widening of `v`, the multiply and
+/// add in the accumulator, one narrowing — or, when `c` does not survive
+/// conversion into the accumulator, the same in `f64`.
+fn axpy_stored<T: Scalar, S: Scalar>(c: f64, v: &[S], y: &mut [T]) {
+    if coeff_fits::<T::Accum>(c) {
+        axpy_stored_many([c], [v], y);
+    } else {
+        for (yi, &vi) in y.iter_mut().zip(v) {
+            *yi = T::from_f64(vi.to_f64() * c + yi.to_f64());
         }
     }
 }
 
-/// Fused `y ← y + alpha * (scale · v)` returning `‖y_new‖²` from the same
-/// sweep — the compressed counterpart of [`axpy_norm2`], used for the last
-/// FGMRES orthogonalisation update so `y` is not swept again for
-/// `h_{j+1,j}`.
-///
-/// Stays on the scalar path (no mixed-precision fused `f3r-simd` entry point
-/// yet); it runs once per FGMRES iteration against `j` vectorised
-/// [`axpy_scaled_from`] calls, so the scalar cost is amortised.
-#[must_use]
-pub fn axpy_scaled_norm2<T: Scalar, S: Scalar>(
-    alpha: f64,
-    v: &[S],
-    scale: f64,
-    y: &mut [T],
-) -> f64 {
-    assert_eq!(v.len(), y.len(), "axpy_scaled_norm2: length mismatch");
-    let c = alpha * scale;
-    if coeff_fits::<T::Accum>(c) {
-        let a = <T::Accum as Scalar>::from_f64(c);
-        let body = |base: usize, chunk: &mut [T]| -> f64 {
-            let xs = &v[base..base + chunk.len()];
-            let mut total = 0.0f64;
-            for_cascade_blocks(chunk.len(), |start, end| {
-                let mut s = <T::Accum as Scalar>::zero();
-                for i in start..end {
-                    let val = T::narrow(
-                        <T::Accum as FromScalar>::from_scalar(xs[i]) * a + chunk[i].widen(),
-                    );
-                    chunk[i] = val;
-                    let w = val.widen();
-                    s += w * w;
-                }
-                total += s.to_f64();
-            });
-            total
-        };
-        if v.len() >= PAR_LEN_THRESHOLD {
-            f3r_parallel::par_map_chunks_mut(y, MIN_LEN_PER_TASK, body)
-                .into_iter()
-                .sum()
-        } else {
-            body(0, y)
-        }
-    } else {
-        let body = |base: usize, chunk: &mut [T]| -> f64 {
-            let xs = &v[base..base + chunk.len()];
-            let mut total = 0.0f64;
-            for (yi, &xi) in chunk.iter_mut().zip(xs.iter()) {
-                let val = T::from_f64(xi.to_f64() * c + yi.to_f64());
-                *yi = val;
-                let w = val.to_f64();
-                total += w * w;
-            }
-            total
-        };
-        if v.len() >= PAR_LEN_THRESHOLD {
-            f3r_parallel::par_map_chunks_mut(y, MIN_LEN_PER_TASK, body)
-                .into_iter()
-                .sum()
-        } else {
-            body(0, y)
+/// [`axpy_stored`] for `K` vectors whose coefficients all fit the
+/// accumulator, in order: each element takes the `K` updates one after the
+/// other, narrowed after each, in one pass over `y` that streams the `K`
+/// vectors at once.
+fn axpy_stored_many<T: Scalar, S: Scalar, const K: usize>(cs: [f64; K], vs: [&[S]; K], y: &mut [T]) {
+    if f3r_simd::try_axpy_stored(cs, vs, y) {
+        return;
+    }
+    let a = cs.map(<T::Accum as Scalar>::from_f64);
+    for (i, yi) in y.iter_mut().enumerate() {
+        for (&ak, v) in a.iter().zip(&vs) {
+            *yi = T::narrow(<T::Accum as FromScalar>::from_scalar(v[i]) * ak + yi.widen());
         }
     }
+}
+
+/// Add the squares of `y`'s values to `total` the way the last update of the
+/// per-vector sequence did: one accumulator per cascade block, each block's
+/// sum added in block order — or, when the last coefficient took the `f64`
+/// path, straight into `total` element by element.  A whole sweep span steps
+/// its blocks in lockstep, so their chains overlap.
+fn add_squares<T: Scalar>(y: &[T], fits: bool, total: &mut f64) {
+    const BLOCKS: usize = SWEEP_SPAN / CASCADE_BLOCK;
+    let square = |v: T| {
+        let w = v.widen();
+        w * w
+    };
+    if !fits {
+        for v in y {
+            let w = v.to_f64();
+            *total += w * w;
+        }
+    } else if let Ok(span) = <&[T; SWEEP_SPAN]>::try_from(y) {
+        let blocks: &[[T; CASCADE_BLOCK]; BLOCKS] = span.as_chunks().0.try_into().expect("a span is whole blocks");
+        let mut s = [<T::Accum as Scalar>::zero(); BLOCKS];
+        for e in 0..CASCADE_BLOCK {
+            for (sb, block) in s.iter_mut().zip(blocks) {
+                *sb += square(block[e]);
+            }
+        }
+        for sb in s {
+            *total += sb.to_f64();
+        }
+    } else {
+        for_cascade_blocks(y.len(), |start, end| {
+            *total += y[start..end].iter().fold(<T::Accum as Scalar>::zero(), |s, &v| s + square(v)).to_f64();
+        });
+    }
+}
+
+/// Run `task(range, partials)` on each range of the pool's split of
+/// `0..len`, range `i` writing its `width` partials to slots
+/// `i * width ..` of this thread's scratch, then return
+/// `fold(filled slots, range count)`.  The split is [`dot`]'s, and nothing
+/// is allocated once the scratch has grown.
+fn with_range_partials<R>(
+    len: usize,
+    width: usize,
+    task: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+    fold: impl FnOnce(&[f64], usize) -> R,
+) -> R {
+    let slots = f3r_parallel::current_num_threads();
+    <f64 as Scalar>::with_scratch(slots * width, |partials| {
+        // SAFETY: range `i` writes only slots `i * width .. (i + 1) * width`,
+        // inside the scratch (checked below), and the split returns before
+        // the scratch is read again.
+        let base = unsafe { f3r_parallel::SyncPtr::new(partials.as_mut_ptr()) };
+        let ranges = f3r_parallel::par_ranges_indexed(len, MIN_LEN_PER_TASK, |i, range| {
+            assert!(i < slots, "the pool split {len} elements into more than {slots} ranges");
+            // SAFETY: slots of range `i` only, in bounds (see `base`).
+            let out = unsafe { std::slice::from_raw_parts_mut(base.get().add(i * width), width) };
+            task(range, out);
+        });
+        fold(&partials[..ranges * width], ranges)
+    })
 }
 
 /// Euclidean norm `‖scale · v‖₂` of a compressed basis vector, accumulated
@@ -879,21 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_dot2_matches_two_dots() {
-        let n = 1001;
-        let x1: Vec<f32> = (0..n).map(|i| ((i % 17) as f32 - 8.0) / 17.0).collect();
-        let y1: Vec<f32> = (0..n).map(|i| ((i % 13) as f32 - 6.0) / 13.0).collect();
-        let x2: Vec<f32> = (0..n).map(|i| ((i % 11) as f32 - 5.0) / 11.0).collect();
-        let y2: Vec<f32> = (0..n).map(|i| ((i % 7) as f32 - 3.0) / 7.0).collect();
-        // dot and dot2 unroll differently (8 vs 4 chains), so f32
-        // accumulation may differ by a few ulps of the absolute sum.
-        let tol = 4.0 * n as f64 * f64::from(f32::EPSILON);
-        let (d1, d2) = dot2(&x1, &y1, &x2, &y2);
-        assert!((d1 - dot(&x1, &y1)).abs() < tol);
-        assert!((d2 - dot(&x2, &y2)).abs() < tol);
-    }
-
-    #[test]
     fn fused_axpy_norm2_matches_separate_ops() {
         for n in [5usize, 64, 1003] {
             let x: Vec<f32> = (0..n).map(|i| ((i % 23) as f32 - 11.0) / 23.0).collect();
@@ -934,14 +1026,6 @@ mod tests {
             "{got} vs {exact} (rel {})",
             ((got - exact) / exact).abs()
         );
-    }
-
-    #[test]
-    fn scale_into_matches_copy_then_scale() {
-        let src = vec![1.0f64, -2.0, 3.5, 0.25];
-        let mut dst = vec![0.0f64; 4];
-        scale_into(-2.0, &src, &mut dst);
-        assert_eq!(dst, vec![-2.0, 4.0, -7.0, -0.5]);
     }
 
     #[test]
@@ -1116,7 +1200,7 @@ mod tests {
             axpy_scaled_from(1.0, &stored, scale, &mut y);
             assert!(y.iter().all(|v| v.is_finite()), "amp {amp}");
             let mut y2 = vec![0.0f32; src.len()];
-            let nn = axpy_scaled_norm2(1.0, &stored, scale, &mut y2);
+            let nn = subtract_projections(|_| (&stored[..], scale), &[-1.0], &mut y2);
             assert!(nn.is_finite(), "amp {amp}");
             assert_eq!(y, y2, "amp {amp}");
         }
@@ -1172,7 +1256,7 @@ mod tests {
             assert_eq!(y1, y2, "n={n}");
 
             let mut y3: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
-            let nn = axpy_scaled_norm2(-0.37, &stored, scale, &mut y3);
+            let nn = subtract_projections(|_| (&stored[..], scale), &[0.37], &mut y3);
             assert_eq!(y1, y3, "n={n}");
             assert!((nn.sqrt() - norm2(&y1)).abs() < 1e-9 * (1.0 + norm2(&y1)), "n={n}");
         }

@@ -45,10 +45,13 @@
 //!   accumulator,
 //! * [`spmm::PanelOp::Dot2`] — `y = A x` plus `(uᵀy, yᵀy)` in one sweep (the
 //!   adaptive Richardson weight, CG's `(p, Ap)`, BiCGStab's `(t,s)/(t,t)`),
-//! * [`blas1::dot2`] — two dots in one pass (the uncompressed twin of
-//!   [`blas1::dot2_compressed`], which FGMRES's Gram–Schmidt uses),
-//! * [`blas1::axpy_norm2`] — vector update plus the updated vector's norm²,
-//! * [`blas1::scale_into`] — fused copy + scale.
+//! * [`blas1::axpy_norm2`] / [`blas1::waxpby_norm2`] — vector update plus
+//!   the updated vector's norm²,
+//! * [`blas1::project_compressed`] / [`blas1::subtract_projections`] —
+//!   FGMRES's classical Gram–Schmidt: all `j + 1` projections of the new
+//!   direction in one pass over it, then all `j + 1` updates plus the norm²
+//!   of the result in one read and one write of it, bitwise the per-vector
+//!   calls they replace.
 //!
 //! ## Compressed-basis kernels
 //!
@@ -57,13 +60,14 @@
 //! basis vector is `(stored, scale)` with elements in a storage precision
 //! (fp16/fp32) and one power-of-two `f64` amplitude scale per vector.
 //! [`blas1::narrow_scaled_into`] compresses on write,
-//! [`blas1::widen_scaled_into`] decompresses, and
-//! [`blas1::dot_compressed`] / [`blas1::dot2_compressed`] /
-//! [`blas1::axpy_scaled_from`] / [`blas1::axpy_scaled_norm2`] /
-//! [`blas1::norm2_compressed`] operate on the compressed form directly,
-//! widening each stored element exactly once.  `f3r-core`'s
-//! `CompressedBasis` wraps these into the Krylov-basis storage used by
-//! FGMRES.
+//! [`blas1::widen_scaled_into`] decompresses, and the Gram–Schmidt sweeps
+//! [`blas1::project_compressed`] / [`blas1::subtract_projections`], the
+//! per-vector [`blas1::dot_compressed`] / [`blas1::dot2_compressed`] /
+//! [`blas1::axpy_scaled_from`] and [`blas1::norm2_compressed`] operate on
+//! the compressed form directly, widening each stored element exactly once.
+//! The sweeps read their basis through an accessor, `i ↦ (stored, scale)`,
+//! so `f3r-core`'s `CompressedBasis` — the Krylov-basis storage of FGMRES —
+//! hands them its slots without gathering them into a list first.
 //!
 //! ## Scaled matrix storage
 //!
@@ -88,8 +92,9 @@
 //! The layer is timed by the standing benchmark (`benchmark/` at the
 //! repository root): `sparse.spmv_s.*` for the single-vector product over
 //! the four matrix/vector pairs of Table 1, `sparse.spmm8_col_s.*` for a
-//! column of an eight-column panel and `sparse.orth_vec_s.*` for the
-//! Gram–Schmidt sweep over a compressed basis.
+//! column of an eight-column panel and `sparse.orth_vec_s.*` for a
+//! Gram–Schmidt sweep over a compressed basis — still through the per-pair
+//! calls, not the one-sweep kernels FGMRES runs.
 //!
 //! # Quick example
 //!

@@ -32,9 +32,10 @@
 //!   of `n · ε_accum · Σ|terms|`.
 //! * **`norm_inf`**: exactly equal — `max` commutes, and the SIMD kernel
 //!   reproduces the scalar NaN-dropping `>` semantics.
-//! * **Fused vs. unfused** (`axpy` vs. `axpy_norm2` vector output,
-//!   `scale` vs. `scale_into`, seq vs. par): bit-identical by design; these
-//!   are asserted with `assert_eq!` on the bits.
+//! * **Fused vs. unfused** (`axpy` vs. `axpy_norm2` vector output, the
+//!   Gram–Schmidt sweeps vs. their per-vector sequence, seq vs. par):
+//!   bit-identical by design; these are asserted with `assert_eq!` on the
+//!   bits.
 
 use f3r::precision::{Precision, Scalar};
 use f3r::sparse::reference;
@@ -392,9 +393,10 @@ fn blas1_parity_at_len<T: Scalar>(len: usize, amp: f64, case: u64) {
         "len {len} dot {}: {d_new} vs {d_ref} (tol {tol:e})",
         T::name()
     );
-    let (d2a, d2b) = blas1::dot2(&x, &y, &y, &x);
+    // The Gram–Schmidt pair kernel on uncompressed storage (scale 1).
+    let (d2a, d2b) = blas1::dot2_compressed(&x, &y, 1.0, &y, 1.0);
     assert!((d2a - d_new).abs() <= tol, "len {len} dot2.0 {}", T::name());
-    assert!((d2b - d_new).abs() <= tol, "len {len} dot2.1 {}", T::name());
+    assert_eq!(d2a, d2b, "len {len} dot2 pair {}", T::name());
 
     // sum: same single-widening reduction scheme as dot.
     let s_new = blas1::sum(&x);
@@ -461,18 +463,15 @@ fn blas1_parity_at_len<T: Scalar>(len: usize, amp: f64, case: u64) {
         T::name()
     );
 
-    // scale (aliased) and scale_into (disjoint): identical outputs.
-    let mut s_aliased = x.clone();
+    // scale, in place.
+    let mut s_new = x.clone();
     let mut s_refv = x.clone();
-    let mut s_into = vec![T::zero(); len];
-    blas1::scale(beta, &mut s_aliased);
+    blas1::scale(beta, &mut s_new);
     reference::scale_naive(beta, &mut s_refv);
-    blas1::scale_into(beta, &x, &mut s_into);
     for i in 0..len {
-        let (a, b) = (s_aliased[i].to_f64(), s_refv[i].to_f64());
+        let (a, b) = (s_new[i].to_f64(), s_refv[i].to_f64());
         let m = (beta * x[i].to_f64()).abs();
         assert!((a - b).abs() <= one_ulp(m), "len {len} scale {} [{i}]", T::name());
-        assert_eq!(a, s_into[i].to_f64(), "len {len} scale/scale_into {} [{i}]", T::name());
     }
 
     // hadamard: single product, single narrow on both paths — exact match
@@ -631,6 +630,262 @@ fn zero_vector_compresses_to_zero_scale() {
     assert_eq!(scale, 0.0);
     assert!(stored.iter().all(|v| v.to_f64() == 0.0));
     assert_eq!(blas1::dot_compressed(&src, &stored, scale), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// One-sweep Gram–Schmidt: bitwise the per-vector sequence
+// ---------------------------------------------------------------------------
+
+/// The per-vector sequence the one-sweep kernels replace, kept here as their
+/// oracle: basis pairs through the two-vector dot, a trailing odd vector
+/// through `dot_compressed`, then one `axpy_scaled_from` per vector with the
+/// norm fused into the last.  The pair dot and the fused last update are the
+/// kernels as they stood before the sweeps, written out in full.
+mod per_vector {
+    use f3r::precision::{FromScalar, Scalar};
+    use f3r::sparse::blas1;
+    use f3r_parallel::thresholds::{MIN_LEN_PER_TASK, PAR_LEN_THRESHOLD};
+    use f3r_parallel::{par_map_chunks_mut, par_map_ranges};
+
+    const CASCADE_BLOCK: usize = 4096;
+
+    fn coeff_fits<A: FromScalar>(c: f64) -> bool {
+        let a = A::from_f64(c);
+        a.is_finite() && (c == 0.0 || a.to_f64() != 0.0)
+    }
+
+    fn dot2<T: Scalar, S: Scalar>(x: &[T], v1: &[S], s1: f64, v2: &[S], s2: f64) -> (f64, f64) {
+        let body = |x: &[T], v1: &[S], v2: &[S]| -> (f64, f64) {
+            let (mut t1, mut t2) = (0.0f64, 0.0f64);
+            let mut start = 0;
+            while start < x.len() {
+                let end = (start + CASCADE_BLOCK).min(x.len());
+                let mut a = [<T::Accum as Scalar>::zero(); 4];
+                let mut b = [<T::Accum as Scalar>::zero(); 4];
+                let n4 = start + ((end - start) & !3);
+                let mut i = start;
+                while i < n4 {
+                    for k in 0..4 {
+                        let xv = x[i + k].widen();
+                        a[k] += xv * <T::Accum as FromScalar>::from_scalar(v1[i + k]);
+                        b[k] += xv * <T::Accum as FromScalar>::from_scalar(v2[i + k]);
+                    }
+                    i += 4;
+                }
+                let (mut ta, mut tb) = (<T::Accum as Scalar>::zero(), <T::Accum as Scalar>::zero());
+                for j in n4..end {
+                    let xv = x[j].widen();
+                    ta += xv * <T::Accum as FromScalar>::from_scalar(v1[j]);
+                    tb += xv * <T::Accum as FromScalar>::from_scalar(v2[j]);
+                }
+                t1 += (((a[0] + a[1]) + (a[2] + a[3])) + ta).to_f64();
+                t2 += (((b[0] + b[1]) + (b[2] + b[3])) + tb).to_f64();
+                start = end;
+            }
+            (t1, t2)
+        };
+        let (r1, r2) = if x.len() >= PAR_LEN_THRESHOLD {
+            par_map_ranges(x.len(), MIN_LEN_PER_TASK, |r| body(&x[r.clone()], &v1[r.clone()], &v2[r]))
+                .into_iter()
+                .fold((0.0, 0.0), |(s0, s1), (p0, p1)| (s0 + p0, s1 + p1))
+        } else {
+            body(x, v1, v2)
+        };
+        (r1 * s1, r2 * s2)
+    }
+
+    fn axpy_norm2<T: Scalar, S: Scalar>(alpha: f64, v: &[S], scale: f64, y: &mut [T]) -> f64 {
+        let c = alpha * scale;
+        let fits = coeff_fits::<T::Accum>(c);
+        let a = <T::Accum as Scalar>::from_f64(c);
+        let body = |base: usize, chunk: &mut [T]| -> f64 {
+            let xs = &v[base..base + chunk.len()];
+            let mut total = 0.0f64;
+            if !fits {
+                for (yi, &xi) in chunk.iter_mut().zip(xs) {
+                    let val = T::from_f64(xi.to_f64() * c + yi.to_f64());
+                    *yi = val;
+                    total += val.to_f64() * val.to_f64();
+                }
+                return total;
+            }
+            let mut start = 0;
+            while start < chunk.len() {
+                let end = (start + CASCADE_BLOCK).min(chunk.len());
+                let mut s = <T::Accum as Scalar>::zero();
+                for i in start..end {
+                    let val = T::narrow(<T::Accum as FromScalar>::from_scalar(xs[i]) * a + chunk[i].widen());
+                    chunk[i] = val;
+                    let w = val.widen();
+                    s += w * w;
+                }
+                total += s.to_f64();
+                start = end;
+            }
+            total
+        };
+        if y.len() >= PAR_LEN_THRESHOLD {
+            par_map_chunks_mut(y, MIN_LEN_PER_TASK, body).into_iter().sum()
+        } else {
+            body(0, y)
+        }
+    }
+
+    pub fn project<T: Scalar, S: Scalar>(w: &[T], basis: &[(Vec<S>, f64)]) -> Vec<f64> {
+        let mut h = vec![0.0; basis.len()];
+        let mut i = 0;
+        while i + 1 < basis.len() {
+            let ((v0, s0), (v1, s1)) = (&basis[i], &basis[i + 1]);
+            (h[i], h[i + 1]) = dot2(w, v0, *s0, v1, *s1);
+            i += 2;
+        }
+        if i < basis.len() {
+            h[i] = blas1::dot_compressed(w, &basis[i].0, basis[i].1);
+        }
+        h
+    }
+
+    pub fn subtract<T: Scalar, S: Scalar>(basis: &[(Vec<S>, f64)], h: &[f64], w: &mut [T]) -> f64 {
+        let last = h.len() - 1;
+        for i in 0..last {
+            blas1::axpy_scaled_from(-h[i], &basis[i].0, basis[i].1, w);
+        }
+        axpy_norm2(-h[last], &basis[last].0, basis[last].1, w)
+    }
+}
+
+/// Bits of a value, as far as its `f64` widening tells them apart (exactly,
+/// for every non-NaN value).  Every NaN maps to one pattern: Rust leaves the
+/// sign and payload of a NaN result unspecified (the sum of two NaNs may
+/// carry either's), so "bit for bit" means NaN where NaN and the same bits
+/// everywhere else.
+fn bits<T: Scalar>(v: T) -> u64 {
+    let v = v.to_f64();
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// `count` basis vectors of length `len` compressed from working-precision
+/// sources of amplitude `amp`, and a `w` of amplitude `w_amp`.
+fn gs_inputs<T: Scalar, S: Scalar>(
+    len: usize,
+    count: usize,
+    amp: f64,
+    w_amp: f64,
+    case: u64,
+) -> (Vec<(Vec<S>, f64)>, Vec<T>) {
+    let mut rng = rng_for("gram_schmidt", case * 1_000_003 + (len * 97 + count) as u64);
+    let basis = (0..count)
+        .map(|_| {
+            let src: Vec<T> = (0..len).map(|_| T::from_f64(rng.gen_range(-1.0..1.0) * amp)).collect();
+            let mut stored = vec![S::zero(); len];
+            let scale = blas1::narrow_scaled_into(1.0, &src, &mut stored);
+            (stored, scale)
+        })
+        .collect();
+    let w = (0..len).map(|_| T::from_f64(rng.gen_range(-1.0..1.0) * w_amp)).collect();
+    (basis, w)
+}
+
+/// Projection and update of `w` against `basis`, fused and per vector,
+/// bit for bit.  The update takes the projections, except that `cold =
+/// Some((k, c))` replaces `h[k]` so that vector `k`'s coefficient is `c`.
+fn gs_parity<T: Scalar, S: Scalar>(label: &str, basis: &[(Vec<S>, f64)], w: &[T], cold: Option<(usize, f64)>) {
+    let column = |i: usize| (&basis[i].0[..], basis[i].1);
+    let mut h = vec![0.0; basis.len()];
+    blas1::project_compressed(w, column, &mut h);
+    let h_ref = per_vector::project(w, basis);
+    for (i, (&a, &b)) in h.iter().zip(&h_ref).enumerate() {
+        assert_eq!(bits(a), bits(b), "{label}: h[{i}] {a:e} vs {b:e}");
+    }
+    if basis.len() == 2 {
+        let (d0, d1) = blas1::dot2_compressed(w, &basis[0].0, basis[0].1, &basis[1].0, basis[1].1);
+        assert_eq!((bits(d0), bits(d1)), (bits(h[0]), bits(h[1])), "{label}: dot2");
+    }
+    if let Some((k, c)) = cold {
+        h[k] = -c / basis[k].1;
+    }
+    let (mut w_new, mut w_ref) = (w.to_vec(), w.to_vec());
+    let nn = blas1::subtract_projections(column, &h, &mut w_new);
+    let nn_ref = per_vector::subtract(basis, &h, &mut w_ref);
+    assert_eq!(bits(nn), bits(nn_ref), "{label}: ‖w‖² {nn:e} vs {nn_ref:e}");
+    for (i, (&a, &b)) in w_new.iter().zip(&w_ref).enumerate() {
+        assert_eq!(bits(a), bits(b), "{label}: w[{i}] {a} vs {b}");
+    }
+}
+
+/// Lengths around the cascade block (4096), the pool threshold (2¹⁵) and
+/// past two pool chunks.
+const GS_LENGTHS: &[usize] = &[0, 1, 7, 4095, 4097, (1 << 15) - 1, (1 << 15) + 3, 100_003];
+
+fn gs_counts_and_lengths<T: Scalar, S: Scalar>() {
+    for &len in GS_LENGTHS {
+        // Every count from one to nine (odd and even, one to four pairs),
+        // and a long basis on the shorter vectors.
+        let long = if len <= 4097 { &[65usize][..] } else { &[] };
+        for &count in (1..=9).collect::<Vec<_>>().iter().chain(long) {
+            let (basis, w) = gs_inputs::<T, S>(len, count, 1.0, 1.0, 0);
+            gs_parity(&format!("{}/{} len {len} count {count}", T::name(), S::name()), &basis, &w, None);
+        }
+    }
+}
+
+#[test]
+fn gram_schmidt_sweeps_are_bitwise_the_per_vector_sequence() {
+    // Every (working, storage) pair a cycle is compiled for.
+    gs_counts_and_lengths::<f64, f64>();
+    gs_counts_and_lengths::<f64, f32>();
+    gs_counts_and_lengths::<f64, f16>();
+    gs_counts_and_lengths::<f32, f32>();
+    gs_counts_and_lengths::<f32, f16>();
+    gs_counts_and_lengths::<f16, f16>();
+}
+
+#[test]
+fn gram_schmidt_sweeps_stay_bitwise_at_extreme_amplitudes() {
+    for &len in &[7usize, 4097, (1 << 15) + 3] {
+        for (case, amp) in [1.0e300, 1.0e-300].into_iter().enumerate() {
+            let label = |t: &str| format!("f64/{t} len {len} amp {amp:e}");
+            let (basis, w) = gs_inputs::<f64, f64>(len, 5, amp, amp, case as u64);
+            gs_parity(&label("fp64"), &basis, &w, None);
+            let (basis, w) = gs_inputs::<f64, f32>(len, 5, amp, 1.0 / amp, case as u64);
+            gs_parity(&label("fp32"), &basis, &w, None);
+            let (basis, w) = gs_inputs::<f64, f16>(len, 5, amp, amp, case as u64);
+            gs_parity(&label("fp16"), &basis, &w, None);
+        }
+        // fp16 subnormals (below 6.1e-5) in the vectors and in fp16 storage.
+        let (basis, w) = gs_inputs::<f16, f16>(len, 5, 3.0e-5, 2.0e-6, 2);
+        gs_parity(&format!("fp16/fp16 len {len} subnormal"), &basis, &w, None);
+        let (basis, w) = gs_inputs::<f32, f16>(len, 5, 3.0e-5, 1.0e-6, 3);
+        gs_parity(&format!("fp32/fp16 len {len} subnormal"), &basis, &w, None);
+    }
+}
+
+#[test]
+fn gram_schmidt_sweeps_stay_bitwise_on_a_nan_and_a_cold_coefficient() {
+    for &len in &[4097usize, 100_003] {
+        // One NaN entry in `w`: every projection is NaN, and so is every
+        // coefficient of the update.
+        let (basis, mut w) = gs_inputs::<f32, f16>(len, 5, 1.0, 1.0, 4);
+        w[len / 3] = f32::NAN;
+        gs_parity(&format!("fp32/fp16 len {len} NaN"), &basis, &w, None);
+        let (basis, mut w) = gs_inputs::<f64, f64>(len, 4, 1.0, 1.0, 5);
+        w[len / 3] = f64::NAN;
+        gs_parity(&format!("fp64/fp64 len {len} NaN"), &basis, &w, None);
+
+        // Coefficients an f32 accumulator cannot hold: below its smallest
+        // subnormal (converts to zero) and beyond its largest finite value.
+        // Those vectors' updates take the f64 path, their neighbours' do not.
+        for cold in [(1usize, 1.0e-46), (3, -1.0e39)] {
+            let (basis, w) = gs_inputs::<f32, f16>(len, 5, 1.0, 1.0, 6);
+            gs_parity(&format!("fp32/fp16 len {len} cold {cold:?}"), &basis, &w, Some(cold));
+            let (basis, w) = gs_inputs::<f32, f32>(len, 4, 1.0, 1.0, 7);
+            gs_parity(&format!("fp32/fp32 len {len} cold {cold:?}"), &basis, &w, Some(cold));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

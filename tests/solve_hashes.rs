@@ -1,0 +1,125 @@
+//! Golden whole-solve hashes on the scalar kernel backend.
+//!
+//! Every solver the paper compares — fp16/fp32/fp64-F3R, FGMRES(64), CG and
+//! BiCGStab — solves one right-hand side on HPCG 16³, Poisson 40² and HPGMP
+//! 12³, and fp16-F3R solves one k = 3 batch on HPCG 16³.  Each line pins the
+//! FNV-1a of the solution bits and of the residual-history bits, the outer
+//! iterations and the `M` applications.  A kernel change that claims to keep
+//! every bit (a fused sweep, a reordered loop that each element sees in the
+//! same order) must leave this listing unchanged; a change that moves bits on
+//! purpose regenerates it from the failure message and says why.
+//!
+//! The scalar backend is requested before the first kernel runs (the backend
+//! latches once per process, so this is a binary of its own), which makes the
+//! listing independent of the host's SIMD features.  Every problem has fewer
+//! than 2¹⁴ rows (times the panel width), so no kernel reaches the worker
+//! pool and the listing does not depend on the pool size either.
+
+use std::sync::Arc;
+
+use f3r::precond::PrecondKind;
+use f3r::prelude::*;
+use f3r::sparse::gen::{hpcg_matrix, hpgmp_matrix, poisson2d_5pt, random_rhs};
+use f3r::sparse::scaling::jacobi_scale;
+use f3r_simd::{set_kernel_backend, KernelBackend};
+
+/// FNV-1a over the little-endian bits of `values`.
+fn fnv1a(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+fn line(problem: &str, r: &SolveResult, x: &[f64]) -> String {
+    format!(
+        "{problem} {} x={:016x} hist={:016x} outer={} M={}",
+        r.solver_name,
+        fnv1a(x),
+        fnv1a(&r.residual_history),
+        r.outer_iterations,
+        r.precond_applications
+    )
+}
+
+/// One problem of the listing: its name, the Jacobi-scaled matrix and the
+/// block-Jacobi preconditioner the standing benchmark uses on it.
+fn problems() -> Vec<(&'static str, CsrMatrix<f64>, PrecondKind)> {
+    let ic = PrecondKind::BlockJacobiIc0 { blocks: 8, alpha: 1.0 };
+    let ilu = PrecondKind::BlockJacobiIlu0 { blocks: 8, alpha: 1.0 };
+    vec![
+        ("hpcg16", jacobi_scale(&hpcg_matrix(16, 16, 16)), ic),
+        ("poisson40", jacobi_scale(&poisson2d_5pt(40, 40)), ic),
+        ("hpgmp12", jacobi_scale(&hpgmp_matrix(12, 12, 12, 0.5)), ilu),
+    ]
+}
+
+fn listing() -> Vec<String> {
+    let mut out = Vec::new();
+    for (problem, a, precond) in problems() {
+        let n = a.n_rows();
+        let b = random_rhs(n, 7);
+        let matrix = Arc::new(ProblemMatrix::from_csr(a));
+        for scheme in [F3rScheme::Fp16, F3rScheme::Fp32, F3rScheme::Fp64] {
+            let prepared = SolverBuilder::new(Arc::clone(&matrix)).scheme(scheme).precond(precond).build();
+            let mut x = vec![0.0; n];
+            let r = prepared.session().solve(&b, &mut x);
+            out.push(line(problem, &r, &x));
+            if problem == "hpcg16" && scheme == F3rScheme::Fp16 {
+                let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 11 + s)).collect();
+                let mut xs = vec![Vec::new(); 3];
+                let results = prepared.session().solve_batch(&bs, &mut xs);
+                for (c, (r, x)) in results.iter().zip(&xs).enumerate() {
+                    out.push(line(&format!("{problem}-batch3[{c}]"), r, x));
+                }
+            }
+        }
+        // CG on the nonsymmetric HPGMP matrix runs into its budget; 500
+        // iterations keep that line short.
+        let config = BaselineConfig { precond, max_iterations: 500, ..BaselineConfig::default() };
+        let baselines: [Box<dyn SparseSolver>; 3] = [
+            Box::new(RestartedFgmresSolver::new(Arc::clone(&matrix), 64, config.clone())),
+            Box::new(CgSolver::new(Arc::clone(&matrix), config.clone())),
+            Box::new(BiCgStabSolver::new(Arc::clone(&matrix), config)),
+        ];
+        for mut solver in baselines {
+            let mut x = vec![0.0; n];
+            let r = solver.solve(&b, &mut x);
+            out.push(line(problem, &r, &x));
+        }
+    }
+    out
+}
+
+/// The listing at the commit that introduced this test, before one-sweep
+/// Gram–Schmidt.
+const GOLDEN: &str = "\
+hpcg16 fp16-F3R x=c4f013371c3d922a hist=91aa0ff48a2a9434 outer=4 M=256
+hpcg16-batch3[0] fp16-F3R x=fd90f34b4124869e hist=af00db7fa819cf3f outer=3 M=576
+hpcg16-batch3[1] fp16-F3R x=2406107190db97be hist=bf26abb165914f36 outer=3 M=576
+hpcg16-batch3[2] fp16-F3R x=6a8e7da2cd82378c hist=7549632383f0753e outer=3 M=576
+hpcg16 fp32-F3R x=261df8bed30056a9 hist=f2f34cdbf9d81227 outer=4 M=256
+hpcg16 fp64-F3R x=d490c9d4e96b16f8 hist=1fae5f3f7f89bb8c outer=3 M=192
+hpcg16 fp64-FGMRES(64) x=3a1d71477a571c41 hist=d3a686a28b87d30d outer=27 M=27
+hpcg16 fp64-CG x=7e977fda6008ac18 hist=63fd041d8fb4d829 outer=28 M=28
+hpcg16 fp64-BiCGStab x=a649a24fcd85ad3b hist=60b1568a0ed18eeb outer=19 M=37
+poisson40 fp16-F3R x=335930beee9ec2b0 hist=0ab696a50ba5edca outer=2 M=128
+poisson40 fp32-F3R x=c081a21c086f170a hist=48864bd97297a141 outer=2 M=128
+poisson40 fp64-F3R x=0adbebeb274ba259 hist=f0328541cd3e661b outer=2 M=128
+poisson40 fp64-FGMRES(64) x=db505a0bb66d024d hist=3799401049bfcaa1 outer=58 M=58
+poisson40 fp64-CG x=6058e9e42be34954 hist=8706bdfb2929249d outer=59 M=59
+poisson40 fp64-BiCGStab x=d0625935b794c52a hist=41150ffb6d7b08b8 outer=46 M=92
+hpgmp12 fp16-F3R x=5929997da704e2c8 hist=b233ca6614a3ca8f outer=3 M=192
+hpgmp12 fp32-F3R x=b617a3385b7bdf71 hist=5261764daab0124a outer=3 M=192
+hpgmp12 fp64-F3R x=f136033f3d6d24f5 hist=6ea7f912996e072c outer=3 M=192
+hpgmp12 fp64-FGMRES(64) x=aa8a9946a24a80d3 hist=fa6e596931b2bbad outer=26 M=26
+hpgmp12 fp64-CG x=987a397ff6af3876 hist=0b095e1429788a56 outer=500 M=501
+hpgmp12 fp64-BiCGStab x=4ccd6ca720867c2d hist=cd512baa4d2f6c36 outer=16 M=31
+";
+
+#[test]
+fn whole_solve_hashes_match_the_golden_listing() {
+    assert_eq!(set_kernel_backend(KernelBackend::Scalar), KernelBackend::Scalar);
+    let got = listing().join("\n");
+    assert!(got == GOLDEN.trim_end(), "whole-solve listing changed; now:\n{got}");
+}
