@@ -2,74 +2,47 @@
 //! nonsymmetric systems).
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use f3r_precision::traffic::TrafficModel;
-use f3r_precision::{KernelCounters, Precision};
+use f3r_precision::Precision;
 use f3r_sparse::blas1;
 
-use crate::baseline::BaselineConfig;
+use crate::baseline::{BaselineConfig, Shell};
 use crate::convergence::{SolveResult, SparseSolver, StopReason};
 use crate::operator::{MatrixStorage, ProblemMatrix};
-use crate::precond_any::AnyPrecond;
 
 /// Right-preconditioned BiCGStab in fp64 with a mixed-precision-stored
 /// preconditioner.
 pub struct BiCgStabSolver {
-    matrix: Arc<ProblemMatrix>,
-    precond: Arc<AnyPrecond>,
-    counters: Arc<KernelCounters>,
-    config: BaselineConfig,
+    shell: Shell,
 }
 
 impl BiCgStabSolver {
     /// Build the solver for `matrix` with the given configuration.
     #[must_use]
     pub fn new(matrix: Arc<ProblemMatrix>, config: BaselineConfig) -> Self {
-        let counters = KernelCounters::new_shared();
-        let precond = Arc::new(AnyPrecond::for_matrix(
-            &matrix,
-            &config.precond,
-            config.precond_prec,
-        ));
         Self {
-            matrix,
-            precond,
-            counters,
-            config,
+            shell: Shell::new(matrix, config, "BiCGStab"),
         }
-    }
-
-    fn record_blas1(&self, n: usize, reads: usize, writes: usize) {
-        self.counters.record_blas1(
-            Precision::Fp64,
-            TrafficModel::blas1_bytes(n, reads, writes, Precision::Fp64),
-        );
     }
 }
 
 impl SparseSolver for BiCgStabSolver {
-    #[allow(clippy::too_many_lines)]
     fn solve(&mut self, b: &[f64], x: &mut [f64]) -> SolveResult {
-        let n = self.matrix.dim();
-        assert_eq!(b.len(), n, "bicgstab: b length mismatch");
-        assert_eq!(x.len(), n, "bicgstab: x length mismatch");
-        let start = Instant::now();
-        self.counters.reset();
-        for xi in x.iter_mut() {
-            *xi = 0.0;
-        }
-        let bnorm = blas1::norm2(b);
+        let bnorm = self.shell.begin(b, x);
+        let Shell {
+            matrix,
+            precond,
+            counters,
+            config,
+            ..
+        } = &self.shell;
+        let n = matrix.dim();
         let mut history = Vec::new();
-        let mut converged = bnorm == 0.0;
-        let mut stop_reason = if converged {
-            StopReason::Converged
-        } else {
-            StopReason::MaxIterations
-        };
+        let mut stop_reason = StopReason::MaxIterations;
         let mut iterations = 0usize;
 
-        if !converged {
+        // A zero b is solved by the zero guess, which `finish` confirms.
+        if bnorm != 0.0 {
             let mut r = b.to_vec(); // r0 = b - A*0
             let r_hat = r.clone();
             let mut rho = 1.0f64;
@@ -82,10 +55,10 @@ impl SparseSolver for BiCgStabSolver {
             let mut s_hat = vec![0.0f64; n];
             let mut t = vec![0.0f64; n];
 
-            for it in 1..=self.config.max_iterations {
+            for it in 1..=config.max_iterations {
                 iterations = it;
                 let rho_new = blas1::dot(&r_hat, &r);
-                self.record_blas1(n, 2, 0);
+                self.shell.record_blas1(n, 2, 0);
                 if rho_new.abs() < f64::MIN_POSITIVE || !rho_new.is_finite() {
                     stop_reason = StopReason::Breakdown;
                     break;
@@ -96,11 +69,11 @@ impl SparseSolver for BiCgStabSolver {
                 for i in 0..n {
                     p[i] = r[i] + beta * (p[i] - omega * v[i]);
                 }
-                self.record_blas1(n, 3, 1);
+                self.shell.record_blas1(n, 3, 1);
                 // p_hat = M p ; v = A p_hat with (r̂, v) fused into the SpMV.
-                self.precond.apply_to(&p, &mut p_hat, &self.counters);
+                precond.apply_to(&p, &mut p_hat, counters);
                 let (rhat_v, _) =
-                    self.matrix.apply_dot2(MatrixStorage::Plain(Precision::Fp64), &p_hat, &r_hat, &mut v, &self.counters);
+                    matrix.apply_dot2(MatrixStorage::Plain(Precision::Fp64), &p_hat, &r_hat, &mut v, counters);
                 if rhat_v.abs() < f64::MIN_POSITIVE || !rhat_v.is_finite() {
                     stop_reason = StopReason::Breakdown;
                     break;
@@ -109,21 +82,20 @@ impl SparseSolver for BiCgStabSolver {
                 // s = r - alpha v fused with ‖s‖² for the early-exit check:
                 // three sweeps (read r, read v, write s) instead of four.
                 let snorm = blas1::waxpby_norm2(1.0, &r, -alpha, &v, &mut s).sqrt();
-                self.record_blas1(n, 2, 1);
-                if snorm / bnorm < self.config.tol {
+                self.shell.record_blas1(n, 2, 1);
+                if snorm / bnorm < config.tol {
                     // early exit: x += alpha * p_hat
                     blas1::axpy(alpha, &p_hat, x);
-                    self.record_blas1(n, 2, 1);
+                    self.shell.record_blas1(n, 2, 1);
                     history.push(snorm / bnorm);
-                    converged = true;
                     stop_reason = StopReason::Converged;
                     break;
                 }
                 // s_hat = M s ; t = A s_hat with (t, s) and (t, t) fused into
                 // the SpMV sweep — t is never re-read for the ω reductions.
-                self.precond.apply_to(&s, &mut s_hat, &self.counters);
+                precond.apply_to(&s, &mut s_hat, counters);
                 let (ts, tt) =
-                    self.matrix.apply_dot2(MatrixStorage::Plain(Precision::Fp64), &s_hat, &s, &mut t, &self.counters);
+                    matrix.apply_dot2(MatrixStorage::Plain(Precision::Fp64), &s_hat, &s, &mut t, counters);
                 if tt.abs() < f64::MIN_POSITIVE || !tt.is_finite() {
                     stop_reason = StopReason::Breakdown;
                     break;
@@ -134,12 +106,11 @@ impl SparseSolver for BiCgStabSolver {
                 blas1::axpy(omega, &s_hat, x);
                 // r = s - omega t
                 blas1::waxpby(1.0, &s, -omega, &t, &mut r);
-                self.record_blas1(n, 6, 3);
+                self.shell.record_blas1(n, 6, 3);
                 let rel = blas1::norm2(&r) / bnorm;
-                self.record_blas1(n, 1, 0);
+                self.shell.record_blas1(n, 1, 0);
                 history.push(rel);
-                if rel < self.config.tol {
-                    converged = true;
+                if rel < config.tol {
                     stop_reason = StopReason::Converged;
                     break;
                 }
@@ -154,24 +125,11 @@ impl SparseSolver for BiCgStabSolver {
             }
         }
 
-        let final_rel = self.matrix.true_relative_residual(x, b);
-        let converged = converged && final_rel < self.config.tol * 10.0;
-        SolveResult {
-            converged,
-            stop_reason,
-            outer_iterations: iterations,
-            precond_applications: self.counters.snapshot().precond_applies,
-            final_relative_residual: final_rel,
-            seconds: start.elapsed().as_secs_f64(),
-            residual_history: history,
-            counters: self.counters.snapshot(),
-            solver_name: self.name(),
-            fingerprint: None,
-        }
+        self.shell.finish(b, x, stop_reason, iterations, history)
     }
 
     fn name(&self) -> String {
-        format!("{}-BiCGStab", self.config.prefix())
+        self.shell.name()
     }
 }
 
@@ -214,6 +172,23 @@ mod tests {
     fn fp16_preconditioner_storage_still_converges() {
         let res = solve_with(Precision::Fp16);
         assert!(res.converged, "residual {}", res.final_relative_residual);
+    }
+
+    #[test]
+    fn recursive_pass_without_a_true_pass_is_a_breakdown() {
+        // At tol 1e-15 on HPGMP 12³ the recursive residual passes while the
+        // true residual stays near 3e-15.
+        let a = jacobi_scale(&hpgmp_matrix(12, 12, 12, 0.5));
+        let n = a.n_rows();
+        let pm = Arc::new(ProblemMatrix::from_csr(a));
+        let config = BaselineConfig { tol: 1e-15, max_iterations: 2000, ..BaselineConfig::default() };
+        let b = random_rhs(n, 7);
+        let mut x = vec![0.0; n];
+        let res = BiCgStabSolver::new(pm, config).solve(&b, &mut x);
+        assert!(res.residual_history.last().is_some_and(|&r| r < 1e-15), "{res}");
+        assert!(res.final_relative_residual >= 1e-15, "{res}");
+        assert!(!res.converged, "{res}");
+        assert_eq!(res.stop_reason, StopReason::Breakdown, "{res}");
     }
 
     #[test]

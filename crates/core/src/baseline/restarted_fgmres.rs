@@ -1,149 +1,66 @@
 //! Restarted FGMRES — the paper's `FGMRES(64)` baseline.
 //!
-//! A single level of FGMRES with restart cycle `m` (default 64), flexible
-//! preconditioning directly by the primary preconditioner `M`, restarted
-//! until convergence or until the iteration budget (19 200 in the paper) is
-//! exhausted.
+//! A one-level nested solver `(F^m, M)`: a single fp64 FGMRES level with
+//! restart cycle `m` (default 64), flexibly preconditioned directly by the
+//! primary preconditioner `M`, restarted until convergence or until the
+//! iteration budget (19 200 in the paper) is spent.  It is that spec on the
+//! session driver; this type only translates a [`BaselineConfig`] into it.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use f3r_precision::{KernelCounters, Precision};
-use f3r_sparse::blas1;
+use f3r_precision::Precision;
 
 use crate::baseline::BaselineConfig;
-use crate::convergence::{SolveResult, SparseSolver, StopReason};
-use crate::fgmres::{fgmres_cycle, CycleParams, FgmresWorkspace};
-use crate::inner::PrecondInner;
-use crate::operator::{MatrixStorage, ProblemMatrix};
-use crate::precond_any::AnyPrecond;
+use crate::convergence::{SolveResult, SparseSolver};
+use crate::nested::{LevelSpec, NestedSpec};
+use crate::operator::ProblemMatrix;
+use crate::session::{SolveSession, SolverBuilder};
 
 /// Restarted FGMRES(m) in fp64 with a mixed-precision-stored preconditioner.
 pub struct RestartedFgmresSolver {
-    matrix: Arc<ProblemMatrix>,
-    precond: Arc<AnyPrecond>,
-    counters: Arc<KernelCounters>,
-    config: BaselineConfig,
-    restart: usize,
-    ws: FgmresWorkspace<f64>,
+    session: SolveSession,
 }
 
 impl RestartedFgmresSolver {
     /// Build the solver for `matrix` with restart cycle `restart` (the paper
-    /// uses 64).
+    /// uses 64).  The iteration budget `config.max_iterations` becomes
+    /// ⌈max_iterations / restart⌉ restart cycles.
+    ///
+    /// # Panics
+    /// Panics with the [`SpecError`](crate::nested::SpecError) message if
+    /// `restart` or `config.max_iterations` is zero, or the tolerance is not
+    /// positive.
     #[must_use]
     pub fn new(matrix: Arc<ProblemMatrix>, restart: usize, config: BaselineConfig) -> Self {
-        let counters = KernelCounters::new_shared();
-        let precond = Arc::new(AnyPrecond::for_matrix(
-            &matrix,
-            &config.precond,
-            config.precond_prec,
-        ));
-        let n = matrix.dim();
+        let spec = NestedSpec {
+            levels: vec![LevelSpec::fgmres(restart, Precision::Fp64, Precision::Fp64)],
+            name: format!("{}-FGMRES({restart})", config.prefix()),
+            precond: config.precond,
+            precond_prec: config.precond_prec,
+            tol: config.tol,
+            // (`restart == 0` is rejected by the spec check, not divided by.)
+            max_outer_cycles: config.max_iterations.div_ceil(restart.max(1)),
+        };
         Self {
-            matrix,
-            precond,
-            counters,
-            config,
-            restart,
-            ws: FgmresWorkspace::new(n, restart),
+            session: SolverBuilder::new(matrix).spec(spec).build().session(),
         }
-    }
-
-    /// The restart cycle length.
-    #[must_use]
-    pub fn restart(&self) -> usize {
-        self.restart
     }
 }
 
 impl SparseSolver for RestartedFgmresSolver {
     fn solve(&mut self, b: &[f64], x: &mut [f64]) -> SolveResult {
-        let n = self.matrix.dim();
-        assert_eq!(b.len(), n, "fgmres(m): b length mismatch");
-        assert_eq!(x.len(), n, "fgmres(m): x length mismatch");
-        let start = Instant::now();
-        self.counters.reset();
-        for xi in x.iter_mut() {
-            *xi = 0.0;
-        }
-        let bnorm = blas1::norm2(b);
-        let mut history = Vec::new();
-        let mut converged = bnorm == 0.0;
-        let mut stop_reason = if converged {
-            StopReason::Converged
-        } else {
-            StopReason::MaxIterations
-        };
-        let mut total_iterations = 0usize;
-
-        if !converged {
-            let abs_tol = self.config.tol * bnorm;
-            let mut inner =
-                PrecondInner::<f64>::new(Arc::clone(&self.precond), Arc::clone(&self.counters), 2);
-            let max_cycles = self.config.max_iterations.div_ceil(self.restart);
-            for cycle in 0..max_cycles {
-                let outcome = fgmres_cycle(
-                    CycleParams {
-                        matrix: &self.matrix,
-                        mat_storage: MatrixStorage::Plain(Precision::Fp64),
-                        inner: &mut inner,
-                        abs_tols: Some(&[abs_tol]),
-                        x_nonzero: Some(&[cycle > 0]),
-                        depth: 1,
-                        counters: &self.counters,
-                        progress: None,
-                    },
-                    x,
-                    b,
-                    &mut self.ws,
-                    1,
-                )[0];
-                total_iterations += outcome.iterations;
-                let true_rel = self.matrix.true_relative_residual(x, b);
-                history.push(true_rel);
-                if !true_rel.is_finite() {
-                    stop_reason = StopReason::Breakdown;
-                    break;
-                }
-                if true_rel < self.config.tol {
-                    converged = true;
-                    stop_reason = StopReason::Converged;
-                    break;
-                }
-                if outcome.breakdown && outcome.iterations == 0 {
-                    stop_reason = StopReason::Breakdown;
-                    break;
-                }
-                if total_iterations >= self.config.max_iterations {
-                    break;
-                }
-            }
-        }
-
-        let final_rel = self.matrix.true_relative_residual(x, b);
-        SolveResult {
-            converged,
-            stop_reason,
-            outer_iterations: total_iterations,
-            precond_applications: self.counters.snapshot().precond_applies,
-            final_relative_residual: final_rel,
-            seconds: start.elapsed().as_secs_f64(),
-            residual_history: history,
-            counters: self.counters.snapshot(),
-            solver_name: self.name(),
-            fingerprint: None,
-        }
+        self.session.solve(b, x)
     }
 
     fn name(&self) -> String {
-        format!("{}-FGMRES({})", self.config.prefix(), self.restart)
+        self.session.prepared().name().to_string()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::StopReason;
     use f3r_precond::PrecondKind;
     use f3r_sparse::gen::hpgmp::hpgmp_matrix;
     use f3r_sparse::gen::laplacian::poisson2d_5pt;
@@ -168,7 +85,6 @@ mod tests {
         let mut x = vec![0.0; n];
         let res = solver.solve(&b, &mut x);
         assert!(res.converged, "residual {}", res.final_relative_residual);
-        assert_eq!(solver.restart(), 64);
         assert_eq!(solver.name(), "fp64-FGMRES(64)");
     }
 
@@ -219,5 +135,20 @@ mod tests {
         assert!(!res.converged);
         assert_eq!(res.outer_iterations, 16);
         assert_eq!(res.stop_reason, StopReason::MaxIterations);
+    }
+
+    #[test]
+    #[should_panic(expected = "every level needs at least one iteration")]
+    fn zero_restart_is_rejected() {
+        let pm = Arc::new(ProblemMatrix::from_csr(jacobi_scale(&poisson2d_5pt(4, 4))));
+        let _ = RestartedFgmresSolver::new(pm, 0, BaselineConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one outer cycle")]
+    fn zero_iteration_budget_is_rejected() {
+        let pm = Arc::new(ProblemMatrix::from_csr(jacobi_scale(&poisson2d_5pt(4, 4))));
+        let config = BaselineConfig { max_iterations: 0, ..BaselineConfig::default() };
+        let _ = RestartedFgmresSolver::new(pm, 64, config);
     }
 }

@@ -12,7 +12,9 @@ pub enum StopReason {
     /// The iteration/restart budget was exhausted before convergence.
     MaxIterations,
     /// The iteration broke down (division by a vanishing quantity) or
-    /// produced non-finite values.
+    /// produced non-finite values — or, for CG and BiCGStab, the recurrence's
+    /// own residual passed the tolerance while the true residual did not
+    /// (the two have drifted apart, and iterating on does not close the gap).
     Breakdown,
     /// A [`SolveObserver`](crate::session::SolveObserver) requested an early
     /// stop before the solve converged.
@@ -57,7 +59,8 @@ pub struct SolveResult {
     /// Fingerprint of the prepared solver that answered
     /// ([`PreparedSolver::fingerprint`](crate::session::PreparedSolver::fingerprint)),
     /// so serve-layer logs identify which cached solver produced a result.
-    /// `None` for the baselines, which have no prepared-solver identity.
+    /// `None` only for CG and BiCGStab, which have no prepared-solver
+    /// identity (FGMRES(64) is a prepared spec like F3R).
     pub fingerprint: Option<u64>,
 }
 
@@ -88,7 +91,8 @@ impl fmt::Display for SolveResult {
     /// One-line human-readable summary, e.g.
     /// `fp16-F3R[a1b2c3d4]: converged after 34 outer iterations (2176 M applications), relative residual 5.31e-9 in 0.123 s`
     /// — the bracketed token is the leading 8 hex digits of the prepared
-    /// solver's fingerprint (omitted for baseline results, which carry none).
+    /// solver's fingerprint (omitted for CG and BiCGStab results, which
+    /// carry none).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.solver_name)?;
         if let Some(fp) = self.fingerprint {

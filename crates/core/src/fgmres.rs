@@ -317,7 +317,7 @@ pub struct CycleOutcome {
 ///
 /// The outermost level of a nested solve installs one (the session layer
 /// bridges it to [`SolveObserver`](crate::session::SolveObserver) and the
-/// stall detectors); inner levels and baselines pass `None`.
+/// stall detectors); inner levels pass `None`.
 pub trait CycleProgress {
     /// Called after each completed Arnoldi iteration of panel column
     /// `column` with the 0-based iteration index within this cycle and the

@@ -151,8 +151,10 @@ impl std::error::Error for SpecError {}
 /// Complete description of a nested Krylov solver.
 #[derive(Debug, Clone)]
 pub struct NestedSpec {
-    /// Solver levels, outermost first.  The first level must be FGMRES with
-    /// fp64 vectors (it drives the solve and checks convergence).
+    /// Solver levels, outermost first.  The first level must be FGMRES and
+    /// fp64 throughout — vectors, basis and plain matrix storage: it drives
+    /// the solve and checks convergence, and its solution update and
+    /// residual bound the attainable accuracy.
     pub levels: Vec<LevelSpec>,
     /// Primary preconditioner kind.
     pub precond: PrecondKind,
@@ -178,10 +180,21 @@ impl NestedSpec {
             return Err(SpecError::new("nested spec needs at least one level"));
         }
         match self.levels[0] {
-            LevelSpec::Fgmres { vector_prec, .. } => {
+            LevelSpec::Fgmres {
+                vector_prec,
+                basis_prec,
+                matrix,
+                ..
+            } => {
                 if vector_prec != Precision::Fp64 {
                     return Err(SpecError::new(
                         "the outermost level must work in fp64 (it checks convergence)",
+                    ));
+                }
+                if basis_prec != Precision::Fp64 || matrix != MatrixStorage::Plain(Precision::Fp64) {
+                    return Err(SpecError::new(
+                        "the outermost level must store its basis and its matrix in plain fp64 \
+                         (they bound the attainable accuracy)",
                     ));
                 }
             }
@@ -261,15 +274,14 @@ impl NestedSpec {
     /// working precision), making storage precision an axis independent of
     /// the per-level working precisions.
     ///
-    /// The outermost level keeps uncompressed storage: it drives convergence
-    /// to the final tolerance, and its solution update `x += Z y` must not
-    /// be limited by the storage roundoff.  Inner levels run a fixed number
-    /// of iterations as *flexible preconditioners* of their parent, so a
-    /// slightly perturbed basis only perturbs the preconditioner — the
-    /// regime in which compressed-basis GMRES (Aliaga et al.) shows
-    /// low-precision storage costs next to nothing in iterations.  Callers
-    /// who want a compressed outermost basis can set the `basis_prec` field
-    /// of [`LevelSpec::Fgmres`] directly.
+    /// The outermost level keeps uncompressed fp64 storage, which
+    /// [`check`](Self::check) enforces: it drives convergence to the final
+    /// tolerance, and its solution update `x += Z y` must not be limited by
+    /// the storage roundoff.  Inner levels run a fixed number of iterations
+    /// as *flexible preconditioners* of their parent, so a slightly perturbed
+    /// basis only perturbs the preconditioner — the regime in which
+    /// compressed-basis GMRES (Aliaga et al.) shows low-precision storage
+    /// costs next to nothing in iterations.
     #[must_use]
     pub fn with_basis_storage(mut self, p: Precision) -> Self {
         for level in self.levels.iter_mut().skip(1) {
@@ -290,12 +302,11 @@ impl NestedSpec {
     /// working precision, preserving the plain/scaled flag), making matrix
     /// storage the same first-class axis the basis already is.
     ///
-    /// The outermost level keeps its own storage (fp64 by default): its SpMV
-    /// feeds the convergence-driving residual, so narrowing it would cap the
-    /// attainable accuracy at the storage roundoff.  Inner levels act as
-    /// flexible preconditioners — a perturbed matrix only perturbs the
-    /// preconditioner.  Callers who want a reduced outermost matrix can set
-    /// the `matrix` field of [`LevelSpec::Fgmres`] directly.
+    /// The outermost level keeps plain fp64 storage, which
+    /// [`check`](Self::check) enforces: its SpMV feeds the
+    /// convergence-driving residual, so narrowing it would cap the attainable
+    /// accuracy at the storage roundoff.  Inner levels act as flexible
+    /// preconditioners — a perturbed matrix only perturbs the preconditioner.
     #[must_use]
     pub fn with_matrix_storage(mut self, storage: MatrixStorage) -> Self {
         for level in self.levels.iter_mut().skip(1) {
@@ -608,6 +619,24 @@ mod tests {
         assert!(err.to_string().contains("outermost level must work in fp64"));
         let empty = simple_spec("empty", vec![]);
         assert!(empty.check().is_err());
+    }
+
+    #[test]
+    fn outermost_basis_and_matrix_must_be_plain_fp64() {
+        let level0 = |basis_prec, matrix| LevelSpec::Fgmres {
+            m: 10,
+            matrix,
+            vector_prec: Precision::Fp64,
+            basis_prec,
+        };
+        let fp16_basis = level0(Precision::Fp16, MatrixStorage::Plain(Precision::Fp64));
+        let scaled_matrix = level0(Precision::Fp64, MatrixStorage::Scaled(Precision::Fp64));
+        for level in [fp16_basis, scaled_matrix] {
+            let err = simple_spec("bad", vec![level]).check().unwrap_err();
+            assert!(err.to_string().contains("basis and its matrix in plain fp64"), "{err}");
+        }
+        let plain = level0(Precision::Fp64, MatrixStorage::Plain(Precision::Fp64));
+        assert!(simple_spec("ok", vec![plain]).check().is_ok());
     }
 
     #[test]

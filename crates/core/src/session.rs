@@ -84,7 +84,7 @@ use crate::adaptive::{
 };
 use crate::convergence::{SolveResult, SparseSolver, StopReason};
 use crate::f3r::{f3r_spec, F3rParams, F3rScheme, SolverSettings};
-use crate::fgmres::{fgmres_cycle, CycleOutcome, CycleParams, CycleProgress, FgmresLevel, FgmresWorkspace};
+use crate::fgmres::{fgmres_cycle, CycleParams, CycleProgress, FgmresLevel, FgmresWorkspace};
 use crate::inner::{InnerSolver, PrecisionBridge, PrecondInner};
 use crate::nested::{LevelSpec, NestedSpec, SpecError};
 use crate::operator::{MatrixStorage, ProblemMatrix};
@@ -200,57 +200,6 @@ fn build_child<TP: Scalar>(
             build_chain::<f16>(levels, depth, matrix, precond, counters),
             n,
         )),
-    }
-}
-
-/// Outermost FGMRES workspace, instantiated for the spec's basis storage
-/// precision (the working precision is always fp64 at depth 1).
-enum OuterWorkspace {
-    /// Uncompressed fp64 basis storage.
-    F64(FgmresWorkspace<f64, f64>),
-    /// fp32-compressed basis storage.
-    F32(FgmresWorkspace<f64, f32>),
-    /// fp16-compressed basis storage.
-    F16(FgmresWorkspace<f64, f16>),
-}
-
-impl OuterWorkspace {
-    fn new(basis_prec: Precision, n: usize, m: usize, columns: usize) -> Self {
-        match basis_prec {
-            Precision::Fp64 => OuterWorkspace::F64(FgmresWorkspace::with_columns(n, m, columns)),
-            Precision::Fp32 => OuterWorkspace::F32(FgmresWorkspace::with_columns(n, m, columns)),
-            Precision::Fp16 => OuterWorkspace::F16(FgmresWorkspace::with_columns(n, m, columns)),
-        }
-    }
-
-    fn reserve_columns(&mut self, k: usize) -> bool {
-        match self {
-            OuterWorkspace::F64(ws) => ws.reserve_columns(k),
-            OuterWorkspace::F32(ws) => ws.reserve_columns(k),
-            OuterWorkspace::F16(ws) => ws.reserve_columns(k),
-        }
-    }
-
-    fn workspace_bytes(&self) -> u64 {
-        match self {
-            OuterWorkspace::F64(ws) => ws.workspace_bytes(),
-            OuterWorkspace::F32(ws) => ws.workspace_bytes(),
-            OuterWorkspace::F16(ws) => ws.workspace_bytes(),
-        }
-    }
-
-    fn run_cycle(
-        &mut self,
-        params: CycleParams<'_, f64>,
-        xs: &mut [f64],
-        bs: &[f64],
-        k: usize,
-    ) -> &[CycleOutcome] {
-        match self {
-            OuterWorkspace::F64(ws) => fgmres_cycle(params, xs, bs, ws, k),
-            OuterWorkspace::F32(ws) => fgmres_cycle(params, xs, bs, ws, k),
-            OuterWorkspace::F16(ws) => fgmres_cycle(params, xs, bs, ws, k),
-        }
     }
 }
 
@@ -900,7 +849,9 @@ impl<'a> SolveOptions<'a> {
 /// panels handed to a cycle when several columns are running.
 struct SessionWork {
     inner: Box<dyn InnerSolver<f64>>,
-    outer: OuterWorkspace,
+    /// The outermost level's workspace: fp64 vectors and basis, by
+    /// [`NestedSpec::check`].
+    outer: FgmresWorkspace<f64>,
     residual: Vec<f64>,
     /// Column-major right-hand-side panel over the still-running columns.
     bp: Vec<f64>,
@@ -1177,10 +1128,9 @@ impl SolveSession {
                 Some(run) => &run.ladder[run.rung],
                 None => &spec.levels,
             };
-            let outer_basis = spec.levels[0].basis_precision().unwrap_or(Precision::Fp64);
             self.work = Some(SessionWork {
                 inner: self.build_inner(levels),
-                outer: OuterWorkspace::new(outer_basis, n, spec.levels[0].iterations(), k),
+                outer: FgmresWorkspace::with_columns(n, spec.levels[0].iterations(), k),
                 residual: vec![0.0; n],
                 bp: vec![0.0; panel],
                 xp: vec![0.0; panel],
@@ -1490,10 +1440,10 @@ impl SolveSession {
                 cycle,
                 can_escalate,
             };
-            let outcomes = outer.run_cycle(
+            let outcomes = fgmres_cycle(
                 CycleParams {
                     matrix: &self.prepared.matrix,
-                    mat_storage: self.prepared.spec.levels[0].matrix_storage(),
+                    mat_storage: MatrixStorage::Plain(Precision::Fp64),
                     inner: inner.as_mut(),
                     abs_tols: Some(&abs_tols),
                     x_nonzero: Some(&x_nonzero),
@@ -1503,6 +1453,7 @@ impl SolveSession {
                 },
                 xs_cycle,
                 bs_cycle,
+                outer,
                 ka,
             );
 

@@ -9,6 +9,9 @@
 //! by `build()`, before any session exists, not grown in the middle of the
 //! first solve.
 //!
+//! A warm FGMRES(m) baseline, which runs on the same driver, allocates fewer
+//! times than it runs restart cycles.
+//!
 //! One test in a binary of its own: the counting allocator (`tests/common`)
 //! is global, and a second test running beside it would be counted too.
 
@@ -19,7 +22,7 @@ use std::sync::Arc;
 use common::allocations;
 use f3r::precond::PrecondKind;
 use f3r::prelude::*;
-use f3r::sparse::gen::{hpcg_matrix, random_rhs};
+use f3r::sparse::gen::{hpcg_matrix, poisson2d_5pt, random_rhs};
 use f3r::sparse::scaling::jacobi_scale;
 
 /// Allocations of the second `solve` and of the second `solve_batch` (k = 3)
@@ -83,6 +86,22 @@ fn fresh_session_allocations(nx: usize) -> (usize, usize) {
     (first_solve(), first_solve())
 }
 
+/// Allocations of the second solve of one unpreconditioned FGMRES(8)
+/// baseline on Poisson 40² with a 400-iteration budget, and the restart
+/// cycles that solve runs (one history entry each).
+fn warm_baseline_allocations() -> (usize, usize) {
+    let a = jacobi_scale(&poisson2d_5pt(40, 40));
+    let n = a.n_rows();
+    let config = BaselineConfig { precond: PrecondKind::Identity, max_iterations: 400, ..BaselineConfig::default() };
+    let mut solver = RestartedFgmresSolver::new(Arc::new(ProblemMatrix::from_csr(a)), 8, config);
+    let b = random_rhs(n, 7);
+    let mut x = vec![0.0; n];
+    solver.solve(&b, &mut x);
+    let before = allocations();
+    let result = solver.solve(&b, &mut x);
+    (allocations() - before, result.residual_history.len())
+}
+
 #[test]
 fn warm_solves_allocate_only_their_result_bookkeeping() {
     // Before anything else has run a kernel on this thread.
@@ -107,4 +126,10 @@ fn warm_solves_allocate_only_their_result_bookkeeping() {
     assert!(single_8 <= 8, "solve allocated {single_8} times");
     assert!(batch_8 <= 16, "solve_batch (k = 3) allocated {batch_8} times");
     assert!((batch_8 as u64) < cycles_8);
+
+    // The FGMRES(m) baseline is a session solve too: its restart cycles
+    // allocate nothing per cycle (the history grows by doubling).
+    let (baseline, restarts) = warm_baseline_allocations();
+    assert!(restarts >= 32, "only {restarts} restart cycles");
+    assert!(baseline < restarts, "FGMRES(8) allocated {baseline} times in {restarts} restart cycles");
 }
