@@ -23,29 +23,34 @@
 //!   any remaining compressed bases.  Every rung satisfies the
 //!   [`NestedSpec::check`] invariants whenever the input does.
 //! * [`AdaptivePolicy`] bundles the detector configuration with the
-//!   escalation/de-escalation behaviour of a
-//!   [`SolveSession`](crate::session::SolveSession): how many rungs a solve
-//!   may climb, and after how many healthy cycles it may step back down.
+//!   escalation/de-escalation behaviour of an [`AdaptiveSession`]: how many
+//!   rungs a solve may climb, and after how many healthy cycles it may step
+//!   back down.
+//! * [`AdaptiveSession`] applies the policy.  It keeps one
+//!   [`PreparedSolver`] per rung it has visited and runs the one solve
+//!   driver one restart cycle at a time, so every switch happens at a cycle
+//!   boundary, where FGMRES restarts from `x` anyway.
 //! * [`auto_spec_for_matrix`] is the spec autotuner: it ranks the paper's
 //!   F3R candidates (fp64, fp32, plain fp16 and row-scaled fp16) by the
 //!   Section 4.1 traffic model ([`crate::cost_model`]) and keeps only the
 //!   candidates admissible for the matrix's measured
 //!   [`EntryRangeStats`], so `SolverBuilder::auto_spec()` picks the
 //!   cheapest stack the matrix can actually support.
-//!
-//! The session wiring — rebuilding the inner chain against the wider
-//! variants the lazy [`MatrixStore`](crate::operator::ProblemMatrix)
-//! materializes on demand, while the outer Krylov state survives — lives in
-//! [`crate::session`]; this module is pure policy and is independently
-//! testable on synthetic residual traces.
 
-use f3r_precision::Precision;
+use std::sync::Arc;
+use std::time::Instant;
+
+use f3r_precision::{CounterSnapshot, Precision};
 use f3r_sparse::EntryRangeStats;
 
+use crate::convergence::{SolveResult, StopReason};
 use crate::cost_model::{cheapest_spec, spec_traffic_per_outer_iteration};
 use crate::f3r::{f3r_spec, F3rParams, F3rScheme, SolverSettings};
 use crate::nested::{LevelSpec, NestedSpec};
 use crate::operator::{MatrixStorage, ProblemMatrix};
+use crate::session::{
+    batch_columns, OuterEvent, PreparedSolver, SolveControl, SolveObserver, SolveOptions, SolveSession,
+};
 
 // ---------------------------------------------------------------------------
 // Stall detection
@@ -107,8 +112,8 @@ impl Default for StallConfig {
 /// Feed it one residual (estimate) per iteration via
 /// [`observe`](Self::observe); it answers with a [`StallSignal`].  The
 /// detector is deliberately memoryless beyond its window: [`reset`](Self::reset)
-/// clears it, which the session layer does after every precision switch so a
-/// freshly escalated chain gets a clean slate.
+/// clears it, which [`AdaptiveSession`] does after every precision switch so
+/// a freshly escalated chain gets a clean slate.
 ///
 /// ```
 /// use f3r_core::adaptive::{StallConfig, StallDetector, StallSignal};
@@ -194,8 +199,8 @@ impl StallDetector {
 // Adaptive policy
 // ---------------------------------------------------------------------------
 
-/// How a [`SolveSession`](crate::session::SolveSession) reacts to the
-/// detector's signals: the state machine is
+/// How an [`AdaptiveSession`] reacts to the detector's signals: the state
+/// machine is
 /// `stable → stalling → escalated → cooling` (see `docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePolicy {
@@ -346,6 +351,343 @@ pub fn escalation_ladder(levels: &[LevelSpec]) -> Vec<Vec<LevelSpec>> {
         ladder.push(next);
     }
     ladder
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive session
+// ---------------------------------------------------------------------------
+
+/// One precision switch of an [`AdaptiveSession`] call, reported at the
+/// first running column that asked for it (else at the last running one).
+#[derive(Debug, Clone)]
+pub struct PrecisionSwitch {
+    /// Restart cycle of the call (0-based, across rungs) that ended in it.
+    pub cycle: usize,
+    /// The column's outermost iterations by then.
+    pub outer_iterations: usize,
+    /// The column's true relative residual (`NaN` when the switch rescued a
+    /// broken-down cycle).
+    pub true_relative_residual: f64,
+    /// Ladder rung before the switch (0 = the spec as built).
+    pub from_rung: usize,
+    /// Ladder rung after it.
+    pub to_rung: usize,
+    /// `true` for an escalation, `false` for a de-escalation.
+    pub escalated: bool,
+    /// The level structure the solve continues with, outermost first.
+    pub levels: Vec<LevelSpec>,
+    /// Matrix-storage bytes the switch faulted into the lazy store.
+    pub faulted_bytes: u64,
+}
+
+/// Runtime precision escalation over a [`PreparedSolver`]: the policy
+/// outside, the fixed-precision driver inside.
+///
+/// A call runs the current rung's [`SolveSession`] one restart cycle at a
+/// time on the still-running columns, each from its cycle-start `x`.  A
+/// column asks for a wider rung when its [`StallDetector`] stops its cycle,
+/// when a cycle shrinks its true residual by less than
+/// [`AdaptivePolicy::cycle_reduction`], or when its residual goes non-finite
+/// (its `x` is then rolled back).  The columns share one chain, so one
+/// switch serves them all: it opens a fresh session on the rung's solver
+/// (built on first use over the same matrix store and `M`), resets every
+/// detector and restarts the cycle budget, up to `2 · max_escalations + 2`
+/// budgets in all.  The rung persists across calls; every result of a call
+/// carries the call's summed counters.
+pub struct AdaptiveSession {
+    policy: AdaptivePolicy,
+    ladder: Vec<Vec<LevelSpec>>,
+    /// One solver per rung visited so far (rungs are visited in order).
+    solvers: Vec<Arc<PreparedSolver>>,
+    /// A session on `solvers[rung]`.
+    session: SolveSession,
+    rung: usize,
+    /// Lowest rung de-escalation may return to.  Starts at 0 and is pinned
+    /// upward when a probational de-escalation stalls again.
+    floor: usize,
+    /// Escalations taken in the current call (bounded by
+    /// `policy.max_escalations`).
+    escalations: usize,
+    /// Consecutive healthy cycles at the current rung.
+    healthy_cycles: usize,
+    /// Set right after a de-escalation: the narrow rung is on probation
+    /// until it survives `deescalate_after` healthy cycles; stalling while
+    /// on probation pins `floor` at the re-escalated rung.
+    probation: bool,
+    /// Per column of the call: its detector and its true relative residual
+    /// after its previous cycle at this rung.
+    watches: Vec<(StallDetector, Option<f64>)>,
+    switches: Vec<PrecisionSwitch>,
+}
+
+/// Feeds each column's residual estimates to its detector; column `c` of a
+/// cycle call is column `running[c]` of the session call.
+struct Watch<'a> {
+    watches: &'a mut [(StallDetector, Option<f64>)],
+    running: &'a [usize],
+    can_escalate: bool,
+}
+
+impl SolveObserver for Watch<'_> {
+    fn on_outer_iteration(&mut self, event: &OuterEvent) -> SolveControl {
+        let signal = self.watches[self.running[event.column]].0.observe(event.relative_residual_estimate);
+        if self.can_escalate && signal != StallSignal::Progressing {
+            SolveControl::Stop
+        } else {
+            SolveControl::Continue
+        }
+    }
+}
+
+/// One column of an [`AdaptiveSession`] call.
+struct Column {
+    max_cycles: usize,
+    /// `x` at the start of the running cycle: its warm start and its backup.
+    start: Vec<f64>,
+    outer_iterations: usize,
+    history: Vec<f64>,
+    stop_reason: StopReason,
+    done: bool,
+}
+
+impl AdaptiveSession {
+    /// An adaptive session over `prepared` (rung 0) under `policy`.
+    #[must_use]
+    pub fn new(prepared: &Arc<PreparedSolver>, policy: AdaptivePolicy) -> Self {
+        Self {
+            policy,
+            ladder: escalation_ladder(&prepared.spec().levels),
+            solvers: vec![Arc::clone(prepared)],
+            session: prepared.session(),
+            rung: 0,
+            floor: 0,
+            escalations: 0,
+            healthy_cycles: 0,
+            probation: false,
+            watches: Vec::new(),
+            switches: Vec::new(),
+        }
+    }
+
+    /// The ladder rung the session runs at (0 = the spec as built).
+    #[must_use]
+    pub fn rung(&self) -> usize {
+        self.rung
+    }
+
+    /// The precision switches of the last call, in order.
+    #[must_use]
+    pub fn switches(&self) -> &[PrecisionSwitch] {
+        &self.switches
+    }
+
+    /// [`SolveSession::solve`] with escalation.
+    pub fn solve(&mut self, b: &[f64], x: &mut [f64]) -> SolveResult {
+        self.solve_with(b, x, &SolveOptions::default())
+    }
+
+    /// [`SolveSession::solve_with`] with escalation.
+    pub fn solve_with(&mut self, b: &[f64], x: &mut [f64], opts: &SolveOptions<'_>) -> SolveResult {
+        self.run(&[b], &mut [x], std::slice::from_ref(opts)).pop().expect("one result per column")
+    }
+
+    /// [`SolveSession::solve_batch`] with escalation.
+    pub fn solve_batch<B: AsRef<[f64]>>(&mut self, bs: &[B], xs: &mut [Vec<f64>]) -> Vec<SolveResult> {
+        self.solve_batch_with(bs, xs, &vec![SolveOptions::default(); bs.len()])
+    }
+
+    /// [`SolveSession::solve_batch_with`] with escalation.
+    pub fn solve_batch_with<B: AsRef<[f64]>>(
+        &mut self,
+        bs: &[B],
+        xs: &mut [Vec<f64>],
+        opts: &[SolveOptions<'_>],
+    ) -> Vec<SolveResult> {
+        let (bs, mut xs) = batch_columns(bs, xs, opts, self.session.prepared().dim());
+        self.run(&bs, &mut xs, opts)
+    }
+
+    /// The escalation loop behind every entry: column `c` solves
+    /// `A xs[c] = bs[c]` under `opts[c]`.
+    fn run(&mut self, bs: &[&[f64]], xs: &mut [&mut [f64]], opts: &[SolveOptions<'_>]) -> Vec<SolveResult> {
+        let begin = Instant::now();
+        let base = Arc::clone(&self.solvers[0]);
+        let spec = base.spec();
+        let mut cols: Vec<Column> = opts
+            .iter()
+            .map(|o| Column {
+                max_cycles: o.max_outer_cycles.unwrap_or(spec.max_outer_cycles),
+                start: o.x0.map_or_else(|| vec![0.0; base.dim()], <[f64]>::to_vec),
+                outer_iterations: 0,
+                history: Vec::new(),
+                stop_reason: StopReason::MaxIterations,
+                done: false,
+            })
+            .collect();
+        assert!(cols.iter().all(|col| col.max_cycles >= 1), "solve: need at least one outer cycle");
+        let cap_factor = self.policy.max_escalations.saturating_mul(2).saturating_add(2);
+        (self.escalations, self.healthy_cycles, self.probation) = (0, 0, false);
+        self.watches = bs.iter().map(|_| (StallDetector::new(self.policy.stall), None)).collect();
+        self.switches.clear();
+        let (mut cycle, mut cycles_since_switch, mut counters) = (0, 0, CounterSnapshot::default());
+        loop {
+            let mut running = Vec::new();
+            for (c, col) in cols.iter_mut().enumerate() {
+                // A column out of budget keeps its `MaxIterations` verdict.
+                let hard_cap = col.max_cycles.saturating_mul(cap_factor);
+                col.done |= cycles_since_switch >= col.max_cycles || cycle >= hard_cap;
+                if !col.done {
+                    if cycle > 0 {
+                        col.start.copy_from_slice(xs[c]);
+                    }
+                    running.push(c);
+                }
+            }
+            if running.is_empty() {
+                break;
+            }
+            let can_escalate = self.rung + 1 < self.ladder.len() && self.escalations < self.policy.max_escalations;
+            // One cycle per running column from its cycle-start `x`; a cold
+            // column's first starts from zero, as in one call.
+            let cycle_opts: Vec<SolveOptions<'_>> = running
+                .iter()
+                .map(|&c| SolveOptions {
+                    x0: if cycle == 0 { opts[c].x0 } else { Some(&cols[c].start) },
+                    tol: opts[c].tol,
+                    max_outer_cycles: Some(1),
+                })
+                .collect();
+            let cycle_bs: Vec<&[f64]> = running.iter().map(|&c| bs[c]).collect();
+            let mut cycle_xs: Vec<&mut [f64]> =
+                xs.iter_mut().zip(&cols).filter(|(_, col)| !col.done).map(|(x, _)| &mut **x).collect();
+            let mut watch = Watch { watches: &mut self.watches, running: &running, can_escalate };
+            let results = self.session.drive(&cycle_bs, &mut cycle_xs, &cycle_opts, Some(&mut watch));
+            counters.accumulate(&results[0].counters);
+
+            // Whether a still-running column asked for a wider chain, whether
+            // one stalled, and where: at the first column that asked, else at
+            // the last one still running.
+            let (mut asked, mut stalled, mut at) = (false, false, None);
+            for (r, &c) in results.into_iter().zip(&running) {
+                let col = &mut cols[c];
+                col.outer_iterations += r.outer_iterations;
+                col.history.extend(r.residual_history);
+                let true_rel = r.final_relative_residual;
+                // The driver's one breakdown with a finite residual is a
+                // sterile cycle.
+                let mut column_asked = r.stop_reason == StopReason::Breakdown && true_rel.is_finite();
+                if !true_rel.is_finite() && can_escalate {
+                    // Rescue: the narrow chain poisoned x — roll it back to
+                    // the cycle start and retry one rung wider (the
+                    // non-finite residual is not recorded; the rolled back x
+                    // is still the last valid iterate).
+                    col.history.pop();
+                    xs[c].copy_from_slice(&col.start);
+                    column_asked = true;
+                } else if r.stop_reason == StopReason::Converged
+                    || (r.stop_reason == StopReason::Breakdown && !can_escalate)
+                {
+                    (col.stop_reason, col.done) = (r.stop_reason, true);
+                } else {
+                    // Cycle-boundary stall check: a full cycle that failed to
+                    // shrink the true residual by the policy's reduction
+                    // factor counts as stalled even if the per-iteration
+                    // detector (whose stop reads `Stopped`) stayed quiet.
+                    let last = &mut self.watches[c].1;
+                    let boundary_stall = last.is_some_and(|prev| prev / true_rel < self.policy.cycle_reduction);
+                    *last = Some(true_rel);
+                    let column_stalled = r.stop_reason == StopReason::Stopped || boundary_stall;
+                    stalled |= column_stalled;
+                    column_asked |= column_stalled;
+                }
+                if !col.done {
+                    if !asked {
+                        at = Some((col.outer_iterations, true_rel));
+                    }
+                    asked |= column_asked;
+                }
+            }
+
+            cycle += 1;
+            cycles_since_switch += 1;
+            // `at` is set exactly when a column is still running.
+            if let Some((outer_iterations, true_rel)) = at {
+                if let Some(to_rung) = self.next_rung(can_escalate, asked, stalled) {
+                    self.switch_to(to_rung, cycle - 1, outer_iterations, true_rel);
+                    cycles_since_switch = 0;
+                }
+            }
+        }
+
+        // Rung 0's name and fingerprint: the caller's solver answered.
+        let seconds = begin.elapsed().as_secs_f64();
+        cols.into_iter()
+            .map(|col| base.result(col.stop_reason, col.outer_iterations, col.history, counters, seconds))
+            .collect()
+    }
+
+    /// The rung to switch to at a cycle boundary, if any: one up when a
+    /// running column `asked` and the session `can_escalate`, one down after
+    /// `deescalate_after` consecutive cycles in which no running column
+    /// `stalled` (not below the floor, and only once a rung on probation has
+    /// survived as long).
+    fn next_rung(&mut self, can_escalate: bool, asked: bool, stalled: bool) -> Option<usize> {
+        if can_escalate && asked {
+            self.escalations += 1;
+            if self.probation {
+                self.floor = self.rung + 1;
+            }
+            return Some(self.rung + 1);
+        }
+        if stalled {
+            return None;
+        }
+        self.healthy_cycles += 1;
+        if self.healthy_cycles < self.policy.deescalate_after? {
+            return None;
+        }
+        if self.probation {
+            // The narrow rung survived its probation: it is the session's
+            // rung for good.
+            self.probation = false;
+            self.healthy_cycles = 0;
+            return None;
+        }
+        (self.rung > self.floor).then(|| self.rung - 1)
+    }
+
+    /// Move to `to_rung` with a fresh session on its solver (fresh Richardson
+    /// weights too, as a rebuilt chain has), log the switch and reset every
+    /// column's detector.
+    fn switch_to(&mut self, to_rung: usize, cycle: usize, outer_iterations: usize, true_relative_residual: f64) {
+        let mut faulted_bytes = 0;
+        if to_rung == self.solvers.len() {
+            let (solver, bytes) = self.solvers[0].with_levels(&self.ladder[to_rung]);
+            self.solvers.push(solver);
+            faulted_bytes = bytes;
+        }
+        self.session = self.solvers[to_rung].session();
+        let escalated = to_rung > self.rung;
+        let levels = self.ladder[to_rung].clone();
+        let from_rung = std::mem::replace(&mut self.rung, to_rung);
+        self.switches.push(PrecisionSwitch {
+            cycle,
+            outer_iterations,
+            true_relative_residual,
+            from_rung,
+            to_rung,
+            escalated,
+            levels,
+            faulted_bytes,
+        });
+        self.healthy_cycles = 0;
+        // A de-escalated rung is on probation; an escalation ends one.
+        self.probation = !escalated;
+        for (detector, last) in &mut self.watches {
+            detector.reset();
+            *last = None;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -64,20 +64,6 @@
 //! times at any `j`, beside the `2(j + 1)` basis reads, and the result is
 //! bitwise that of one dot and one axpy per basis vector.
 //!
-//! # Why swapping the inner chain mid-solve is legal
-//!
-//! Flexible preconditioning is also what makes the *adaptive* runtime
-//! precision of [`crate::adaptive`] sound: FGMRES stores every
-//! preconditioned direction `z_j` explicitly and builds the solution update
-//! from those stored vectors, so the preconditioner may be a *different*
-//! operator at every iteration — including one whose matrix/basis precisions
-//! were rebuilt between cycles.  An adaptive session therefore replaces the
-//! whole inner chain at a cycle boundary (or abandons a broken-down cycle
-//! and restarts it on the wider chain) without invalidating any outer Krylov
-//! state; the outer level only ever sees "some operator produced `z_j`".
-//! The per-iteration residual estimates that drive the stall detectors reach
-//! them through [`CycleParams::progress`] ([`CycleProgress`]).
-//!
 //! # Example
 //!
 //! Run one explicitly-typed one-column cycle with an fp16-compressed basis

@@ -14,13 +14,7 @@
 //! [`SolveSession`](crate::session::SolveSession) builds its own chain (the
 //! workspaces and the Richardson weights are mutable), while the matrix
 //! copies and the factorized `M` the chain borrows live in the shared,
-//! immutable [`PreparedSolver`](crate::session::PreparedSolver).  That
-//! per-session ownership is what lets an *adaptive* session
-//! ([`crate::adaptive`]) discard and rebuild its chain against wider matrix
-//! variants mid-solve: the swap touches only session-local state (plus
-//! demand-materialization of shared variants, which is append-only), and the
-//! outer FGMRES level tolerates the operator change because its
-//! preconditioning is flexible (see the module docs of [`crate::fgmres`]).
+//! immutable [`PreparedSolver`](crate::session::PreparedSolver).
 
 use std::sync::Arc;
 

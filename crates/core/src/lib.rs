@@ -32,11 +32,12 @@
 //!   [`basis::CompressedBasis`]); pick the storage axis per level via the
 //!   `basis_prec` field of [`LevelSpec`] or spec-wide via
 //!   [`NestedSpec::with_basis_storage`],
-//! * adaptive runtime precision ([`adaptive`]): a stall detector over the
-//!   outer residual trace escalates stalled inner levels to wider
-//!   matrix/basis variants mid-solve and de-escalates after sustained
-//!   progress ([`SolverBuilder::adaptive`](session::SolverBuilder::adaptive)),
-//!   plus a cost-model autotuner that picks the initial spec per matrix
+//! * adaptive runtime precision ([`adaptive`]): an
+//!   [`AdaptiveSession`](adaptive::AdaptiveSession) runs the one driver one
+//!   restart cycle at a time, and per-column stall detectors over the outer
+//!   residual trace move the inner levels to wider matrix/basis variants at
+//!   a cycle boundary, and back after sustained progress; plus a cost-model
+//!   autotuner that picks the initial spec per matrix
 //!   ([`SolverBuilder::auto_spec`](session::SolverBuilder::auto_spec)),
 //! * the paper's solver presets ([`f3r`]): fp64-/fp32-/fp16-F3R (Table 1) and
 //!   the nesting-depth references F2, fp16-F2, F3, fp16-F3, F4 (Table 4),
@@ -98,7 +99,8 @@ pub mod session;
 /// Convenient re-exports of the types most users need.
 pub mod prelude {
     pub use crate::adaptive::{
-        AdaptivePolicy, AutoTuneConfig, StallConfig, StallDetector, StallSignal,
+        AdaptivePolicy, AdaptiveSession, AutoTuneConfig, PrecisionSwitch, StallConfig, StallDetector,
+        StallSignal,
     };
     pub use crate::baseline::{BaselineConfig, BiCgStabSolver, CgSolver, RestartedFgmresSolver};
     pub use crate::basis::CompressedBasis;
@@ -111,8 +113,8 @@ pub mod prelude {
     pub use crate::operator::{MatrixFormat, MatrixStorage, ProblemMatrix, SpmvBackend, VariantInfo};
     pub use crate::richardson::WeightStrategy;
     pub use crate::session::{
-        CycleEvent, OuterEvent, PrecisionSwitchEvent, PreparedSolver, SolveControl, SolveObserver,
-        SolveOptions, SolveSession, SolverBuilder,
+        CycleEvent, OuterEvent, PreparedSolver, SolveControl, SolveObserver, SolveOptions, SolveSession,
+        SolverBuilder,
     };
 }
 

@@ -34,11 +34,13 @@
 //! There is one solve driver.  [`SolveSession::solve`], `solve_with`,
 //! `solve_observed`, `solve_batch` and `solve_batch_with` all run it, on one
 //! column or several: every column has its own right-hand side, solution,
-//! [`SolveOptions`] (warm-start `x0`, tolerance and cycle-budget overrides),
-//! history and — on adaptive sessions — stall detector, and all running
-//! columns share the outer cycles of [`crate::fgmres`].  A one-column call
-//! can be watched through a [`SolveObserver`] (per-outer-iteration residual
-//! events with early-stop control).
+//! [`SolveOptions`] (warm-start `x0`, tolerance and cycle-budget overrides)
+//! and history, and all running columns share the outer cycles of
+//! [`crate::fgmres`].  A one-column call can be watched through a
+//! [`SolveObserver`] (per-outer-iteration residual events with early-stop
+//! control).  Runtime precision switching is not part of the driver: it is
+//! [`crate::adaptive::AdaptiveSession`], which runs the driver one restart
+//! cycle at a time.
 //!
 //! # Example
 //!
@@ -74,14 +76,11 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use f3r_precision::{f16, KernelCounters, Precision, Scalar};
+use f3r_precision::{f16, CounterSnapshot, KernelCounters, Precision, Scalar};
 use f3r_precond::PrecondKind;
 use f3r_sparse::blas1;
 
-use crate::adaptive::{
-    auto_spec_for_matrix, escalation_ladder, AdaptivePolicy, AutoTuneConfig, StallDetector,
-    StallSignal,
-};
+use crate::adaptive::{auto_spec_for_matrix, AutoTuneConfig};
 use crate::convergence::{SolveResult, SparseSolver, StopReason};
 use crate::f3r::{f3r_spec, F3rParams, F3rScheme, SolverSettings};
 use crate::fgmres::{fgmres_cycle, CycleParams, CycleProgress, FgmresLevel, FgmresWorkspace};
@@ -261,7 +260,6 @@ pub struct SolverBuilder {
     name: Option<String>,
     basis_storage: Option<Precision>,
     matrix_storage: Option<MatrixStorage>,
-    policy: Option<AdaptivePolicy>,
 }
 
 impl SolverBuilder {
@@ -279,7 +277,6 @@ impl SolverBuilder {
             name: None,
             basis_storage: None,
             matrix_storage: None,
-            policy: None,
         }
     }
 
@@ -342,27 +339,6 @@ impl SolverBuilder {
     pub fn auto_spec_with(mut self, config: AutoTuneConfig) -> Self {
         self.source = Some(SpecSource::Auto(config));
         self
-    }
-
-    /// Enable adaptive runtime precision for every session of the prepared
-    /// solver: a [`StallDetector`] watches the outer residual trace and, on
-    /// stall/divergence/breakdown, the session escalates the inner levels to
-    /// the next-wider variant of the escalation ladder mid-solve (fp16 →
-    /// fp32 → fp64 matrix streams, bases dragged along), de-escalating after
-    /// sustained progress per `policy`.  The outer Krylov state survives a
-    /// switch: FGMRES is flexible, so swapping the inner solver between (or
-    /// within) cycles is legal by construction.
-    #[must_use]
-    pub fn adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// [`adaptive`](Self::adaptive) with the default
-    /// [`AdaptivePolicy`].
-    #[must_use]
-    pub fn adaptive_default(self) -> Self {
-        self.adaptive(AdaptivePolicy::default())
     }
 
     /// Primary preconditioner kind (default: `ILU(0)` with α = 1).
@@ -486,8 +462,7 @@ impl SolverBuilder {
     /// # Errors
     /// Returns a [`SpecError`] if no level structure was given or the
     /// resulting spec fails [`NestedSpec::check`].
-    pub fn try_build(mut self) -> Result<Arc<PreparedSolver>, SpecError> {
-        let policy = self.policy.take();
+    pub fn try_build(self) -> Result<Arc<PreparedSolver>, SpecError> {
         let (matrix, spec) = self.resolve_spec()?;
         // Materialize exactly the matrix variants the validated level chain
         // streams (the store stays lazy for everything else — a later
@@ -515,7 +490,6 @@ impl SolverBuilder {
             matrix,
             precond,
             spec,
-            policy,
             fingerprint,
         }))
     }
@@ -550,7 +524,6 @@ pub struct PreparedSolver {
     matrix: Arc<ProblemMatrix>,
     precond: Arc<AnyPrecond>,
     spec: NestedSpec,
-    policy: Option<AdaptivePolicy>,
     fingerprint: u64,
 }
 
@@ -602,13 +575,6 @@ impl PreparedSolver {
         &self.spec.name
     }
 
-    /// The adaptive-precision policy sessions of this solver run under, if
-    /// [`SolverBuilder::adaptive`] enabled one.
-    #[must_use]
-    pub fn adaptive_policy(&self) -> Option<&AdaptivePolicy> {
-        self.policy.as_ref()
-    }
-
     /// Stable content fingerprint of this solver: the matrix
     /// [`content_hash`](ProblemMatrix::content_hash) mixed with the
     /// structural fields of the validated spec (see
@@ -639,15 +605,60 @@ impl PreparedSolver {
     /// allocated on the session's first solve.
     #[must_use]
     pub fn session(self: &Arc<Self>) -> SolveSession {
-        let adaptive = self
-            .policy
-            .map(|policy| AdaptiveRun::new(policy, &self.spec.levels));
         SolveSession {
             prepared: Arc::clone(self),
             counters: KernelCounters::new_shared(),
             work: None,
             generation: 0,
-            adaptive,
+        }
+    }
+
+    /// This solver on another level structure (a rung of
+    /// [`AdaptiveSession`](crate::adaptive::AdaptiveSession)'s ladder): the
+    /// matrix store and the factorised `M` are shared, nothing is
+    /// refactorised, and the rung's matrix variants are materialized.
+    /// Returns the bytes that faulted into the store beside it.
+    pub(crate) fn with_levels(&self, levels: &[LevelSpec]) -> (Arc<Self>, u64) {
+        let before = self.matrix.storage_bytes();
+        for level in levels {
+            self.matrix.materialize(level.matrix_storage());
+        }
+        let spec = NestedSpec { levels: levels.to_vec(), ..self.spec.clone() };
+        let solver = Self {
+            matrix: Arc::clone(&self.matrix),
+            precond: Arc::clone(&self.precond),
+            fingerprint: crate::fingerprint::solver_fingerprint(&self.matrix, &spec),
+            spec,
+        };
+        (Arc::new(solver), self.matrix.storage_bytes().saturating_sub(before))
+    }
+
+    /// The result of a column that stopped for `stop_reason` after
+    /// `outer_iterations` with true-residual `history`, in a call that took
+    /// `seconds` and counted `counters`.
+    pub(crate) fn result(
+        &self,
+        stop_reason: StopReason,
+        outer_iterations: usize,
+        history: Vec<f64>,
+        counters: CounterSnapshot,
+        seconds: f64,
+    ) -> SolveResult {
+        SolveResult {
+            converged: stop_reason == StopReason::Converged,
+            stop_reason,
+            outer_iterations,
+            precond_applications: counters.precond_applies,
+            // `x` has not changed since the column's last residual
+            // evaluation, so reuse it instead of paying another fp64 SpMV
+            // (the zero-rhs path has no history and is exact by
+            // construction).
+            final_relative_residual: history.last().copied().unwrap_or(0.0),
+            seconds,
+            residual_history: history,
+            counters,
+            solver_name: self.spec.name.clone(),
+            fingerprint: Some(self.fingerprint),
         }
     }
 }
@@ -669,6 +680,8 @@ pub enum SolveControl {
 /// One outermost Arnoldi iteration, reported as it completes.
 #[derive(Debug, Clone, Copy)]
 pub struct OuterEvent {
+    /// Column of the call the iteration belongs to (0 for a single solve).
+    pub column: usize,
     /// Global outermost iteration count (1-based, across restart cycles).
     pub outer_iteration: usize,
     /// Restart cycle index (0-based).
@@ -681,34 +694,14 @@ pub struct OuterEvent {
 /// One completed restart cycle, reported after the true residual check.
 #[derive(Debug, Clone, Copy)]
 pub struct CycleEvent {
+    /// Column of the call the cycle belongs to (0 for a single solve).
+    pub column: usize,
     /// Restart cycle index (0-based).
     pub cycle: usize,
     /// Total outermost iterations so far.
     pub outer_iterations: usize,
     /// True relative residual `‖b − A x‖₂ / ‖b‖₂` (fp64 evaluation).
     pub true_relative_residual: f64,
-}
-
-/// One mid-solve precision switch of an adaptive session (see
-/// [`SolverBuilder::adaptive`]), reported as it happens.
-#[derive(Debug, Clone)]
-pub struct PrecisionSwitchEvent {
-    /// Restart-cycle index (0-based) of the cycle that triggered the switch.
-    pub cycle: usize,
-    /// Total outermost iterations executed when the switch happened.
-    pub outer_iterations: usize,
-    /// True relative residual at the switch (`NaN`/`inf` when the switch
-    /// rescued a breakdown).
-    pub true_relative_residual: f64,
-    /// `true` for an escalation (wider variants), `false` for a
-    /// de-escalation back down the ladder.
-    pub escalated: bool,
-    /// Ladder rung before the switch (0 = the spec as built).
-    pub from_rung: usize,
-    /// Ladder rung after the switch.
-    pub to_rung: usize,
-    /// The level structure the solve continues with, outermost first.
-    pub levels: Vec<LevelSpec>,
 }
 
 /// Callback interface for watching a solve as it progresses.
@@ -735,57 +728,31 @@ pub trait SolveObserver {
         let _ = event;
         SolveControl::Continue
     }
-
-    /// Called when an adaptive session switches its inner levels to a wider
-    /// or narrower ladder rung mid-solve.  Informational — the switch has
-    /// already happened; use [`on_outer_iteration`](Self::on_outer_iteration)
-    /// or [`on_cycle_complete`](Self::on_cycle_complete) to stop the solve.
-    fn on_precision_switch(&mut self, event: &PrecisionSwitchEvent) {
-        let _ = event;
-    }
 }
 
 /// Progress hook of the outermost cycle: turns each column's iterations into
-/// [`OuterEvent`]s for the observer (if any) and, on adaptive sessions, feeds
-/// the column's stall detector.  A stall/divergence signal ends that column's
-/// cycle early (`switch_wanted`) so the session can escalate at the cycle
-/// boundary; an observer stop always wins and is recorded separately so the
-/// two exits stay distinguishable after the cycle returns.
+/// [`OuterEvent`]s for the observer.  A stop is recorded on the column, so
+/// it stays distinguishable from the cycle's other exits after it returns.
 struct OuterHook<'o> {
-    observer: Option<&'o mut dyn SolveObserver>,
-    /// Stall state by column of the call (adaptive sessions only).
-    watches: Option<&'o mut [ColumnWatch]>,
+    observer: &'o mut dyn SolveObserver,
     runs: &'o mut [ColumnRun],
     /// Column of the call behind each column of the cycle's panel.
     packed: &'o [usize],
     cycle: usize,
-    can_escalate: bool,
 }
 
 impl CycleProgress for OuterHook<'_> {
     fn on_iteration(&mut self, column: usize, iteration_in_cycle: usize, residual_estimate: f64) -> bool {
         let c = self.packed[column];
         let run = &mut self.runs[c];
-        let relative = residual_estimate / run.bnorm;
-        if let Some(observer) = self.observer.as_deref_mut() {
-            let event = OuterEvent {
-                outer_iteration: run.outer_iterations + iteration_in_cycle + 1,
-                cycle: self.cycle,
-                relative_residual_estimate: relative,
-            };
-            if observer.on_outer_iteration(&event) == SolveControl::Stop {
-                run.user_stopped = true;
-                return false;
-            }
-        }
-        if let Some(watches) = self.watches.as_deref_mut() {
-            let signal = watches[c].detector.observe(relative);
-            if self.can_escalate && !matches!(signal, StallSignal::Progressing) {
-                run.switch_wanted = true;
-                return false;
-            }
-        }
-        true
+        let event = OuterEvent {
+            column: c,
+            outer_iteration: run.outer_iterations + iteration_in_cycle + 1,
+            cycle: self.cycle,
+            relative_residual_estimate: residual_estimate / run.bnorm,
+        };
+        run.user_stopped = self.observer.on_outer_iteration(&event) == SolveControl::Stop;
+        !run.user_stopped
     }
 }
 
@@ -865,16 +832,11 @@ struct ColumnRun {
     bnorm: f64,
     tol: f64,
     max_cycles: usize,
-    /// Ceiling on the column's cycles whatever the switches (see `drive`).
-    hard_cap: usize,
     warm: bool,
     outer_iterations: usize,
     history: Vec<f64>,
     stop_reason: StopReason,
     done: bool,
-    /// Set by the hook when the column's detector asked for an escalation
-    /// during the running cycle.
-    switch_wanted: bool,
     /// Set by the hook when the observer stopped the column during the
     /// running cycle.
     user_stopped: bool,
@@ -885,130 +847,6 @@ impl ColumnRun {
         self.stop_reason = reason;
         self.done = true;
     }
-}
-
-/// Stall state of one column of an adaptive session's running call.
-struct ColumnWatch {
-    detector: StallDetector,
-    /// True relative residual after the column's previous cycle at this rung
-    /// (for the cycle-boundary reduction check); `None` right after a switch.
-    last_cycle_rel: Option<f64>,
-}
-
-/// Runtime state of an adaptive session: the escalation ladder derived from
-/// the prepared spec, the rung currently driving the inner chain, and the
-/// stall/health bookkeeping of the escalate → cool-down → de-escalate state
-/// machine.  Detection is per column (every column has its own detector and
-/// last-cycle residual); the rung, and so every escalation, is per session,
-/// because the columns share one inner chain.  The rung and its floor persist
-/// across solves of the same session (a matrix that needed fp32 last solve
-/// starts there next solve); the per-solve fields reset in
-/// [`begin_solve`](Self::begin_solve).
-struct AdaptiveRun {
-    policy: AdaptivePolicy,
-    ladder: Vec<Vec<LevelSpec>>,
-    /// Current ladder rung; `work.inner` is always built from
-    /// `ladder[rung]`.
-    rung: usize,
-    /// Lowest rung de-escalation may return to.  Starts at 0 and is pinned
-    /// upward when a probational de-escalation stalls again.
-    floor: usize,
-    /// Escalations taken in the current solve (bounded by
-    /// `policy.max_escalations`).
-    escalations: usize,
-    /// Consecutive healthy cycles at the current rung.
-    healthy_cycles: usize,
-    /// Set right after a de-escalation: the narrow rung is on probation
-    /// until it survives `deescalate_after` healthy cycles; stalling while
-    /// on probation pins `floor` at the re-escalated rung.
-    probation: bool,
-    /// Stall state by column of the running call (kept across calls, so a
-    /// steady-state solve allocates no detector).
-    watches: Vec<ColumnWatch>,
-    /// Copy of every running column's `x` from the start of the current
-    /// cycle (column `c` at `c * n`), for rolling back a column whose cycle
-    /// broke down before escalating.
-    x_backup: Vec<f64>,
-}
-
-impl AdaptiveRun {
-    fn new(policy: AdaptivePolicy, levels: &[LevelSpec]) -> Self {
-        Self {
-            ladder: escalation_ladder(levels),
-            rung: 0,
-            floor: 0,
-            escalations: 0,
-            healthy_cycles: 0,
-            probation: false,
-            watches: Vec::new(),
-            x_backup: Vec::new(),
-            policy,
-        }
-    }
-
-    /// Reset the per-solve state for a call on `k` columns of length `n`,
-    /// keeping the rung and floor the session has settled on.
-    fn begin_solve(&mut self, n: usize, k: usize) {
-        self.escalations = 0;
-        self.healthy_cycles = 0;
-        self.probation = false;
-        let stall = self.policy.stall;
-        self.watches.resize_with(k.max(self.watches.len()), || ColumnWatch {
-            detector: StallDetector::new(stall),
-            last_cycle_rel: None,
-        });
-        self.reset_watches();
-        self.x_backup.resize(n * k, 0.0);
-    }
-
-    fn reset_watches(&mut self) {
-        for watch in &mut self.watches {
-            watch.detector.reset();
-            watch.last_cycle_rel = None;
-        }
-    }
-
-    fn can_escalate(&self) -> bool {
-        self.rung + 1 < self.ladder.len() && self.escalations < self.policy.max_escalations
-    }
-
-    /// The rung to switch to at a cycle boundary, if any: one up when a
-    /// running column `asked` and the session `can_escalate`, one down after
-    /// `deescalate_after` consecutive cycles in which no running column
-    /// `stalled` (not below the floor, and only once a rung on probation has
-    /// survived as long).
-    fn next_rung(&mut self, can_escalate: bool, asked: bool, stalled: bool) -> Option<usize> {
-        if can_escalate && asked {
-            self.escalations += 1;
-            if self.probation {
-                self.floor = self.rung + 1;
-            }
-            return Some(self.rung + 1);
-        }
-        if stalled {
-            return None;
-        }
-        self.healthy_cycles += 1;
-        if self.healthy_cycles < self.policy.deescalate_after? {
-            return None;
-        }
-        if self.probation {
-            // The narrow rung survived its probation: it is the session's
-            // rung for good.
-            self.probation = false;
-            self.healthy_cycles = 0;
-            return None;
-        }
-        (self.rung > self.floor).then(|| self.rung - 1)
-    }
-}
-
-/// Where a mid-solve precision switch happened (the event data reported to
-/// the observer).
-struct SwitchPoint {
-    cycle: usize,
-    outer_iterations: usize,
-    true_relative_residual: f64,
 }
 
 /// One solve stream over a [`PreparedSolver`]: owns the mutable level
@@ -1037,7 +875,6 @@ pub struct SolveSession {
     counters: Arc<KernelCounters>,
     work: Option<SessionWork>,
     generation: u64,
-    adaptive: Option<AdaptiveRun>,
 }
 
 impl SolveSession {
@@ -1084,26 +921,6 @@ impl SolveSession {
         })
     }
 
-    /// The escalation-ladder rung an adaptive session currently runs at
-    /// (0 = the spec as built), or `None` for a fixed-precision session.
-    /// The rung persists across solves: a matrix that forced an escalation
-    /// starts the next solve of the same session already widened.
-    #[must_use]
-    pub fn adaptive_rung(&self) -> Option<usize> {
-        self.adaptive.as_ref().map(|run| run.rung)
-    }
-
-    /// The inner-solver chain below the outermost level for `levels`
-    /// (outermost first).
-    fn build_inner(&self, levels: &[LevelSpec]) -> Box<dyn InnerSolver<f64>> {
-        let precond = &self.prepared.precond;
-        if levels.len() == 1 {
-            Box::new(PrecondInner::<f64>::new(Arc::clone(precond), Arc::clone(&self.counters), 2))
-        } else {
-            build_child::<f64>(&levels[1..], 2, &self.prepared.matrix, precond, &self.counters)
-        }
-    }
-
     /// Make the level workspaces hold `k` columns: allocate them on the
     /// first solve, regrow the outer workspace and the packed panels when a
     /// wider call arrives (the inner levels regrow themselves when the wider
@@ -1120,16 +937,15 @@ impl SolveSession {
             work.bp = vec![0.0; panel];
             work.xp = vec![0.0; panel];
         } else {
-            let spec = &self.prepared.spec;
-            // An adaptive session builds its inner chain from the current
-            // ladder rung (which persists across solves); rung 0 is the spec
-            // itself.
-            let levels: &[LevelSpec] = match &self.adaptive {
-                Some(run) => &run.ladder[run.rung],
-                None => &spec.levels,
+            let (spec, precond) = (&self.prepared.spec, &self.prepared.precond);
+            // The inner-solver chain below the outermost level.
+            let inner: Box<dyn InnerSolver<f64>> = if spec.levels.len() == 1 {
+                Box::new(PrecondInner::<f64>::new(Arc::clone(precond), Arc::clone(&self.counters), 2))
+            } else {
+                build_child::<f64>(&spec.levels[1..], 2, &self.prepared.matrix, precond, &self.counters)
             };
             self.work = Some(SessionWork {
-                inner: self.build_inner(levels),
+                inner,
                 outer: FgmresWorkspace::with_columns(n, spec.levels[0].iterations(), k),
                 residual: vec![0.0; n],
                 bp: vec![0.0; panel],
@@ -1137,58 +953,6 @@ impl SolveSession {
             });
         }
         self.generation += 1;
-    }
-
-    /// Move an adaptive session to `new_rung`: materialize the rung's matrix
-    /// variants from the lazy store (counting the newly faulted-in bytes),
-    /// rebuild the inner-solver chain against them, attribute the per-level
-    /// escalation/de-escalation events, and reset the rung-local detector
-    /// state of every column.  The outer workspace — and with it the outer
-    /// Krylov state — is untouched: the outermost level never changes, and
-    /// FGMRES is flexible, so a different inner solver between iterations is
-    /// legal by construction.
-    fn switch_rung(&mut self, new_rung: usize, at: &SwitchPoint, observer: Option<&mut (dyn SolveObserver + '_)>) {
-        let run = self.adaptive.as_ref().expect("only adaptive sessions switch");
-        let from_rung = run.rung;
-        let escalated = new_rung > from_rung;
-        let new_levels = run.ladder[new_rung].clone();
-        let matrix = &self.prepared.matrix;
-        let bytes_before = matrix.storage_bytes();
-        for level in &new_levels[1..] {
-            matrix.materialize(level.matrix_storage());
-        }
-        let faulted = matrix.storage_bytes().saturating_sub(bytes_before);
-        if faulted > 0 {
-            self.counters.record_switch_bytes(faulted);
-        }
-        for (depth0, (old, new)) in run.ladder[from_rung].iter().zip(&new_levels).enumerate().skip(1) {
-            if old != new {
-                if escalated {
-                    self.counters.record_escalation(depth0 + 1);
-                } else {
-                    self.counters.record_deescalation(depth0 + 1);
-                }
-            }
-        }
-        let inner = self.build_inner(&new_levels);
-        self.work.as_mut().expect("a switch happens mid-solve").inner = inner;
-        let run = self.adaptive.as_mut().expect("only adaptive sessions switch");
-        run.rung = new_rung;
-        run.healthy_cycles = 0;
-        // A de-escalated rung is on probation; an escalation ends one.
-        run.probation = !escalated;
-        run.reset_watches();
-        if let Some(obs) = observer {
-            obs.on_precision_switch(&PrecisionSwitchEvent {
-                cycle: at.cycle,
-                outer_iterations: at.outer_iterations,
-                true_relative_residual: at.true_relative_residual,
-                escalated,
-                from_rung,
-                to_rung: new_rung,
-                levels: new_levels,
-            });
-        }
     }
 
     /// Solve `A x = b` from the zero initial guess with the spec's tolerance
@@ -1269,13 +1033,6 @@ impl SolveSession {
     /// `counters.matrix_bytes_total() / counters.spmm_columns_total()`
     /// exposes the per-RHS matrix traffic the batching saves.
     ///
-    /// On an adaptive session (see [`SolverBuilder::adaptive`]) a batch
-    /// adapts like a single solve: stall detection is per column, and
-    /// because the columns share one inner chain the escalation is per
-    /// session — at a cycle boundary the chain is switched once if any
-    /// running column asked, for all of them, and only a column whose
-    /// residual went non-finite is rolled back to its cycle start.
-    ///
     /// # Panics
     /// Panics if `bs`, `xs` and `opts` differ in length, a right-hand side
     /// or warm start is not `dim()` elements long, or an override is out of
@@ -1286,27 +1043,13 @@ impl SolveSession {
         xs: &mut [Vec<f64>],
         opts: &[SolveOptions<'_>],
     ) -> Vec<SolveResult> {
-        assert_eq!(
-            bs.len(),
-            xs.len(),
-            "solve_batch: need one solution vector per right-hand side"
-        );
-        assert_eq!(bs.len(), opts.len(), "solve_batch: need one set of options per right-hand side");
-        let n = self.prepared.dim();
-        let bs: Vec<&[f64]> = bs.iter().map(AsRef::as_ref).collect();
-        let mut xs: Vec<&mut [f64]> = xs
-            .iter_mut()
-            .map(|x| {
-                x.resize(n, 0.0);
-                x.as_mut_slice()
-            })
-            .collect();
+        let (bs, mut xs) = batch_columns(bs, xs, opts, self.prepared.dim());
         self.drive(&bs, &mut xs, opts, None)
     }
 
     /// The one solve driver: column `c` solves `A xs[c] = bs[c]` under
-    /// `opts[c]`.  An `observer` belongs to a one-column call.
-    fn drive(
+    /// `opts[c]`, and the `observer`, if any, watches every column.
+    pub(crate) fn drive(
         &mut self,
         bs: &[&[f64]],
         xs: &mut [&mut [f64]],
@@ -1314,7 +1057,6 @@ impl SolveSession {
         mut observer: Option<&mut dyn SolveObserver>,
     ) -> Vec<SolveResult> {
         let k = bs.len();
-        debug_assert!(observer.is_none() || k == 1, "observers watch one column");
         if k == 0 {
             return Vec::new();
         }
@@ -1322,14 +1064,6 @@ impl SolveSession {
         let start = Instant::now();
         self.ensure_work(k);
         self.counters.reset();
-        // An adaptive session may reset its cycle budget at every precision
-        // switch (a freshly widened chain deserves a full budget), bounded by
-        // a hard cap so a pathological matrix cannot loop forever; a
-        // fixed-precision session runs the plain budget.
-        let cap_factor = self
-            .adaptive
-            .as_ref()
-            .map_or(1, |run| 2 * run.policy.max_escalations + 2);
         let mut runs: Vec<ColumnRun> = (0..k)
             .map(|c| {
                 let (b, x, opts) = (bs[c], &mut *xs[c], &opts[c]);
@@ -1354,20 +1088,15 @@ impl SolveSession {
                     bnorm,
                     tol,
                     max_cycles,
-                    hard_cap: max_cycles * cap_factor,
                     warm: opts.x0.is_some(),
                     outer_iterations: 0,
                     history: Vec::new(),
                     stop_reason: if trivial { StopReason::Converged } else { StopReason::MaxIterations },
                     done: trivial,
-                    switch_wanted: false,
                     user_stopped: false,
                 }
             })
             .collect();
-        if let Some(run) = self.adaptive.as_mut() {
-            run.begin_solve(n, k);
-        }
 
         // Columns of the call behind the columns of the cycle's panel, and
         // their tolerances and warm flags in panel order.
@@ -1377,14 +1106,13 @@ impl SolveSession {
         // Every running column has run every cycle so far, so the cycle
         // counts are the driver's; only the budgets are per column.
         let mut total_cycles = 0usize;
-        let mut cycles_since_switch = 0usize;
         loop {
             packed.clear();
             for (c, run) in runs.iter_mut().enumerate() {
                 // A column out of budget keeps its `MaxIterations` verdict.
-                run.done |= cycles_since_switch >= run.max_cycles || total_cycles >= run.hard_cap;
+                run.done |= total_cycles >= run.max_cycles;
                 if !run.done {
-                    (run.switch_wanted, run.user_stopped) = (false, false);
+                    run.user_stopped = false;
                     packed.push(c);
                 }
             }
@@ -1397,15 +1125,6 @@ impl SolveSession {
             x_nonzero.clear();
             x_nonzero.extend(packed.iter().map(|&c| runs[c].warm || total_cycles > 0));
             let cycle = total_cycles;
-            let can_escalate = self.adaptive.as_ref().is_some_and(AdaptiveRun::can_escalate);
-            if can_escalate {
-                // Snapshot x so a column whose cycle breaks down in the
-                // narrow chain can be rolled back and retried one rung wider.
-                let run = self.adaptive.as_mut().expect("adaptive run present");
-                for &c in &packed {
-                    run.x_backup[c * n..(c + 1) * n].copy_from_slice(xs[c]);
-                }
-            }
 
             let SessionWork {
                 inner,
@@ -1431,15 +1150,12 @@ impl SolveSession {
                     (&mut xp[..ka * n], &bp[..ka * n])
                 }
             };
-            let mut hook = OuterHook {
-                // (the closure shortens the trait object's lifetime bound)
-                observer: observer.as_deref_mut().map(|obs| -> &mut dyn SolveObserver { obs }),
-                watches: self.adaptive.as_mut().map(|run| &mut run.watches[..]),
+            let mut hook = observer.as_deref_mut().map(|observer| OuterHook {
+                observer,
                 runs: &mut runs,
                 packed: &packed,
                 cycle,
-                can_escalate,
-            };
+            });
             let outcomes = fgmres_cycle(
                 CycleParams {
                     matrix: &self.prepared.matrix,
@@ -1449,7 +1165,7 @@ impl SolveSession {
                     x_nonzero: Some(&x_nonzero),
                     depth: 1,
                     counters: &self.counters,
-                    progress: Some(&mut hook),
+                    progress: hook.as_mut().map(|hook| -> &mut dyn CycleProgress { hook }),
                 },
                 xs_cycle,
                 bs_cycle,
@@ -1457,11 +1173,6 @@ impl SolveSession {
                 ka,
             );
 
-            // Whether a still-running column asked for a wider chain, whether
-            // one stalled, and where: at the first column that asked, else at
-            // the last one still running.
-            let (mut asked, mut stalled) = (false, false);
-            let mut at = None;
             for (p, &c) in packed.iter().enumerate() {
                 if lone.is_none() {
                     xs[c].copy_from_slice(&xp[p * n..(p + 1) * n]);
@@ -1472,96 +1183,64 @@ impl SolveSession {
                     .prepared
                     .matrix
                     .true_relative_residual_with(xs[c], bs[c], residual);
-                let sterile = outcome.breakdown && outcome.iterations == 0;
-                let mut column_asked = sterile;
-                if !true_rel.is_finite() && can_escalate {
-                    // Rescue: the narrow chain poisoned x — roll it back to
-                    // the cycle start and retry one rung wider (the
-                    // non-finite residual is not recorded; the rolled back x
-                    // is still the last valid iterate).
-                    let backup = &self.adaptive.as_ref().expect("adaptive run present").x_backup;
-                    xs[c].copy_from_slice(&backup[c * n..(c + 1) * n]);
-                    column_asked = true;
-                } else {
-                    run.history.push(true_rel);
-                    if !true_rel.is_finite() {
-                        run.finish(StopReason::Breakdown);
-                    } else if true_rel < run.tol {
-                        run.finish(StopReason::Converged);
-                    } else if run.user_stopped
-                        || observer.as_deref_mut().is_some_and(|obs| {
-                            let event = CycleEvent {
-                                cycle,
-                                outer_iterations: run.outer_iterations,
-                                true_relative_residual: true_rel,
-                            };
-                            obs.on_cycle_complete(&event) == SolveControl::Stop
-                        })
-                    {
-                        run.finish(StopReason::Stopped);
-                    } else if sterile && !can_escalate {
-                        // A breakdown that still produced iterations
-                        // restarts; only a sterile cycle is terminal.
-                        run.finish(StopReason::Breakdown);
-                    } else if let Some(adaptive) = self.adaptive.as_mut() {
-                        // Cycle-boundary stall check: a full cycle that
-                        // failed to shrink the true residual by the policy's
-                        // reduction factor counts as stalled even if the
-                        // per-iteration detector stayed quiet.
-                        let watch = &mut adaptive.watches[c];
-                        let boundary_stall = watch
-                            .last_cycle_rel
-                            .is_some_and(|prev| prev / true_rel < adaptive.policy.cycle_reduction);
-                        watch.last_cycle_rel = Some(true_rel);
-                        let column_stalled = run.switch_wanted || boundary_stall;
-                        stalled |= column_stalled;
-                        column_asked |= column_stalled;
-                    }
-                }
-                if !run.done {
-                    if !asked {
-                        at = Some(SwitchPoint {
+                run.history.push(true_rel);
+                if !true_rel.is_finite() {
+                    run.finish(StopReason::Breakdown);
+                } else if true_rel < run.tol {
+                    run.finish(StopReason::Converged);
+                } else if run.user_stopped
+                    || observer.as_deref_mut().is_some_and(|obs| {
+                        let event = CycleEvent {
+                            column: c,
                             cycle,
                             outer_iterations: run.outer_iterations,
                             true_relative_residual: true_rel,
-                        });
-                    }
-                    asked |= column_asked;
+                        };
+                        obs.on_cycle_complete(&event) == SolveControl::Stop
+                    })
+                {
+                    run.finish(StopReason::Stopped);
+                } else if outcome.breakdown && outcome.iterations == 0 {
+                    // A breakdown that still produced iterations restarts;
+                    // only a sterile cycle is terminal.
+                    run.finish(StopReason::Breakdown);
                 }
             }
-
             total_cycles += 1;
-            cycles_since_switch += 1;
-            // `at` is set exactly when a column is still running.
-            if let (Some(adaptive), Some(at)) = (self.adaptive.as_mut(), at) {
-                if let Some(new_rung) = adaptive.next_rung(can_escalate, asked, stalled) {
-                    self.switch_rung(new_rung, &at, observer.as_deref_mut());
-                    cycles_since_switch = 0;
-                }
-            }
         }
 
         let seconds = start.elapsed().as_secs_f64();
         let snapshot = self.counters.snapshot();
         runs.into_iter()
-            .map(|run| SolveResult {
-                converged: run.stop_reason == StopReason::Converged,
-                stop_reason: run.stop_reason,
-                outer_iterations: run.outer_iterations,
-                precond_applications: snapshot.precond_applies,
-                // `x` has not changed since the column's last in-loop
-                // residual evaluation, so reuse it instead of paying another
-                // fp64 SpMV (the zero-rhs path has no history and is exact by
-                // construction).
-                final_relative_residual: run.history.last().copied().unwrap_or(0.0),
-                seconds,
-                residual_history: run.history,
-                counters: snapshot,
-                solver_name: self.prepared.spec.name.clone(),
-                fingerprint: Some(self.prepared.fingerprint),
-            })
+            .map(|run| self.prepared.result(run.stop_reason, run.outer_iterations, run.history, snapshot, seconds))
             .collect()
     }
+}
+
+/// The columns of a batch call, each `xs[c]` resized to `n`.
+///
+/// # Panics
+/// Panics if `bs`, `xs` and `opts` differ in length.
+pub(crate) fn batch_columns<'a, B: AsRef<[f64]>>(
+    bs: &'a [B],
+    xs: &'a mut [Vec<f64>],
+    opts: &[SolveOptions<'_>],
+    n: usize,
+) -> (Vec<&'a [f64]>, Vec<&'a mut [f64]>) {
+    assert_eq!(
+        bs.len(),
+        xs.len(),
+        "solve_batch: need one solution vector per right-hand side"
+    );
+    assert_eq!(bs.len(), opts.len(), "solve_batch: need one set of options per right-hand side");
+    let xs = xs
+        .iter_mut()
+        .map(|x| {
+            x.resize(n, 0.0);
+            x.as_mut_slice()
+        })
+        .collect();
+    (bs.iter().map(AsRef::as_ref).collect(), xs)
 }
 
 impl SparseSolver for SolveSession {
@@ -1737,43 +1416,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_session_is_bitwise_fixed_spec_on_a_benign_matrix() {
-        let a = jacobi_scale(&poisson2d_5pt(16, 16));
-        let pm = Arc::new(ProblemMatrix::from_csr(a));
-        let levels = vec![
-            LevelSpec::fgmres(30, Precision::Fp64, Precision::Fp64),
-            LevelSpec::fgmres_stored(5, MatrixStorage::Scaled(Precision::Fp16), Precision::Fp64),
-        ];
-        let fixed = SolverBuilder::new(Arc::clone(&pm))
-            .levels(levels.clone())
-            .precond(PrecondKind::Jacobi)
-            .build();
-        let adaptive = SolverBuilder::new(pm)
-            .levels(levels)
-            .precond(PrecondKind::Jacobi)
-            .adaptive_default()
-            .build();
-        assert!(adaptive.adaptive_policy().is_some());
-        let n = fixed.dim();
-        let b = random_rhs(n, 77);
-        let mut xf = vec![0.0; n];
-        let mut xa = vec![0.0; n];
-        let rf = fixed.session().solve(&b, &mut xf);
-        let mut session = adaptive.session();
-        assert_eq!(session.adaptive_rung(), Some(0));
-        let ra = session.solve(&b, &mut xa);
-        assert!(rf.converged && ra.converged);
-        // No stall on a benign matrix: no switches, and the adaptive solve
-        // runs the exact chain of the fixed spec — bitwise identical.
-        assert_eq!(ra.counters.total_escalations(), 0);
-        assert_eq!(ra.counters.total_deescalations(), 0);
-        assert_eq!(ra.counters.switch_bytes, 0);
-        assert_eq!(session.adaptive_rung(), Some(0));
-        assert_eq!(ra.outer_iterations, rf.outer_iterations);
-        assert_eq!(xa, xf);
-    }
-
-    #[test]
     fn session_solves_and_reuses_workspaces() {
         let prepared = small_prepared();
         let mut session = prepared.session();
@@ -1901,6 +1543,54 @@ mod tests {
         );
         for pair in rec.0.windows(2) {
             assert!(pair[1].true_relative_residual < pair[0].true_relative_residual);
+        }
+    }
+
+    #[test]
+    fn drive_observer_stops_one_column_of_a_batch() {
+        /// Stops column `column` at its `after`-th iteration and records
+        /// every event as `(column, outer_iteration)`.
+        struct StopColumn {
+            column: usize,
+            after: usize,
+            seen: Vec<(usize, usize)>,
+        }
+        impl SolveObserver for StopColumn {
+            fn on_outer_iteration(&mut self, event: &OuterEvent) -> SolveControl {
+                self.seen.push((event.column, event.outer_iteration));
+                if event.column == self.column && event.outer_iteration == self.after {
+                    SolveControl::Stop
+                } else {
+                    SolveControl::Continue
+                }
+            }
+        }
+        let prepared = small_prepared();
+        let n = prepared.dim();
+        let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 300 + s)).collect();
+        let mut xs = vec![vec![0.0; n]; 3];
+        let mut stop = StopColumn { column: 1, after: 5, seen: Vec::new() };
+        let results = {
+            let bs: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
+            let mut xs: Vec<&mut [f64]> = xs.iter_mut().map(Vec::as_mut_slice).collect();
+            prepared.session().drive(&bs, &mut xs, &[SolveOptions::new(); 3], Some(&mut stop))
+        };
+        assert_eq!(results[1].stop_reason, StopReason::Stopped);
+        assert_eq!(results[1].outer_iterations, 5);
+        assert!(results[0].converged && results[2].converged);
+        for c in 0..3 {
+            // Every event carries its column, numbered through its own solve.
+            let seen: Vec<usize> = stop.seen.iter().filter(|e| e.0 == c).map(|e| e.1).collect();
+            assert_eq!(seen, (1..=results[c].outer_iterations).collect::<Vec<_>>(), "column {c}");
+            // Each column is bitwise its lone solve under the same observer.
+            let after = if c == 1 { 5 } else { usize::MAX };
+            let mut alone = StopColumn { column: 0, after, seen: Vec::new() };
+            let mut x = vec![0.0; n];
+            let r = prepared.session().solve_observed(&bs[c], &mut x, &SolveOptions::new(), &mut alone);
+            assert_eq!(xs[c], x, "column {c}");
+            assert_eq!(results[c].stop_reason, r.stop_reason, "column {c}");
+            assert_eq!(results[c].outer_iterations, r.outer_iterations, "column {c}");
+            assert_eq!(results[c].residual_history, r.residual_history, "column {c}");
         }
     }
 

@@ -57,16 +57,6 @@ pub struct KernelCounters {
     /// width, and the per-batch-column matrix traffic is
     /// `matrix_bytes / column count` because the stream is shared.
     spmm_columns: [AtomicU64; 3],
-    /// Mid-solve precision escalations (switches to a *wider* variant), by
-    /// nesting depth (1-based, capped at depth 8) of the affected level.
-    level_escalations: [AtomicU64; 8],
-    /// Mid-solve precision de-escalations (switches back to a narrower
-    /// variant), by nesting depth of the affected level.
-    level_deescalations: [AtomicU64; 8],
-    /// Bytes of matrix storage newly materialized by mid-solve precision
-    /// switches — the one-off cost of faulting wider variants in from the
-    /// lazy matrix store, kept separate from the streaming traffic above.
-    switch_bytes: AtomicU64,
 }
 
 const fn precision_index(p: Precision) -> usize {
@@ -163,29 +153,6 @@ impl KernelCounters {
         self.weight_updates.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one mid-solve precision escalation of the level at nesting
-    /// `depth` (1 = outermost; depths beyond 8 are clamped like
-    /// [`record_level_iterations`](Self::record_level_iterations)).
-    pub fn record_escalation(&self, depth: usize) {
-        let idx = depth.saturating_sub(1).min(self.level_escalations.len() - 1);
-        self.level_escalations[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one mid-solve precision de-escalation of the level at nesting
-    /// `depth`.
-    pub fn record_deescalation(&self, depth: usize) {
-        let idx = depth
-            .saturating_sub(1)
-            .min(self.level_deescalations.len() - 1);
-        self.level_deescalations[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `bytes` of matrix storage newly materialized by a mid-solve
-    /// precision switch.
-    pub fn record_switch_bytes(&self, bytes: u64) {
-        self.switch_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Reset every counter to zero.
     pub fn reset(&self) {
         self.precond_applies.store(0, Ordering::Relaxed);
@@ -217,47 +184,26 @@ impl KernelCounters {
         for c in &self.spmm_columns {
             c.store(0, Ordering::Relaxed);
         }
-        for c in &self.level_escalations {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.level_deescalations {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.switch_bytes.store(0, Ordering::Relaxed);
     }
 
     /// Take a plain-data snapshot of the current counter values.
     #[must_use]
     pub fn snapshot(&self) -> CounterSnapshot {
-        let load3 = |a: &[AtomicU64; 3]| {
-            [
-                a[0].load(Ordering::Relaxed),
-                a[1].load(Ordering::Relaxed),
-                a[2].load(Ordering::Relaxed),
-            ]
-        };
-        let load8 = |a: &[AtomicU64; 8]| {
-            let mut out = [0u64; 8];
-            for (o, c) in out.iter_mut().zip(a.iter()) {
-                *o = c.load(Ordering::Relaxed);
-            }
-            out
-        };
+        fn load<const N: usize>(a: &[AtomicU64; N]) -> [u64; N] {
+            a.each_ref().map(|c| c.load(Ordering::Relaxed))
+        }
         CounterSnapshot {
             precond_applies: self.precond_applies.load(Ordering::Relaxed),
-            spmv_calls: load3(&self.spmv_calls),
-            blas1_calls: load3(&self.blas1_calls),
-            bytes_moved: load3(&self.bytes_moved),
-            basis_bytes_read: load3(&self.basis_bytes_read),
-            basis_bytes_written: load3(&self.basis_bytes_written),
-            matrix_bytes_read: load3(&self.matrix_bytes_read),
-            level_iterations: load8(&self.level_iterations),
+            spmv_calls: load(&self.spmv_calls),
+            blas1_calls: load(&self.blas1_calls),
+            bytes_moved: load(&self.bytes_moved),
+            basis_bytes_read: load(&self.basis_bytes_read),
+            basis_bytes_written: load(&self.basis_bytes_written),
+            matrix_bytes_read: load(&self.matrix_bytes_read),
+            level_iterations: load(&self.level_iterations),
             weight_updates: self.weight_updates.load(Ordering::Relaxed),
-            spmm_calls: load3(&self.spmm_calls),
-            spmm_columns: load3(&self.spmm_columns),
-            level_escalations: load8(&self.level_escalations),
-            level_deescalations: load8(&self.level_deescalations),
-            switch_bytes: self.switch_bytes.load(Ordering::Relaxed),
+            spmm_calls: load(&self.spmm_calls),
+            spmm_columns: load(&self.spmm_columns),
         }
     }
 }
@@ -291,14 +237,6 @@ pub struct CounterSnapshot {
     pub spmm_calls: [u64; 3],
     /// Total panel columns processed by those SpMM calls, same order.
     pub spmm_columns: [u64; 3],
-    /// Mid-solve precision escalations per nesting depth (index 0 =
-    /// outermost; the outermost level never switches, so index 0 stays 0).
-    pub level_escalations: [u64; 8],
-    /// Mid-solve precision de-escalations per nesting depth.
-    pub level_deescalations: [u64; 8],
-    /// Bytes of matrix storage newly materialized by mid-solve precision
-    /// switches (the one-off variant-faulting cost, not streaming traffic).
-    pub switch_bytes: u64,
 }
 
 impl CounterSnapshot {
@@ -396,52 +334,26 @@ impl CounterSnapshot {
         self.bytes_moved[precision_index(p)]
     }
 
-    /// Total mid-solve precision escalations across all nesting depths.
-    #[must_use]
-    pub fn total_escalations(&self) -> u64 {
-        self.level_escalations.iter().sum()
-    }
-
-    /// Total mid-solve precision de-escalations across all nesting depths.
-    #[must_use]
-    pub fn total_deescalations(&self) -> u64 {
-        self.level_deescalations.iter().sum()
-    }
-
     /// Element-wise difference `self - earlier`, saturating at zero.
     ///
     /// Useful for measuring the cost of a single phase between two snapshots.
     #[must_use]
     pub fn since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let sub3 = |a: [u64; 3], b: [u64; 3]| {
-            [
-                a[0].saturating_sub(b[0]),
-                a[1].saturating_sub(b[1]),
-                a[2].saturating_sub(b[2]),
-            ]
-        };
-        let sub8 = |a: [u64; 8], b: [u64; 8]| {
-            let mut out = [0u64; 8];
-            for ((o, s), e) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-                *o = s.saturating_sub(*e);
-            }
-            out
-        };
+        fn sub<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
+            std::array::from_fn(|i| a[i].saturating_sub(b[i]))
+        }
         CounterSnapshot {
             precond_applies: self.precond_applies.saturating_sub(earlier.precond_applies),
-            spmv_calls: sub3(self.spmv_calls, earlier.spmv_calls),
-            blas1_calls: sub3(self.blas1_calls, earlier.blas1_calls),
-            bytes_moved: sub3(self.bytes_moved, earlier.bytes_moved),
-            basis_bytes_read: sub3(self.basis_bytes_read, earlier.basis_bytes_read),
-            basis_bytes_written: sub3(self.basis_bytes_written, earlier.basis_bytes_written),
-            matrix_bytes_read: sub3(self.matrix_bytes_read, earlier.matrix_bytes_read),
-            level_iterations: sub8(self.level_iterations, earlier.level_iterations),
+            spmv_calls: sub(self.spmv_calls, earlier.spmv_calls),
+            blas1_calls: sub(self.blas1_calls, earlier.blas1_calls),
+            bytes_moved: sub(self.bytes_moved, earlier.bytes_moved),
+            basis_bytes_read: sub(self.basis_bytes_read, earlier.basis_bytes_read),
+            basis_bytes_written: sub(self.basis_bytes_written, earlier.basis_bytes_written),
+            matrix_bytes_read: sub(self.matrix_bytes_read, earlier.matrix_bytes_read),
+            level_iterations: sub(self.level_iterations, earlier.level_iterations),
             weight_updates: self.weight_updates.saturating_sub(earlier.weight_updates),
-            spmm_calls: sub3(self.spmm_calls, earlier.spmm_calls),
-            spmm_columns: sub3(self.spmm_columns, earlier.spmm_columns),
-            level_escalations: sub8(self.level_escalations, earlier.level_escalations),
-            level_deescalations: sub8(self.level_deescalations, earlier.level_deescalations),
-            switch_bytes: self.switch_bytes.saturating_sub(earlier.switch_bytes),
+            spmm_calls: sub(self.spmm_calls, earlier.spmm_calls),
+            spmm_columns: sub(self.spmm_columns, earlier.spmm_columns),
         }
     }
 
@@ -450,30 +362,22 @@ impl CounterSnapshot {
     /// layer's metrics, which merge per-request deltas from many worker
     /// sessions — maintain one running total.
     pub fn accumulate(&mut self, other: &CounterSnapshot) {
-        let add3 = |a: &mut [u64; 3], b: [u64; 3]| {
+        fn add<const N: usize>(a: &mut [u64; N], b: [u64; N]) {
             for (x, y) in a.iter_mut().zip(b) {
                 *x = x.saturating_add(y);
             }
-        };
-        let add8 = |a: &mut [u64; 8], b: [u64; 8]| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x = x.saturating_add(y);
-            }
-        };
+        }
         self.precond_applies = self.precond_applies.saturating_add(other.precond_applies);
-        add3(&mut self.spmv_calls, other.spmv_calls);
-        add3(&mut self.blas1_calls, other.blas1_calls);
-        add3(&mut self.bytes_moved, other.bytes_moved);
-        add3(&mut self.basis_bytes_read, other.basis_bytes_read);
-        add3(&mut self.basis_bytes_written, other.basis_bytes_written);
-        add3(&mut self.matrix_bytes_read, other.matrix_bytes_read);
-        add8(&mut self.level_iterations, other.level_iterations);
+        add(&mut self.spmv_calls, other.spmv_calls);
+        add(&mut self.blas1_calls, other.blas1_calls);
+        add(&mut self.bytes_moved, other.bytes_moved);
+        add(&mut self.basis_bytes_read, other.basis_bytes_read);
+        add(&mut self.basis_bytes_written, other.basis_bytes_written);
+        add(&mut self.matrix_bytes_read, other.matrix_bytes_read);
+        add(&mut self.level_iterations, other.level_iterations);
         self.weight_updates = self.weight_updates.saturating_add(other.weight_updates);
-        add3(&mut self.spmm_calls, other.spmm_calls);
-        add3(&mut self.spmm_columns, other.spmm_columns);
-        add8(&mut self.level_escalations, other.level_escalations);
-        add8(&mut self.level_deescalations, other.level_deescalations);
-        self.switch_bytes = self.switch_bytes.saturating_add(other.switch_bytes);
+        add(&mut self.spmm_calls, other.spmm_calls);
+        add(&mut self.spmm_columns, other.spmm_columns);
     }
 }
 
@@ -632,35 +536,6 @@ mod tests {
         c.reset();
         assert_eq!(c.snapshot(), CounterSnapshot::default());
         assert_eq!(c.snapshot().mean_spmm_width(), 0.0);
-    }
-
-    #[test]
-    fn escalation_events_are_attributed_per_level() {
-        let c = KernelCounters::new_shared();
-        c.record_escalation(2);
-        c.record_escalation(2);
-        c.record_escalation(3);
-        c.record_deescalation(2);
-        c.record_switch_bytes(4096);
-        let s = c.snapshot();
-        assert_eq!(s.level_escalations[1], 2);
-        assert_eq!(s.level_escalations[2], 1);
-        assert_eq!(s.total_escalations(), 3);
-        assert_eq!(s.level_deescalations[1], 1);
-        assert_eq!(s.total_deescalations(), 1);
-        assert_eq!(s.switch_bytes, 4096);
-        // Depths beyond the table clamp like level_iterations.
-        c.record_escalation(50);
-        assert_eq!(c.snapshot().level_escalations[7], 1);
-        // The difference view isolates a phase.
-        let first = c.snapshot();
-        c.record_escalation(2);
-        c.record_switch_bytes(100);
-        let diff = c.snapshot().since(&first);
-        assert_eq!(diff.total_escalations(), 1);
-        assert_eq!(diff.switch_bytes, 100);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
     }
 
     #[test]

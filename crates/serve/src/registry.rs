@@ -98,9 +98,9 @@ impl CachedSolver {
 struct Entry {
     solver: CachedSolver,
     /// `storage_bytes()` at insert (variants materialized by the spec are
-    /// faulted in during the build, so this is stable afterwards for
-    /// non-adaptive solvers; an adaptive escalation can grow the real
-    /// footprint beyond the recorded price).
+    /// faulted in during the build, so this is stable afterwards; only an
+    /// `AdaptiveSession` over the solver, which the serve layer never opens,
+    /// faults wider variants into its matrix store beyond this price).
     bytes: u64,
     /// LRU tick of the last hit or insert.
     last_used: u64,

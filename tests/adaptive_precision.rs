@@ -1,6 +1,7 @@
-//! End-to-end adaptive runtime precision (issue 8).
+//! End-to-end adaptive runtime precision.
 //!
-//! The scenarios pin the contract of `SolverBuilder::adaptive`:
+//! The scenarios pin the contract of `AdaptiveSession`, read through its
+//! switch log:
 //!
 //! * a matrix whose ~1e16 entry dynamic range defeats scaled-fp16 matrix
 //!   streaming must converge to 1e-8 *hands-off* — the stall detector
@@ -14,11 +15,12 @@
 //! * a batch adapts like a single solve: a stalled three-column batch
 //!   escalates (once per switch, for all its columns) and converges
 //!   hands-off, and a benign batch never escalates and is bitwise the
-//!   fixed-spec batch.
+//!   fixed-spec batch,
+//! * an unbounded cycle budget cannot overflow the escalation's hard cap.
 
 use std::sync::Arc;
 
-use f3r::core::session::{PrecisionSwitchEvent, SolveOptions};
+use f3r::core::session::SolveOptions;
 use f3r::prelude::*;
 use f3r::sparse::gen::{poisson2d_5pt, random_rhs};
 use f3r::sparse::scaling::jacobi_scale;
@@ -44,13 +46,21 @@ fn two_level(inner: MatrixStorage) -> Vec<LevelSpec> {
     ]
 }
 
-#[derive(Default)]
-struct SwitchLog(Vec<PrecisionSwitchEvent>);
+/// The two-level `Scaled(Fp16)` spec with Jacobi and a `cycles` budget.
+fn build(pm: &Arc<ProblemMatrix>, cycles: usize) -> Arc<PreparedSolver> {
+    SolverBuilder::new(Arc::clone(pm))
+        .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
+        .precond(PrecondKind::Jacobi)
+        .max_outer_cycles(cycles)
+        .build()
+}
 
-impl SolveObserver for SwitchLog {
-    fn on_precision_switch(&mut self, event: &PrecisionSwitchEvent) {
-        self.0.push(event.clone());
-    }
+fn escalations(log: &[PrecisionSwitch]) -> usize {
+    log.iter().filter(|s| s.escalated).count()
+}
+
+fn faulted_bytes(log: &[PrecisionSwitch]) -> u64 {
+    log.iter().map(|s| s.faulted_bytes).sum()
 }
 
 fn has_fp16_matrix(levels: &[LevelSpec]) -> bool {
@@ -66,11 +76,7 @@ fn stalled_scaled_fp16_escalates_and_converges_hands_off() {
     let b = random_rhs(n, 42);
 
     // Fixed Scaled(Fp16) stalls on this matrix: no convergence in the budget.
-    let fixed = SolverBuilder::new(Arc::clone(&pm))
-        .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-        .precond(PrecondKind::Jacobi)
-        .max_outer_cycles(10)
-        .build();
+    let fixed = build(&pm, 10);
     let r_fixed = fixed.session().solve(&b, &mut vec![0.0; n]);
     assert!(
         !r_fixed.converged,
@@ -78,32 +84,25 @@ fn stalled_scaled_fp16_escalates_and_converges_hands_off() {
     );
 
     // The same spec with the default adaptive policy converges hands-off.
-    let adaptive = SolverBuilder::new(pm)
-        .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-        .precond(PrecondKind::Jacobi)
-        .max_outer_cycles(10)
-        .adaptive_default()
-        .build();
-    let mut session = adaptive.session();
+    let mut session = AdaptiveSession::new(&fixed, AdaptivePolicy::default());
     let mut x = vec![0.0; n];
-    let mut log = SwitchLog::default();
-    let r = session.solve_observed(&b, &mut x, &SolveOptions::new(), &mut log);
+    let r = session.solve(&b, &mut x);
 
     assert!(r.converged, "adaptive solve should converge: {r}");
     assert!(r.final_relative_residual < 1e-8);
-    assert!(r.counters.total_escalations() >= 1, "{:?}", r.counters);
-    assert!(!log.0.is_empty());
-    let first = &log.0[0];
+    let log = session.switches();
+    assert!(escalations(log) >= 1, "{log:?}");
+    let first = &log[0];
     assert!(first.escalated);
     assert_eq!(first.from_rung, 0);
     assert_eq!(first.to_rung, 1);
     // The widened variants were materialized (bytes accounted) and streamed.
-    assert!(r.counters.switch_bytes > 0);
+    assert!(faulted_bytes(log) > 0);
     assert!(
         r.counters.matrix_bytes_in(Precision::Fp32) > 0
             || r.counters.matrix_bytes_in(Precision::Fp64) > 0
     );
-    assert!(session.adaptive_rung().unwrap() >= 1);
+    assert!(session.rung() >= 1);
 }
 
 #[test]
@@ -127,22 +126,14 @@ fn benign_matrix_never_escalates_and_undercuts_fixed_fp32_bytes() {
     let (r16, x16) = solve_fixed(MatrixStorage::Scaled(Precision::Fp16));
     let (r32, _) = solve_fixed(MatrixStorage::Scaled(Precision::Fp32));
 
-    let adaptive = SolverBuilder::new(Arc::clone(&pm))
-        .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-        .precond(PrecondKind::Jacobi)
-        .adaptive_default()
-        .build();
-    let mut session = adaptive.session();
+    let mut session = AdaptiveSession::new(&build(&pm, 3), AdaptivePolicy::default());
     let mut x = vec![0.0; n];
-    let mut log = SwitchLog::default();
-    let r = session.solve_observed(&b, &mut x, &SolveOptions::new(), &mut log);
+    let r = session.solve(&b, &mut x);
 
     assert!(r.converged, "{r}");
     // Never escalates on a benign matrix ...
-    assert_eq!(r.counters.total_escalations(), 0);
-    assert_eq!(r.counters.switch_bytes, 0);
-    assert!(log.0.is_empty());
-    assert_eq!(session.adaptive_rung(), Some(0));
+    assert!(session.switches().is_empty());
+    assert_eq!(session.rung(), 0);
     // ... and is bitwise the fixed fp16 run (parity well within the issue's
     // one-outer-iteration tolerance).
     assert_eq!(r.outer_iterations, r16.outer_iterations);
@@ -173,23 +164,15 @@ fn deescalation_reengages_fp16_and_still_converges() {
         deescalate_after: Some(1),
         ..AdaptivePolicy::default()
     };
-    let adaptive = SolverBuilder::new(pm)
-        .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-        .precond(PrecondKind::Jacobi)
-        .max_outer_cycles(10)
-        .adaptive(policy)
-        .build();
-    let mut session = adaptive.session();
+    let mut session = AdaptiveSession::new(&build(&pm, 10), policy);
     let mut x = vec![0.0; n];
-    let mut log = SwitchLog::default();
-    let r = session.solve_observed(&b, &mut x, &SolveOptions::new(), &mut log);
+    let r = session.solve(&b, &mut x);
 
     assert!(r.converged, "{r}");
-    assert_eq!(r.counters.total_escalations(), 1, "{:?}", log.0);
-    assert!(r.counters.total_deescalations() >= 1, "{:?}", log.0);
+    let log = session.switches();
+    assert_eq!(escalations(log), 1, "{log:?}");
     // The de-escalation switch re-engaged a half-precision matrix stream.
     let down = log
-        .0
         .iter()
         .find(|ev| !ev.escalated)
         .expect("a de-escalation event");
@@ -203,21 +186,14 @@ fn deescalation_reengages_fp16_and_still_converges() {
 fn escalated_rung_persists_across_solves_of_a_session() {
     let pm = Arc::new(ProblemMatrix::from_csr(wide_system(24, 4.0)));
     let n = pm.dim();
-    let adaptive = SolverBuilder::new(pm)
-        .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-        .precond(PrecondKind::Jacobi)
-        .max_outer_cycles(10)
-        .adaptive_default()
-        .build();
-    let mut session = adaptive.session();
+    let mut session = AdaptiveSession::new(&build(&pm, 10), AdaptivePolicy::default());
 
     let b1 = random_rhs(n, 1);
     let mut x = vec![0.0; n];
     let r1 = session.solve(&b1, &mut x);
     assert!(r1.converged, "{r1}");
-    let rung = session.adaptive_rung().unwrap();
-    assert!(rung >= 1);
-    let first_escalations = r1.counters.total_escalations();
+    assert!(session.rung() >= 1);
+    let first_escalations = escalations(session.switches());
     assert!(first_escalations >= 1);
 
     // A second solve starts at the already-escalated rung: it converges
@@ -226,12 +202,10 @@ fn escalated_rung_persists_across_solves_of_a_session() {
     let mut x2 = vec![0.0; n];
     let r2 = session.solve(&b2, &mut x2);
     assert!(r2.converged, "{r2}");
+    let second_escalations = escalations(session.switches());
     assert!(
-        r2.counters.total_escalations() < first_escalations
-            || r2.counters.total_escalations() == 0,
-        "second solve escalated {} times vs {} on the first",
-        r2.counters.total_escalations(),
-        first_escalations
+        second_escalations < first_escalations || second_escalations == 0,
+        "second solve escalated {second_escalations} times vs {first_escalations} on the first"
     );
 }
 
@@ -240,20 +214,14 @@ fn stalled_three_column_batch_escalates_and_converges_hands_off() {
     let pm = Arc::new(ProblemMatrix::from_csr(wide_system(24, 4.0)));
     let n = pm.dim();
     let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 44 + s)).collect();
-    let build = |adaptive: bool| {
-        let builder = SolverBuilder::new(Arc::clone(&pm))
-            .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-            .precond(PrecondKind::Jacobi)
-            .max_outer_cycles(10);
-        if adaptive { builder.adaptive_default() } else { builder }.build()
-    };
+    let prepared = build(&pm, 10);
 
     // The fixed Scaled(Fp16) batch stalls like the fixed single solve.
     let mut xs = vec![Vec::new(); 3];
-    let fixed = build(false).session().solve_batch(&bs, &mut xs);
+    let fixed = prepared.session().solve_batch(&bs, &mut xs);
     assert!(fixed.iter().all(|r| !r.converged));
 
-    let mut session = build(true).session();
+    let mut session = AdaptiveSession::new(&prepared, AdaptivePolicy::default());
     let results = session.solve_batch(&bs, &mut xs);
     for (c, r) in results.iter().enumerate() {
         assert!(r.converged, "column {c}: {r}");
@@ -262,11 +230,11 @@ fn stalled_three_column_batch_escalates_and_converges_hands_off() {
     // The chain is shared: the batch climbed the ladder once for all its
     // columns — no more switches than the ladder has rungs to climb — and
     // the session stays on the rung it reached.
-    let escalations = results[0].counters.total_escalations();
-    let rung = session.adaptive_rung().unwrap();
-    assert!(escalations >= 1 && rung >= 1);
-    assert_eq!(escalations as usize, rung, "one switch per rung, not per column");
-    assert!(results[0].counters.switch_bytes > 0);
+    let log = session.switches();
+    let rung = session.rung();
+    assert!(escalations(log) >= 1 && rung >= 1);
+    assert_eq!(escalations(log), rung, "one switch per rung, not per column");
+    assert!(faulted_bytes(log) > 0);
 }
 
 #[test]
@@ -274,24 +242,39 @@ fn benign_batch_never_escalates_and_is_bitwise_the_fixed_spec_batch() {
     let pm = Arc::new(ProblemMatrix::from_csr(jacobi_scale(&poisson2d_5pt(24, 24))));
     let n = pm.dim();
     let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 7 + s)).collect();
-    let builder = || {
-        SolverBuilder::new(Arc::clone(&pm))
-            .levels(two_level(MatrixStorage::Scaled(Precision::Fp16)))
-            .precond(PrecondKind::Jacobi)
-    };
+    let prepared = build(&pm, 3);
     let mut xs_fixed = vec![Vec::new(); 3];
-    let fixed = builder().build().session().solve_batch(&bs, &mut xs_fixed);
+    let fixed = prepared.session().solve_batch(&bs, &mut xs_fixed);
 
-    let mut session = builder().adaptive_default().build().session();
+    let mut session = AdaptiveSession::new(&prepared, AdaptivePolicy::default());
     let mut xs = vec![Vec::new(); 3];
     let results = session.solve_batch(&bs, &mut xs);
-    assert_eq!(session.adaptive_rung(), Some(0));
-    assert_eq!(results[0].counters.total_escalations(), 0);
-    assert_eq!(results[0].counters.switch_bytes, 0);
+    assert_eq!(session.rung(), 0);
+    assert!(session.switches().is_empty());
     for c in 0..3 {
         assert!(results[c].converged, "column {c}: {}", results[c]);
         assert_eq!(results[c].outer_iterations, fixed[c].outer_iterations, "column {c}");
         assert_eq!(results[c].residual_history, fixed[c].residual_history, "column {c}");
         assert_eq!(xs[c], xs_fixed[c], "column {c}");
     }
+}
+
+#[test]
+fn unbounded_cycle_budget_is_the_default_budget_solve() {
+    // The hard cap multiplies the budget by `2 · max_escalations + 2`: a
+    // `usize::MAX` override saturates instead of overflowing.
+    let pm = Arc::new(ProblemMatrix::from_csr(jacobi_scale(&poisson2d_5pt(24, 24))));
+    let n = pm.dim();
+    let b = random_rhs(n, 7);
+    let prepared = build(&pm, 3);
+    let mut x = vec![0.0; n];
+    let r = AdaptiveSession::new(&prepared, AdaptivePolicy::default()).solve(&b, &mut x);
+    let mut x_max = vec![0.0; n];
+    let mut session = AdaptiveSession::new(&prepared, AdaptivePolicy::default());
+    let r_max = session.solve_with(&b, &mut x_max, &SolveOptions::new().max_outer_cycles(usize::MAX));
+    assert!(r_max.converged, "{r_max}");
+    assert!(session.switches().is_empty());
+    assert_eq!(r_max.outer_iterations, r.outer_iterations);
+    assert_eq!(r_max.residual_history, r.residual_history);
+    assert_eq!(x_max, x);
 }

@@ -5,7 +5,9 @@
 //! on HPCG 16³, Poisson 40² and HPGMP 12³, and fp16-F3R solves one k = 3
 //! batch on HPCG 16³.  Each line pins the
 //! FNV-1a of the solution bits and of the residual-history bits, the outer
-//! iterations and the `M` applications.  A kernel change that claims to keep
+//! iterations and the `M` applications.  A second listing pins adaptive
+//! solves (`AdaptiveSession`) on `D A D`-scaled Poisson 24², with each
+//! call's switches as `cycle:from->to` and the rung it ends on.  A kernel change that claims to keep
 //! every bit (a fused sweep, a reordered loop that each element sees in the
 //! same order) must leave this listing unchanged; a change that moves bits on
 //! purpose regenerates it from the failure message and says why.
@@ -129,4 +131,89 @@ fn whole_solve_hashes_match_the_golden_listing() {
     assert_eq!(set_kernel_backend(KernelBackend::Scalar), KernelBackend::Scalar);
     let got = listing().join("\n");
     assert!(got == GOLDEN.trim_end(), "whole-solve listing changed; now:\n{got}");
+}
+
+/// The Jacobi-scaled Poisson 24² re-scaled by `D A D` with
+/// `D = diag(10^(-expo) .. 10^(expo))`: entry dynamic range about
+/// `10^(4·expo)`.
+fn dad_poisson24(expo: f64) -> Arc<ProblemMatrix> {
+    let a = jacobi_scale(&poisson2d_5pt(24, 24));
+    let n = a.n_rows();
+    let d: Vec<f64> = (0..n)
+        .map(|i| 10f64.powf(-expo + 2.0 * expo * i as f64 / (n - 1) as f64))
+        .collect();
+    Arc::new(ProblemMatrix::from_csr(a.scale_rows_cols(&d, &d)))
+}
+
+fn adaptive_line(problem: &str, r: &SolveResult, x: &[f64], session: &AdaptiveSession) -> String {
+    let switches: Vec<String> =
+        session.switches().iter().map(|s| format!("{}:{}->{}", s.cycle, s.from_rung, s.to_rung)).collect();
+    format!("{} switches=[{}] rung={}", line(problem, r, x), switches.join(","), session.rung())
+}
+
+fn adaptive_listing() -> Vec<String> {
+    let scaled_fp16 = |matrix: Arc<ProblemMatrix>| {
+        SolverBuilder::new(matrix)
+            .levels(vec![
+                LevelSpec::fgmres(30, Precision::Fp64, Precision::Fp64),
+                LevelSpec::fgmres_stored(10, MatrixStorage::Scaled(Precision::Fp16), Precision::Fp64),
+            ])
+            .precond(PrecondKind::Jacobi)
+            .max_outer_cycles(10)
+            .build()
+    };
+    let mut out = Vec::new();
+    // Range 1e16 stalls the scaled fp16 stream: two escalations, then the
+    // rung persists into the session's next solve; a batch climbs once.
+    let stalled = scaled_fp16(dad_poisson24(4.0));
+    let n = stalled.dim();
+    let mut x = vec![0.0; n];
+    let mut session = AdaptiveSession::new(&stalled, AdaptivePolicy::default());
+    let r = session.solve(&random_rhs(n, 42), &mut x);
+    out.push(adaptive_line("dad24-1e4", &r, &x, &session));
+    let mut session = AdaptiveSession::new(&stalled, AdaptivePolicy::default());
+    for seed in [1, 2] {
+        let r = session.solve(&random_rhs(n, seed), &mut x);
+        out.push(adaptive_line(&format!("dad24-1e4-persist[{seed}]"), &r, &x, &session));
+    }
+    let bs: Vec<Vec<f64>> = (0..3).map(|s| random_rhs(n, 44 + s)).collect();
+    let mut xs = vec![Vec::new(); 3];
+    let mut session = AdaptiveSession::new(&stalled, AdaptivePolicy::default());
+    let results = session.solve_batch(&bs, &mut xs);
+    for (c, (r, x)) in results.iter().zip(&xs).enumerate() {
+        out.push(adaptive_line(&format!("dad24-1e4-batch3[{c}]"), r, x, &session));
+    }
+    // Range 1e14 only slows it: one escalation, then back down to fp16.
+    let policy = AdaptivePolicy { max_escalations: 1, deescalate_after: Some(1), ..AdaptivePolicy::default() };
+    let mut session = AdaptiveSession::new(&scaled_fp16(dad_poisson24(3.5)), policy);
+    let r = session.solve(&random_rhs(n, 42), &mut x);
+    out.push(adaptive_line("dad24-1e3.5-deescalate", &r, &x, &session));
+    // Range 1e10: the autotuner picks row-scaled fp16-F3R, whose fixed solve
+    // breaks down after one outer iteration.  One switch widens its two fp16
+    // levels (one of them Richardson) and rescues it.
+    let tuned = SolverBuilder::new(dad_poisson24(2.5)).auto_spec().precond(PrecondKind::Jacobi).build();
+    let mut session = AdaptiveSession::new(&tuned, AdaptivePolicy::default());
+    let r = session.solve(&random_rhs(n, 42), &mut x);
+    out.push(adaptive_line("dad24-1e2.5", &r, &x, &session));
+    out
+}
+
+/// The adaptive listing, taken while precision escalation still ran inside
+/// the session driver.
+const ADAPTIVE_GOLDEN: &str = "\
+dad24-1e4 (F30, F10, M) x=c8307e4a010394fd hist=3dda8d4adaf24fcc outer=79 M=790 switches=[0:0->1,1:1->2] rung=2
+dad24-1e4-persist[1] (F30, F10, M) x=fceb1c8c50777b71 hist=3b9d3c45344be1ba outer=81 M=810 switches=[0:0->1,1:1->2] rung=2
+dad24-1e4-persist[2] (F30, F10, M) x=99cba83d9e637ec0 hist=8bc7ac5ce681e982 outer=56 M=560 switches=[] rung=2
+dad24-1e4-batch3[0] (F30, F10, M) x=bbe1603c07dba966 hist=036716536f63450e outer=83 M=2700 switches=[0:0->1,1:1->2] rung=2
+dad24-1e4-batch3[1] (F30, F10, M) x=1f5b65c5681bd242 hist=49bbe4df8177777c outer=79 M=2700 switches=[0:0->1,1:1->2] rung=2
+dad24-1e4-batch3[2] (F30, F10, M) x=53fac4cc8c677a80 hist=3ef7ecc9fef72a4b outer=108 M=2700 switches=[0:0->1,1:1->2] rung=2
+dad24-1e3.5-deescalate (F30, F10, M) x=66ec8d145c998082 hist=998b17453e9c20b9 outer=57 M=570 switches=[0:0->1,1:1->0] rung=0
+dad24-1e2.5 auto:fp16-F3R-scaled x=5087308281283d1e hist=ff37fe703c2f576f outer=14 M=838 switches=[0:0->1] rung=1
+";
+
+#[test]
+fn adaptive_solve_hashes_match_the_golden_listing() {
+    assert_eq!(set_kernel_backend(KernelBackend::Scalar), KernelBackend::Scalar);
+    let got = adaptive_listing().join("\n");
+    assert!(got == ADAPTIVE_GOLDEN.trim_end(), "adaptive listing changed; now:\n{got}");
 }
